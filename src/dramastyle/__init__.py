@@ -31,7 +31,6 @@ from .segmentation import CategoryLabeling, Chunk, build_chunks, chunk_text, sel
 from .tokenization import TokenDistribution, TokenizationMode, tokenize
 from .similarity import (
     DissimilarityMatrix,
-    PairScore,
     chi_square_dissimilarity,
     pairwise_matrix,
 )

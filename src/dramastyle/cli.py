@@ -18,12 +18,10 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, CorpusError, PipelineError, StatisticsError
-from .experiment import compare_translations, load_config, run_experiment
+from .experiment import chunk_matrix, compare_translations, load_config, prepare_chunks, run_experiment
 from .ingest import ParseRules, load_document, parse_play, play_from_json, play_to_json, strip_boilerplate
-from .segmentation import CategoryLabeling, build_chunks, check_labeling, select_eligible
-from .similarity import pairwise_matrix, write_matrix_csv
-from .tokenization import TokenizationMode, tokenize
-from .ingest import extract_character_text
+from .similarity import write_matrix_csv
+from .tokenization import TokenizationMode
 
 
 def _cmd_parse(args) -> int:
@@ -61,31 +59,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_matrix(args) -> int:
     mode = TokenizationMode.parse(args.mode)
-    char_texts = {}
-    for path in args.files:
-        play = play_from_json(Path(path).read_text(encoding="utf-8"))
-        for speaker, text in extract_character_text(play).items():
-            char_texts[(play.play_id, play.translator, speaker)] = text
-    eligible = {}
-    for (play_id, translator), group in _group_by_play(char_texts).items():
-        kept = select_eligible(group, args.min_size)
-        for speaker, text in kept.items():
-            eligible[(play_id, translator, speaker)] = text
-    labeling = CategoryLabeling.for_mode(args.labeling)
-    chunks = build_chunks(eligible, labeling, args.chunk_count, args.chunk_size)
-    check_labeling(chunks)
-    dists = [tokenize(c.text, mode, c.chunk_id) for c in chunks]
-    matrix = pairwise_matrix(dists, jobs=args.jobs)
-    write_matrix_csv(matrix, args.out)
+    plays = [play_from_json(Path(path).read_text(encoding="utf-8")) for path in args.files]
+    chunks = prepare_chunks(
+        plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size
+    )
+    write_matrix_csv(chunk_matrix(chunks, mode, jobs=args.jobs), args.out)
     print(f"wrote {args.out}")
     return 0
-
-
-def _group_by_play(char_texts):
-    grouped: dict[tuple[str, str], dict] = {}
-    for (play_id, translator, speaker), text in char_texts.items():
-        grouped.setdefault((play_id, translator), {})[speaker] = text
-    return grouped
 
 
 def _cmd_report(args) -> int:

@@ -4,18 +4,22 @@ A config JSON names the corpus files, the labeling mode, one or more
 tokenization modes, the chunking budget, and the permutation settings.
 `run_experiment` executes ingest -> extract -> select -> chunk ->
 tokenize -> matrix -> statistics and writes a manifest CSV, one matrix
-CSV per mode, and a report JSON. Everything is deterministic given the
-config and corpus bytes; the wall-clock timestamp lives in a sidecar
-file so the hashed outputs stay reproducible.
+CSV per mode, and a report JSON; `prepare_chunks` and `chunk_matrix` are
+the front half that every command shares. Everything is deterministic
+given the config and corpus bytes; the wall-clock timestamp lives in a
+sidecar file so the hashed outputs stay reproducible.
 """
 from __future__ import annotations
 
 import csv
 import json
+import secrets
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ConfigError, NoEligibleCharacters, PipelineError, PreconditionFailed
 from .homogeneity import (
@@ -36,12 +40,13 @@ from .ingest import (
 )
 from .segmentation import (
     CategoryLabeling,
+    Chunk,
     build_chunks,
     check_labeling,
     select_eligible,
     write_manifest,
 )
-from .similarity import pairwise_matrix, write_matrix_csv
+from .similarity import DissimilarityMatrix, pairwise_matrix, write_matrix_csv
 from .tokenization import TokenizationMode, tokenize
 
 DEFAULT_SIGNIFICANCE = 0.05
@@ -75,6 +80,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.corpus:
             raise ConfigError("corpus must be non-empty")
+        if self.permutations < 1:
+            raise ConfigError("permutations must be at least 1")
+        if self.chunk_count < 2:
+            raise ConfigError("chunk_count must be at least 2")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size must be at least 1")
+        if not 0 < self.significance < 1:
+            raise ConfigError("significance must lie strictly between 0 and 1")
         if self.chunk_count * self.chunk_size > self.min_size:
             raise ConfigError(
                 f"chunk_count*chunk_size ({self.chunk_count * self.chunk_size}) "
@@ -136,19 +149,39 @@ class ExperimentReport:
         return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
 
 
-def _stage(name: str):
-    """Decorator-free stage wrapper: re-raise with the stage name."""
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Re-raise any error of the block as a PipelineError naming the stage."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
-    class _Ctx:
-        def __enter__(self):
-            return self
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(name, exc) from exc
-            return False
+@contextmanager
+def _output_dir(config: ExperimentConfig) -> Iterator[Path]:
+    """Yield an empty sibling of `output_dir/experiment_id` to write into.
 
-    return _Ctx()
+    Only when the block succeeds does it replace the previous directory as
+    a whole, so a rerun never mixes stale and fresh files and a failed run
+    leaves the previous results untouched.
+    """
+    final = Path(config.output_dir) / config.experiment_id
+    final.parent.mkdir(parents=True, exist_ok=True)
+    tmp = final.with_name(f".{final.name}.{secrets.token_hex(8)}.tmp")
+    tmp.mkdir()
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    stale = final.with_name(f".{final.name}.{secrets.token_hex(8)}.old")
+    if final.exists():
+        final.rename(stale)
+    tmp.rename(final)
+    shutil.rmtree(stale, ignore_errors=True)
 
 
 def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str]]:
@@ -168,48 +201,64 @@ def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str
     return plays, warnings
 
 
-def _character_texts(
-    plays: list[PlayScript], config: ExperimentConfig
-) -> dict[tuple[str, str, str], str]:
-    aliases = {
-        (e.play_id, e.translator): {k.lower(): v.lower() for k, v in e.speaker_aliases.items()}
-        for e in config.corpus
-    }
-    out: dict[tuple[str, str, str], str] = {}
-    for play in plays:
-        alias = aliases.get((play.play_id, play.translator), {})
-        for speaker, text in extract_character_text(play).items():
-            speaker = alias.get(speaker, speaker)
-            key = (play.play_id, play.translator, speaker)
-            out[key] = f"{out[key]} {text}" if key in out else text
-    return out
+def _aliases(config: ExperimentConfig) -> dict[tuple[str, str], dict[str, str]]:
+    return {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
 
 
-def _eligible_chunks(config: ExperimentConfig, char_texts):
-    labeling = CategoryLabeling.for_mode(config.labeling)
-    by_play: dict[tuple[str, str], dict] = {}
-    for (play_id, translator, speaker), text in char_texts.items():
-        by_play.setdefault((play_id, translator), {})[speaker] = text
-    eligible: dict[tuple[str, str, str], str] = {}
-    for (play_id, translator), texts in sorted(by_play.items()):
-        try:
-            kept = select_eligible(texts, config.min_size)
-        except NoEligibleCharacters:
-            continue  # other plays may still qualify; checked globally below
-        for speaker, text in kept.items():
-            eligible[(play_id, translator, speaker)] = text
-    if not eligible:
-        raise NoEligibleCharacters(
-            f"no character in any play reaches {config.min_size} characters"
+def prepare_chunks(
+    plays: Sequence[PlayScript],
+    labeling: str,
+    min_size: int,
+    chunk_count: int,
+    chunk_size: int,
+    aliases: Mapping[tuple[str, str], Mapping[str, str]] | None = None,
+) -> list[Chunk]:
+    """Extract -> select -> chunk -> check: the front half of every command.
+
+    Each speaker's dialogue is gathered per (play_id, translator), with
+    `aliases[(play_id, translator)]` mapping speaker names (case-insensitive)
+    onto canonical ones. A play with no eligible speaker is skipped; only a
+    corpus where no play has one fails.
+    """
+    aliases = aliases or {}
+    by_play: dict[tuple[str, str], dict[str, str]] = {}
+    with _stage("extract"):
+        for play in plays:
+            key = (play.play_id, play.translator)
+            alias = {k.lower(): v.lower() for k, v in aliases.get(key, {}).items()}
+            texts = by_play.setdefault(key, {})
+            for speaker, text in extract_character_text(play).items():
+                speaker = alias.get(speaker, speaker)
+                texts[speaker] = f"{texts[speaker]} {text}" if speaker in texts else text
+    with _stage("segmentation"):
+        eligible: dict[tuple[str, str, str], str] = {}
+        for (play_id, translator), texts in sorted(by_play.items()):
+            try:
+                kept = select_eligible(texts, min_size)
+            except NoEligibleCharacters:
+                continue  # other plays may still qualify; checked globally below
+            for speaker, text in kept.items():
+                eligible[(play_id, translator, speaker)] = text
+        if not eligible:
+            raise NoEligibleCharacters(
+                f"no character in any play reaches {min_size} characters"
+            )
+        chunks = build_chunks(
+            eligible, CategoryLabeling.for_mode(labeling), chunk_count, chunk_size
         )
-    chunks = build_chunks(eligible, labeling, config.chunk_count, config.chunk_size)
-    check_labeling(chunks)
+        check_labeling(chunks)
     return chunks
 
 
+def chunk_matrix(
+    chunks: Sequence[Chunk], mode: TokenizationMode, jobs: int = 1
+) -> DissimilarityMatrix:
+    """Tokenize every chunk under `mode` and score all pairs."""
+    return pairwise_matrix([tokenize(c.text, mode, c.chunk_id) for c in chunks], jobs=jobs)
+
+
 def _mode_analysis(config: ExperimentConfig, chunks, mode: TokenizationMode, jobs: int):
-    dists = [tokenize(c.text, mode, c.chunk_id) for c in chunks]
-    matrix = pairwise_matrix(dists, jobs=jobs)
+    matrix = chunk_matrix(chunks, mode, jobs)
     labels = {c.chunk_id: c.category for c in chunks}
     ranked = rank_pairs(matrix)
     attribution = attribute_chunks(matrix, labels)
@@ -244,19 +293,18 @@ def _mode_analysis(config: ExperimentConfig, chunks, mode: TokenizationMode, job
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Execute the full pipeline and write all artifacts.
 
-    On failure the partially written output directory is removed so a
-    rerun never mixes stale and fresh files.
+    The artifacts replace `output_dir/experiment_id` as a whole, and only
+    if the run succeeds.
     """
     config.validate()
-    out_dir = Path(config.output_dir) / config.experiment_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _output_dir(config) as out_dir:
         with _stage("ingest"):
             plays, warnings = _ingest_corpus(config)
-        with _stage("extract"):
-            char_texts = _character_texts(plays, config)
+        chunks = prepare_chunks(
+            plays, config.labeling, config.min_size, config.chunk_count,
+            config.chunk_size, _aliases(config),
+        )
         with _stage("segmentation"):
-            chunks = _eligible_chunks(config, char_texts)
             manifest_path = out_dir / "chunk_manifest.csv"
             write_manifest(chunks, manifest_path)
         mode_sections = {}
@@ -297,9 +345,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
                 json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
             )
         return report
-    except Exception:
-        shutil.rmtree(out_dir, ignore_errors=True)
-        raise
 
 
 def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
@@ -316,21 +361,18 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
         raise PreconditionFailed("two translators of one play required")
     config = ExperimentConfig(**{**config.to_dict(), "labeling": "character_by_translator",
                                  "corpus": config.corpus})
-    out_dir = Path(config.output_dir) / config.experiment_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with _output_dir(config) as out_dir:
         with _stage("ingest"):
             plays, _ = _ingest_corpus(config)
-        with _stage("extract"):
-            char_texts = _character_texts(plays, config)
-        with _stage("segmentation"):
-            chunks = _eligible_chunks(config, char_texts)
+        chunks = prepare_chunks(
+            plays, config.labeling, config.min_size, config.chunk_count,
+            config.chunk_size, _aliases(config),
+        )
         rows = []
         for mode_spec in config.modes:
             mode = TokenizationMode.parse(mode_spec)
             with _stage(f"cross:{mode.name}"):
-                dists = [tokenize(c.text, mode, c.chunk_id) for c in chunks]
-                matrix = pairwise_matrix(dists, jobs=jobs)
+                matrix = chunk_matrix(chunks, mode, jobs)
                 labels = {c.chunk_id: c.category for c in chunks}
                 attribution = attribute_chunks(matrix, labels)
                 by_id = {c.chunk_id: c for c in chunks}
@@ -368,6 +410,3 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
                     )
                     writer.writerow(row)
         return rows
-    except Exception:
-        shutil.rmtree(out_dir, ignore_errors=True)
-        raise

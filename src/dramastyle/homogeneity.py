@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DegenerateCategory, PreconditionFailed
-from .similarity import DissimilarityMatrix, PairScore
+from .similarity import DissimilarityMatrix
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class RankedPairs:
     """All chunk pairs ranked ascending by dissimilarity, average ties."""
 
     chunk_ids: tuple[str, ...]
-    pairs: tuple[PairScore, ...]
-    ranks: np.ndarray  # aligned with pairs; ties get the average rank
+    ranks: np.ndarray  # pairs i < j in row-major order; ties get the average rank
     rank_matrix: np.ndarray = field(repr=False)  # symmetric, zero diagonal
 
 
@@ -62,21 +61,13 @@ def rank_pairs(matrix: DissimilarityMatrix) -> RankedPairs:
     """Rank all unordered pairs ascending by score (most similar = 1)."""
     if len(matrix.chunk_ids) < 2:
         raise PreconditionFailed("need at least 2 chunks")
-    pairs = matrix.pairs()
-    ranks = rankdata([p.score for p in pairs], method="average")
     n = len(matrix.chunk_ids)
+    upper = np.triu_indices(n, 1)
+    ranks = rankdata(matrix.scores[upper], method="average")
     rank_matrix = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            rank_matrix[i, j] = rank_matrix[j, i] = ranks[k]
-            k += 1
-    return RankedPairs(
-        chunk_ids=matrix.chunk_ids,
-        pairs=tuple(pairs),
-        ranks=ranks,
-        rank_matrix=rank_matrix,
-    )
+    rank_matrix[upper] = ranks
+    rank_matrix += rank_matrix.T
+    return RankedPairs(chunk_ids=matrix.chunk_ids, ranks=ranks, rank_matrix=rank_matrix)
 
 
 def _members(chunk_ids: Sequence[str], labels: Sequence[str], category: str) -> list[int]:

@@ -22,32 +22,9 @@ from .tokenization import TokenDistribution
 
 
 @dataclass(frozen=True)
-class PairScore:
-    chunk_a: str
-    chunk_b: str
-    score: float
-
-    def __post_init__(self):
-        if not self.chunk_a < self.chunk_b:
-            raise ValueError("pairs are canonical: chunk_a < chunk_b")
-
-
-@dataclass(frozen=True)
 class DissimilarityMatrix:
     chunk_ids: tuple[str, ...]
     scores: np.ndarray  # symmetric, zero diagonal
-
-    def index_of(self, chunk_id: str) -> int:
-        return self.chunk_ids.index(chunk_id)
-
-    def pairs(self) -> list[PairScore]:
-        """All unordered pairs in canonical (lexicographic) order."""
-        n = len(self.chunk_ids)
-        return [
-            PairScore(self.chunk_ids[i], self.chunk_ids[j], float(self.scores[i, j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
 
 
 def chi_square_dissimilarity(da: TokenDistribution, db: TokenDistribution) -> float:

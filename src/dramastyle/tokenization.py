@@ -1,11 +1,8 @@
 """Chunk text to token count distributions under configurable modes."""
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable
 
 from .errors import EmptyDistribution
 
@@ -90,15 +87,3 @@ def tokenize(text: str, mode: TokenizationMode, chunk_id: str = "") -> TokenDist
         raise EmptyDistribution(f"chunk {chunk_id or '<anonymous>'}: no tokens under {mode.name}")
     return TokenDistribution(chunk_id=chunk_id, mode=mode, counts=counts, total=total)
 
-
-def write_counts_csv(dists: Iterable[TokenDistribution], path: str | Path) -> None:
-    """Optional dump: chunk_id, token, count sorted by (chunk_id, token)."""
-    rows = sorted(
-        (d.chunk_id, token, count)
-        for d in dists
-        for token, count in d.counts.items()
-    )
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["chunk_id", "token", "count"])
-        writer.writerows(rows)

@@ -80,6 +80,25 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "out" / "synthetic_two_category").exists()
 
+    def test_single_mode_rerun_replaces_previous_outputs(self, configs_dir, tmp_path):
+        run_experiment(synthetic_config(configs_dir, tmp_path))
+        run_experiment(synthetic_config(configs_dir, tmp_path, modes=("letter_unigram",)))
+        out = tmp_path / "out" / "synthetic_two_category"
+        assert not (out / "matrix_word_unigram.csv").exists()
+        assert (out / "matrix_letter_unigram.csv").exists()
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [out.name]
+
+    def test_failed_rerun_keeps_previous_results(self, configs_dir, tmp_path):
+        run_experiment(synthetic_config(configs_dir, tmp_path))
+        out = tmp_path / "out" / "synthetic_two_category"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        config = synthetic_config(configs_dir, tmp_path, min_size=10**6,
+                                  chunk_count=2, chunk_size=100)
+        with pytest.raises(PipelineError):
+            run_experiment(config)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [out.name]
+
     def test_jobs_do_not_change_output_bytes(self, configs_dir, tmp_path):
         files = {}
         for jobs in (1, 8):
@@ -231,6 +250,44 @@ class TestCliExitCodes:
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header.startswith("chunk_id,")
+
+    def test_matrix_skips_play_without_eligible_speaker(self, data_dir, tmp_path):
+        interchange = tmp_path / "synthia.json"
+        main([
+            "parse", str(data_dir / "synthetic" / "two_category.txt"),
+            "--play-id", "synthia", "--language", "syn", "--out", str(interchange),
+        ])
+        chunking = ["--min-size", "3000", "--chunk-count", "5", "--chunk-size", "600"]
+        alone, mixed = tmp_path / "alone.csv", tmp_path / "mixed.csv"
+        assert main(["matrix", str(interchange), *chunking, "--out", str(alone)]) == 0
+        miniature = data_dir / "golden" / "miniature_play.json"
+        rc = main(["matrix", str(interchange), str(miniature), *chunking, "--out", str(mixed)])
+        assert rc == 0
+        assert mixed.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("permutations", 0),
+        ("chunk_count", 1),
+        ("chunk_size", 0),
+        ("significance", 0.0),
+        ("significance", 1.0),
+    ])
+    def test_out_of_range_setting_is_2(self, configs_dir, tmp_path, field, value):
+        config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+        config[field] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_permutations_override_is_validated(self, configs_dir, tmp_path):
+        rc = main([
+            "run", "--config", str(configs_dir / "synthetic_two_category.json"),
+            "--permutations", "0", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
 
     def test_report_subcommand(self, configs_dir, tmp_path, capsys):
         main([

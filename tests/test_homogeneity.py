@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from dramastyle import (
     DegenerateCategory,
@@ -76,9 +77,23 @@ class TestRankPairs:
         ranked = rank_pairs(m)
         assert list(ranked.ranks[:4]) == [1, 2.5, 2.5, 4]
 
+    @pytest.mark.parametrize("n", [2, 5, 17, 40])
+    def test_matches_pairwise_loop_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        ids = tuple(f"c{i:02d}" for i in range(n))
+        pairs = list(itertools.combinations(ids, 2))
+        m = make_matrix(ids, dict(zip(pairs, rng.integers(0, 4, len(pairs)) / 4)))
+        ranked = rank_pairs(m)
+        expected = rankdata([m.scores[ids.index(a), ids.index(b)] for a, b in pairs])
+        assert np.array_equal(ranked.ranks, expected)
+        for k, (a, b) in enumerate(pairs):
+            i, j = ids.index(a), ids.index(b)
+            assert ranked.rank_matrix[i, j] == ranked.rank_matrix[j, i] == expected[k]
+        assert not ranked.rank_matrix.diagonal().any()
+
     def test_rank_sum_total_invariant(self):
         ranked = rank_pairs(SEPARATED)
-        p = len(ranked.pairs)
+        p = len(ranked.ranks)
         assert ranked.ranks.sum() == p * (p + 1) / 2
 
 
