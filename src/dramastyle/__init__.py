@@ -36,11 +36,11 @@ from .similarity import (
 )
 from .homogeneity import (
     HomogeneityReport,
+    PermutationBaselines,
     RankedPairs,
     attribute_chunks,
-    attribution_baseline,
+    permutation_baselines,
     rank_pairs,
-    rank_sum_baseline,
     within_category_rank_sum,
 )
 from .experiment import ExperimentConfig, compare_translations, load_config, run_experiment

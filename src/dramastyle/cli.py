@@ -95,6 +95,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _jobs(value: str) -> int:
+    """Parse `--jobs`: a worker count of at least 1."""
+    if int(value) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return int(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dramastyle", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -115,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--permutations", type=int)
     p.add_argument("--mode")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out")
     p.add_argument("--compare-translations", action="store_true",
                    help="emit the cross-translation attribution table instead")
@@ -128,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=10000)
     p.add_argument("--chunk-count", type=int, default=5)
     p.add_argument("--chunk-size", type=int, default=2000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_matrix)
 

@@ -25,10 +25,7 @@ from .errors import ConfigError, NoEligibleCharacters, PipelineError, Preconditi
 from .homogeneity import (
     HomogeneityReport,
     attribute_chunks,
-    attribution_baseline,
-    rank_pairs,
-    rank_sum_baseline,
-    within_category_rank_sum,
+    permutation_baselines,
 )
 from .ingest import (
     ParseRules,
@@ -189,6 +186,8 @@ def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str
     warnings = []
     for entry in config.corpus:
         doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
+        if doc.encoding_note != "utf-8":
+            warnings.append(f"{entry.play_id}/{entry.translator}: {doc.encoding_note}")
         rules = ParseRules(**{
             k: tuple(tuple(p) for p in v) if k == "stage_direction_brackets" else
             (tuple(v) if k == "delimiters" else v)
@@ -260,34 +259,25 @@ def chunk_matrix(
 def _mode_analysis(config: ExperimentConfig, chunks, mode: TokenizationMode, jobs: int):
     matrix = chunk_matrix(chunks, mode, jobs)
     labels = {c.chunk_id: c.category for c in chunks}
-    ranked = rank_pairs(matrix)
     attribution = attribute_chunks(matrix, labels)
-    attr_p, attr_summary = attribution_baseline(
-        matrix, labels, config.permutations, config.seed
-    )
-    categories = sorted(set(labels.values()))
-    reports = []
-    for category in categories:
-        observed = within_category_rank_sum(ranked, labels, category)
-        p, summary = rank_sum_baseline(
-            ranked, labels, category, config.permutations, config.seed
-        )
-        reports.append(
-            {
-                "report": HomogeneityReport(
-                    category=category,
-                    rank_sum=observed,
-                    rank_sum_p=p,
-                    attribution_hits=attribution.hits[category],
-                    attribution_total=attribution.totals[category],
-                    attribution_p=attr_p[category],
-                    permutations=config.permutations,
-                    seed=config.seed,
-                ),
-                "rank_sum_null": summary,
-            }
-        )
-    return matrix, attribution, reports, attr_summary
+    baselines = permutation_baselines(matrix, labels, config.permutations, config.seed)
+    categories = [
+        {
+            **asdict(HomogeneityReport(
+                category=category,
+                rank_sum=rank_sum_null["observed"],
+                rank_sum_p=baselines.rank_sum_p[category],
+                attribution_hits=attribution.hits[category],
+                attribution_total=attribution.totals[category],
+                attribution_p=baselines.attribution_p[category],
+                permutations=config.permutations,
+                seed=config.seed,
+            )),
+            "rank_sum_null": rank_sum_null,
+        }
+        for category, rank_sum_null in baselines.rank_sum_null.items()
+    ]
+    return matrix, attribution, categories, baselines.attribution_null
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -311,7 +301,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         for mode_spec in config.modes:
             mode = TokenizationMode.parse(mode_spec)
             with _stage(f"analysis:{mode.name}"):
-                matrix, attribution, reports, attr_summary = _mode_analysis(
+                matrix, attribution, categories, attr_summary = _mode_analysis(
                     config, chunks, mode, jobs
                 )
                 matrix_path = out_dir / f"matrix_{mode.name}.csv"
@@ -319,10 +309,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
                 mode_sections[mode.name] = {
                     "chunk_manifest_ref": manifest_path.name,
                     "matrix_ref": matrix_path.name,
-                    "categories": [
-                        {**asdict(r["report"]), "rank_sum_null": r["rank_sum_null"]}
-                        for r in reports
-                    ],
+                    "categories": categories,
                     "attribution": list(attribution.per_chunk),
                     "attribution_null": attr_summary,
                     "ties_logged": list(attribution.ties),

@@ -5,7 +5,8 @@ pairs (small = homogeneous) and the leave-one-out nearest-category
 attribution hit count (large = homogeneous). Each gets a Monte-Carlo
 p-value from uniformly shuffling category labels over chunks, category
 sizes preserved. Shuffles are keyed by (seed, permutation index), so the
-null distribution is independent of evaluation order.
+null distribution is independent of evaluation order; `permutation_baselines`
+draws each shuffle once and scores both statistics for every category from it.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from scipy.stats import rankdata
 
 from .errors import DegenerateCategory, PreconditionFailed
 from .similarity import DissimilarityMatrix
+
+_BLOCK = 64  # permutations scored per (B, n, K) one-hot stack; bounds memory
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,14 @@ class AttributionResult:
     ties: tuple[dict, ...]
 
 
-def _shuffled(labels: Sequence[str], seed: int, index: int) -> list[str]:
-    """Deterministic label shuffle for permutation `index` of `seed`."""
-    rng = random.Random(f"{seed}:{index}")
-    out = list(labels)
-    rng.shuffle(out)
-    return out
+@dataclass(frozen=True)
+class PermutationBaselines:
+    """Per-category p-values and null summaries, keyed as in report.json."""
+
+    rank_sum_p: dict[str, float]
+    rank_sum_null: dict[str, dict]  # observed, permutations, null mean/sd/min/max
+    attribution_p: dict[str, float]
+    attribution_null: dict  # observed hits, permutations, null mean per category
 
 
 def rank_pairs(matrix: DissimilarityMatrix) -> RankedPairs:
@@ -70,74 +75,38 @@ def rank_pairs(matrix: DissimilarityMatrix) -> RankedPairs:
     return RankedPairs(chunk_ids=matrix.chunk_ids, ranks=ranks, rank_matrix=rank_matrix)
 
 
-def _members(chunk_ids: Sequence[str], labels: Sequence[str], category: str) -> list[int]:
-    idx = [i for i, lab in enumerate(labels) if lab == category]
-    if len(idx) < 2:
-        raise DegenerateCategory(f"category {category!r} has {len(idx)} chunk(s)")
-    return idx
-
-
-def _rank_sum(rank_matrix: np.ndarray, members: Sequence[int]) -> float:
-    sub = rank_matrix[np.ix_(members, members)]
-    return float(sub.sum() / 2.0)
-
-
 def within_category_rank_sum(
     ranked: RankedPairs, labels: Mapping[str, str], category: str
 ) -> float:
     """Sum of ranks of pairs whose chunks both carry `category`."""
-    label_list = [labels[cid] for cid in ranked.chunk_ids]
-    return _rank_sum(ranked.rank_matrix, _members(ranked.chunk_ids, label_list, category))
+    members = [i for i, cid in enumerate(ranked.chunk_ids) if labels[cid] == category]
+    if len(members) < 2:
+        raise DegenerateCategory(f"category {category!r} has {len(members)} chunk(s)")
+    return float(ranked.rank_matrix[np.ix_(members, members)].sum() / 2.0)
 
 
-def rank_sum_baseline(
-    ranked: RankedPairs,
-    labels: Mapping[str, str],
-    category: str,
-    permutations: int,
-    seed: int,
-) -> tuple[float, dict]:
-    """One-sided permutation p-value for the rank-sum (small = homogeneous)."""
-    if permutations < 1:
-        raise PreconditionFailed("permutations must be >= 1")
-    label_list = [labels[cid] for cid in ranked.chunk_ids]
-    observed = _rank_sum(ranked.rank_matrix, _members(ranked.chunk_ids, label_list, category))
-    rank_rows = ranked.rank_matrix.tolist()  # python sums beat fancy indexing here
-    null = np.empty(permutations)
-    for p in range(permutations):
-        shuffled = _shuffled(label_list, seed, p)
-        members = [i for i, lab in enumerate(shuffled) if lab == category]
-        null[p] = sum(
-            rank_rows[i][j] for a, i in enumerate(members) for j in members[a + 1 :]
-        )
-    p_value = (1 + int((null <= observed).sum())) / (permutations + 1)
-    summary = {
-        "observed": observed,
-        "permutations": permutations,
-        "null_mean": float(null.mean()),
-        "null_sd": float(null.std()),
-        "null_min": float(null.min()),
-        "null_max": float(null.max()),
-    }
-    return p_value, summary
+def _encode(chunk_ids: Sequence[str], labels: Mapping[str, str]) -> tuple[list[str], np.ndarray]:
+    """Sorted categories and the (n, K) one-hot matrix of the chunks' labels;
+    every category needs at least two chunks."""
+    names, codes = np.unique([labels[cid] for cid in chunk_ids], return_inverse=True)
+    categories = names.tolist()
+    onehot = (codes[:, None] == np.arange(len(categories))).astype(float)
+    for c, size in zip(categories, onehot.sum(axis=0)):
+        if size < 2:
+            raise DegenerateCategory(f"category {c!r} has {int(size)} chunk(s)")
+    return categories, onehot
 
 
-def _category_means(
-    scores: np.ndarray, labels: Sequence[str], categories: Sequence[str]
-) -> np.ndarray:
-    """means[i, c]: mean distance from chunk i to category c, leave-one-out
-    for the chunk's own category (the zero self-distance is excluded)."""
-    n = len(labels)
-    indicator = np.zeros((n, len(categories)))
-    cat_index = {c: k for k, c in enumerate(categories)}
-    for i, lab in enumerate(labels):
-        indicator[i, cat_index[lab]] = 1.0
-    sums = scores @ indicator  # (n, ncat)
-    sizes = indicator.sum(axis=0)  # (ncat,)
-    denom = np.tile(sizes, (n, 1))
-    for i, lab in enumerate(labels):
-        denom[i, cat_index[lab]] -= 1.0  # own category: exclude self
-    return sums / denom
+def _category_means(scores: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """means[..., i, c]: mean distance from chunk i to category c, leave-one-out
+    for the chunk's own category (the zero self-distance is excluded).
+
+    A leading axis of `onehot` stacks labelings; each slice is the same
+    (n x n) @ (n x K) product, so a stacked labeling gives the same bits as
+    a single one.
+    """
+    sizes = onehot.sum(axis=-2, keepdims=True)
+    return np.matmul(scores, onehot) / (sizes - onehot)
 
 
 def attribute_chunks(
@@ -149,10 +118,8 @@ def attribute_chunks(
     the result rather than hidden.
     """
     label_list = [labels[cid] for cid in matrix.chunk_ids]
-    categories = sorted(set(label_list))
-    for c in categories:
-        _members(matrix.chunk_ids, label_list, c)
-    means = _category_means(matrix.scores, label_list, categories)
+    categories, onehot = _encode(matrix.chunk_ids, labels)
+    means = _category_means(matrix.scores, onehot)
     best = means.argmin(axis=1)  # first index wins: lexicographic tie-break
     per_chunk = []
     ties = []
@@ -181,37 +148,68 @@ def attribute_chunks(
     )
 
 
-def attribution_baseline(
+def permutation_baselines(
     matrix: DissimilarityMatrix,
     labels: Mapping[str, str],
     permutations: int,
     seed: int,
-) -> tuple[dict[str, float], dict]:
-    """Per-category permutation p for the hit count (large = homogeneous)."""
+) -> PermutationBaselines:
+    """One-sided permutation p-values of both statistics for every category.
+
+    Permutation p reorders the chunks' labels by shuffling range(n) with
+    `random.Random(f"{seed}:{p}")`. Each shuffle is drawn once and scores
+    the rank-sum (small = homogeneous) and the attribution hit count
+    (large = homogeneous) of all categories. p-values use the add-one
+    estimator, so none is below 1/(permutations+1).
+    """
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
-    label_list = [labels[cid] for cid in matrix.chunk_ids]
-    categories = sorted(set(label_list))
-    observed = attribute_chunks(matrix, labels).hits
-    at_least = {c: 0 for c in categories}
-    null_sums = {c: 0.0 for c in categories}
-    cat_index = {c: k for k, c in enumerate(categories)}
-    for p in range(permutations):
-        shuffled = _shuffled(label_list, seed, p)
-        means = _category_means(matrix.scores, shuffled, categories)
-        best = means.argmin(axis=1)
-        null_hits = {c: 0 for c in categories}
-        for i, lab in enumerate(shuffled):
-            if best[i] == cat_index[lab]:
-                null_hits[lab] += 1
-        for c in categories:
-            null_sums[c] += null_hits[c]
-            if null_hits[c] >= observed[c]:
-                at_least[c] += 1
-    p_values = {c: (1 + at_least[c]) / (permutations + 1) for c in categories}
-    summary = {
-        "observed": dict(observed),
-        "permutations": permutations,
-        "null_mean": {c: null_sums[c] / permutations for c in categories},
-    }
-    return p_values, summary
+    rank_matrix = rank_pairs(matrix).rank_matrix
+    categories, onehot = _encode(matrix.chunk_ids, labels)
+
+    def score(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, B) rank-sums and hit counts of a (B, n, K) one-hot stack."""
+        # ranks are multiples of 0.5, so these sums are exact in any order
+        rank_sums = (stack * (rank_matrix @ stack)).sum(axis=1) / 2
+        best = _category_means(matrix.scores, stack).argmin(axis=2)
+        own_is_best = np.take_along_axis(stack, best[..., None], axis=2)
+        return rank_sums.T, (stack * own_is_best).sum(axis=1).T
+
+    observed_rank_sums, observed_hits = score(onehot[None])
+    rank_null = np.empty((len(categories), permutations))
+    hit_null = np.empty((len(categories), permutations))
+    for start in range(0, permutations, _BLOCK):
+        orders = []
+        for p in range(start, min(start + _BLOCK, permutations)):
+            order = list(range(len(onehot)))
+            random.Random(f"{seed}:{p}").shuffle(order)
+            orders.append(order)
+        block = slice(start, start + len(orders))
+        # row i of a shuffled stack carries the label of chunk order[i]
+        rank_null[:, block], hit_null[:, block] = score(onehot[np.array(orders)])
+
+    rank_sum_p, rank_sum_null = {}, {}
+    for c, observed, null in zip(categories, observed_rank_sums[:, 0].tolist(), rank_null):
+        rank_sum_p[c] = (1 + int((null <= observed).sum())) / (permutations + 1)
+        rank_sum_null[c] = {
+            "observed": observed,
+            "permutations": permutations,
+            "null_mean": float(null.mean()),
+            "null_sd": float(null.std()),
+            "null_min": float(null.min()),
+            "null_max": float(null.max()),
+        }
+    at_least = (hit_null >= observed_hits).sum(axis=1).tolist()
+    return PermutationBaselines(
+        rank_sum_p=rank_sum_p,
+        rank_sum_null=rank_sum_null,
+        attribution_p={c: (1 + a) / (permutations + 1) for c, a in zip(categories, at_least)},
+        attribution_null={
+            "observed": {c: int(h) for c, h in zip(categories, observed_hits[:, 0])},
+            "permutations": permutations,
+            "null_mean": {
+                c: float(total) / permutations
+                for c, total in zip(categories, hit_null.sum(axis=1))
+            },
+        },
+    )

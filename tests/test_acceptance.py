@@ -20,9 +20,8 @@ from dramastyle import (
     chunk_text,
     pairwise_matrix,
     rank_pairs,
-    rank_sum_baseline,
     attribute_chunks,
-    attribution_baseline,
+    permutation_baselines,
     within_category_rank_sum,
 )
 from dramastyle.cli import main
@@ -121,7 +120,7 @@ def test_permutation_exactness_four_chunks():
             stat = ranked.rank_matrix[np.ix_(members, members)].sum() / 2
             hits += stat <= observed
         exact = hits / len(arrangements)
-        mc, _ = rank_sum_baseline(ranked, labels, "x", permutations=10000, seed=42)
+        mc = permutation_baselines(matrix, labels, permutations=10000, seed=42).rank_sum_p["x"]
         assert abs(mc - exact) <= 0.02
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -142,8 +141,7 @@ def test_null_calibration():
             dists.append(dist(f"c{i}", counts))
         matrix = pairwise_matrix(dists)
         labels = {f"c{i}": ("a" if i < 5 else "b") for i in range(10)}
-        ranked = rank_pairs(matrix)
-        p, _ = rank_sum_baseline(ranked, labels, "a", permutations=499, seed=7)
+        p = permutation_baselines(matrix, labels, permutations=499, seed=7).rank_sum_p["a"]
         low += p < 0.05
     elapsed = time.perf_counter() - start
     fraction = low / 200
@@ -166,12 +164,12 @@ def test_separation_power():
         dists.append(dist(f"b#{i}", {t: int(c) for t, c in zip(tokens_b, draws) if c}))
     matrix = pairwise_matrix(dists)
     labels = {d.chunk_id: d.chunk_id[0] for d in dists}
-    ranked = rank_pairs(matrix)
     attribution = attribute_chunks(matrix, labels)
     assert attribution.hits == {"a": 5, "b": 5}
-    attr_p, _ = attribution_baseline(matrix, labels, permutations=40000, seed=42)
+    baselines = permutation_baselines(matrix, labels, permutations=40000, seed=42)
+    attr_p = baselines.attribution_p
     for cat in ("a", "b"):
-        rs_p, _ = rank_sum_baseline(ranked, labels, cat, permutations=40000, seed=42)
+        rs_p = baselines.rank_sum_p[cat]
         assert rs_p <= 0.01, (cat, rs_p)
         assert attr_p[cat] <= 0.01, (cat, attr_p[cat])
     print("\nPASS separation power (10/10 hits, p <= 0.01 both categories)")

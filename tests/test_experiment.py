@@ -65,6 +65,17 @@ class TestRunExperiment:
         assert (out / "report.json").exists()
         assert (out / "run_meta.json").exists()
 
+    def test_latin1_fallback_is_reported(self, configs_dir, data_dir, tmp_path):
+        play = tmp_path / "latin1.txt"
+        text = (data_dir / "synthetic" / "two_category.txt").read_text(encoding="utf-8")
+        play.write_bytes(f"édition de 1901\n\n{text}".encode("latin-1"))
+        config = synthetic_config(configs_dir, tmp_path, permutations=10)
+        entry = CorpusEntry(path=str(play), play_id="synthia", language="synthetic",
+                            latin1_fallback=True)
+        config = ExperimentConfig(**{**config.to_dict(), "corpus": (entry,)})
+        report = run_experiment(config)
+        assert report.warnings == ["synthia/original: latin-1 fallback"]
+
     def test_no_eligible_characters_reports_segmentation_stage(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path, min_size=10**6,
                                   chunk_count=2, chunk_size=100)
@@ -280,6 +291,18 @@ class TestCliExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "matrix"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_2(self, configs_dir, tmp_path, command, jobs):
+        if command == "run":
+            args = ["run", "--config", str(configs_dir / "synthetic_two_category.json")]
+        else:
+            args = ["matrix", str(tmp_path / "play.json")]
+        with pytest.raises(SystemExit) as exit_:
+            main([*args, "--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
         assert not (tmp_path / "out").exists()
 
     def test_permutations_override_is_validated(self, configs_dir, tmp_path):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ from scipy.stats import rankdata
 from dramastyle import (
     DegenerateCategory,
     DissimilarityMatrix,
+    PreconditionFailed,
     attribute_chunks,
-    attribution_baseline,
+    permutation_baselines,
     rank_pairs,
-    rank_sum_baseline,
     within_category_rank_sum,
 )
+from dramastyle import homogeneity
 
 
 def make_matrix(ids, pair_scores):
@@ -148,30 +151,27 @@ class TestWithinCategoryRankSum:
 
 class TestRankSumBaseline:
     def test_all_equal_distances_give_p_one(self):
-        ranked = rank_pairs(four_chunk_matrix([0.5] * 6))
-        p, _ = rank_sum_baseline(ranked, LABELS4, "x", permutations=200, seed=1)
+        m = four_chunk_matrix([0.5] * 6)
+        p = permutation_baselines(m, LABELS4, permutations=200, seed=1).rank_sum_p["x"]
         assert p == 1.0
 
     def test_single_permutation_p_values(self):
-        ranked = rank_pairs(SEPARATED)
-        p, _ = rank_sum_baseline(ranked, LABELS4, "x", permutations=1, seed=0)
+        p = permutation_baselines(SEPARATED, LABELS4, permutations=1, seed=0).rank_sum_p["x"]
         assert p in (0.5, 1.0)
 
     def test_reproducible(self):
-        ranked = rank_pairs(SEPARATED)
-        a = rank_sum_baseline(ranked, LABELS4, "x", permutations=500, seed=42)
-        b = rank_sum_baseline(ranked, LABELS4, "x", permutations=500, seed=42)
+        a = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
+        b = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
         assert a == b
 
     def test_p_floor(self):
-        ranked = rank_pairs(SEPARATED)
-        p, _ = rank_sum_baseline(ranked, LABELS4, "x", permutations=100, seed=9)
+        p = permutation_baselines(SEPARATED, LABELS4, permutations=100, seed=9).rank_sum_p["x"]
         assert p >= 1 / 101
 
     def test_converges_to_enumeration(self):
         ranked = rank_pairs(SEPARATED)
         exact = enumerate_rank_sum_p(ranked, LABELS4, "x")
-        p, _ = rank_sum_baseline(ranked, LABELS4, "x", permutations=10000, seed=42)
+        p = permutation_baselines(SEPARATED, LABELS4, permutations=10000, seed=42).rank_sum_p["x"]
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(p - exact) <= 3 * se + 1 / 10001
 
@@ -186,7 +186,7 @@ class TestRankSumBaseline:
         labels = {cid: ("a" if i % 2 == 0 else "b") for i, cid in enumerate(ids)}
         ranked = rank_pairs(m)
         exact = enumerate_rank_sum_p(ranked, labels, "a")
-        p, _ = rank_sum_baseline(ranked, labels, "a", permutations=10000, seed=7)
+        p = permutation_baselines(m, labels, permutations=10000, seed=7).rank_sum_p["a"]
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(p - exact) <= 3 * se + 1 / 10001
 
@@ -227,21 +227,178 @@ class TestAttribution:
 class TestAttributionBaseline:
     def test_all_equal_distances_give_p_one(self):
         m = four_chunk_matrix([0.5] * 6)
-        p_values, _ = attribution_baseline(m, LABELS4, permutations=200, seed=3)
+        p_values = permutation_baselines(m, LABELS4, permutations=200, seed=3).attribution_p
         assert p_values == {"x": 1.0, "y": 1.0}
 
     def test_single_permutation_tied_statistic(self):
         m = four_chunk_matrix([0.5] * 6)
-        p_values, _ = attribution_baseline(m, LABELS4, permutations=1, seed=3)
+        p_values = permutation_baselines(m, LABELS4, permutations=1, seed=3).attribution_p
         assert p_values["x"] == 1.0
 
     def test_reproducible(self):
-        a = attribution_baseline(SEPARATED, LABELS4, permutations=500, seed=42)
-        b = attribution_baseline(SEPARATED, LABELS4, permutations=500, seed=42)
+        a = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
+        b = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
         assert a == b
 
     def test_separated_categories_are_significant(self):
         # with 4 chunks the complement labeling ties the hit count, so the
         # smallest reachable p is about 2 * (1/3)
-        p_values, _ = attribution_baseline(SEPARATED, LABELS4, permutations=3000, seed=5)
+        p_values = permutation_baselines(SEPARATED, LABELS4, permutations=3000, seed=5).attribution_p
         assert p_values["x"] < 1.0
+
+
+# Reference: the per-permutation loops that permutation_baselines replaced,
+# kept verbatim. The engine must reproduce them bit for bit.
+
+
+def _shuffled(labels, seed, index):
+    """Deterministic label shuffle for permutation `index` of `seed`."""
+    rng = random.Random(f"{seed}:{index}")
+    out = list(labels)
+    rng.shuffle(out)
+    return out
+
+
+def _members(chunk_ids, labels, category):
+    idx = [i for i, lab in enumerate(labels) if lab == category]
+    if len(idx) < 2:
+        raise DegenerateCategory(f"category {category!r} has {len(idx)} chunk(s)")
+    return idx
+
+
+def _rank_sum(rank_matrix, members):
+    sub = rank_matrix[np.ix_(members, members)]
+    return float(sub.sum() / 2.0)
+
+
+def _rank_sum_baseline_loop(ranked, labels, category, permutations, seed):
+    """One-sided permutation p-value for the rank-sum (small = homogeneous)."""
+    if permutations < 1:
+        raise PreconditionFailed("permutations must be >= 1")
+    label_list = [labels[cid] for cid in ranked.chunk_ids]
+    observed = _rank_sum(ranked.rank_matrix, _members(ranked.chunk_ids, label_list, category))
+    rank_rows = ranked.rank_matrix.tolist()  # python sums beat fancy indexing here
+    null = np.empty(permutations)
+    for p in range(permutations):
+        shuffled = _shuffled(label_list, seed, p)
+        members = [i for i, lab in enumerate(shuffled) if lab == category]
+        null[p] = sum(
+            rank_rows[i][j] for a, i in enumerate(members) for j in members[a + 1 :]
+        )
+    p_value = (1 + int((null <= observed).sum())) / (permutations + 1)
+    summary = {
+        "observed": observed,
+        "permutations": permutations,
+        "null_mean": float(null.mean()),
+        "null_sd": float(null.std()),
+        "null_min": float(null.min()),
+        "null_max": float(null.max()),
+    }
+    return p_value, summary
+
+
+def _category_means_loop(scores, labels, categories):
+    """means[i, c]: mean distance from chunk i to category c, leave-one-out
+    for the chunk's own category (the zero self-distance is excluded)."""
+    n = len(labels)
+    indicator = np.zeros((n, len(categories)))
+    cat_index = {c: k for k, c in enumerate(categories)}
+    for i, lab in enumerate(labels):
+        indicator[i, cat_index[lab]] = 1.0
+    sums = scores @ indicator  # (n, ncat)
+    sizes = indicator.sum(axis=0)  # (ncat,)
+    denom = np.tile(sizes, (n, 1))
+    for i, lab in enumerate(labels):
+        denom[i, cat_index[lab]] -= 1.0  # own category: exclude self
+    return sums / denom
+
+
+def _attribution_baseline_loop(matrix, labels, permutations, seed):
+    """Per-category permutation p for the hit count (large = homogeneous)."""
+    if permutations < 1:
+        raise PreconditionFailed("permutations must be >= 1")
+    label_list = [labels[cid] for cid in matrix.chunk_ids]
+    categories = sorted(set(label_list))
+    observed = attribute_chunks(matrix, labels).hits
+    at_least = {c: 0 for c in categories}
+    null_sums = {c: 0.0 for c in categories}
+    cat_index = {c: k for k, c in enumerate(categories)}
+    for p in range(permutations):
+        shuffled = _shuffled(label_list, seed, p)
+        means = _category_means_loop(matrix.scores, shuffled, categories)
+        best = means.argmin(axis=1)
+        null_hits = {c: 0 for c in categories}
+        for i, lab in enumerate(shuffled):
+            if best[i] == cat_index[lab]:
+                null_hits[lab] += 1
+        for c in categories:
+            null_sums[c] += null_hits[c]
+            if null_hits[c] >= observed[c]:
+                at_least[c] += 1
+    p_values = {c: (1 + at_least[c]) / (permutations + 1) for c in categories}
+    summary = {
+        "observed": dict(observed),
+        "permutations": permutations,
+        "null_mean": {c: null_sums[c] / permutations for c in categories},
+    }
+    return p_values, summary
+
+
+def random_instance(instance):
+    """Unequal categories (2..12 of them), scores rounded so ranks tie."""
+    rng = np.random.default_rng(instance)
+    ncat = 2 + instance % 11
+    sizes = rng.integers(2, 6, ncat)
+    label_list = [f"k{c:02d}" for c, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(label_list)
+    n = len(label_list)
+    ids = tuple(f"c{i:03d}" for i in range(n))
+    scores = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    scores[iu] = np.round(rng.random(len(iu[0])), 1 + instance % 3)
+    matrix = DissimilarityMatrix(ids, scores + scores.T)
+    return matrix, dict(zip(ids, label_list))
+
+
+class TestPermutationBaselines:
+    @pytest.mark.parametrize("instance", range(60))
+    def test_matches_per_permutation_loops_exactly(self, instance):
+        permutations = (1, 63, 64, 65, 300)[instance % 5]
+        seed = 1000 + instance
+        matrix, labels = random_instance(instance)
+        engine = permutation_baselines(matrix, labels, permutations, seed)
+        ranked = rank_pairs(matrix)
+        categories = sorted(set(labels.values()))
+        assert list(engine.rank_sum_p) == list(engine.rank_sum_null) == categories
+        for c in categories:
+            p, summary = _rank_sum_baseline_loop(ranked, labels, c, permutations, seed)
+            assert engine.rank_sum_p[c] == p
+            assert json.dumps(engine.rank_sum_null[c]) == json.dumps(summary)
+        attr_p, attr_summary = _attribution_baseline_loop(matrix, labels, permutations, seed)
+        assert json.dumps(engine.attribution_p) == json.dumps(attr_p)
+        assert json.dumps(engine.attribution_null) == json.dumps(attr_summary)
+
+    @pytest.mark.parametrize("instance", [0, 8, 9, 10])
+    def test_attribution_means_match_loop(self, instance):
+        matrix, labels = random_instance(instance)
+        label_list = [labels[cid] for cid in matrix.chunk_ids]
+        means = _category_means_loop(matrix.scores, label_list, sorted(set(label_list)))
+        result = attribute_chunks(matrix, labels)
+        assert [list(r["mean_scores"].values()) for r in result.per_chunk] == means.tolist()
+
+    def test_each_shuffle_drawn_once(self, monkeypatch):
+        drawn = []
+
+        class Recording(random.Random):
+            def __init__(self, x=None):
+                drawn.append(x)
+                super().__init__(x)
+
+        monkeypatch.setattr(homogeneity.random, "Random", Recording)
+        matrix, labels = random_instance(9)  # 11 categories
+        permutation_baselines(matrix, labels, permutations=130, seed=5)
+        assert drawn == [f"5:{p}" for p in range(130)]
+
+    def test_rejects_zero_permutations(self):
+        with pytest.raises(PreconditionFailed):
+            permutation_baselines(SEPARATED, LABELS4, permutations=0, seed=1)
