@@ -63,7 +63,7 @@ def _cmd_matrix(args) -> int:
     chunks = prepare_chunks(
         plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size
     )
-    write_matrix_csv(chunk_matrix(chunks, mode, jobs=args.jobs), args.out)
+    write_matrix_csv(chunk_matrix(chunks, mode), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -96,7 +96,7 @@ def _cmd_report(args) -> int:
 
 
 def _jobs(value: str) -> int:
-    """Parse `--jobs`: a worker count of at least 1."""
+    """Parse `--jobs`: at least 1; kept for compatibility, it has no effect."""
     if int(value) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return int(value)
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--permutations", type=int)
     p.add_argument("--mode")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="accepted; has no effect")
     p.add_argument("--out")
     p.add_argument("--compare-translations", action="store_true",
                    help="emit the cross-translation attribution table instead")
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=10000)
     p.add_argument("--chunk-count", type=int, default=5)
     p.add_argument("--chunk-size", type=int, default=2000)
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1, help="accepted; has no effect")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_matrix)
 

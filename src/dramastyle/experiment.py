@@ -15,6 +15,7 @@ import csv
 import json
 import secrets
 import shutil
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
@@ -147,14 +148,21 @@ class ExperimentReport:
 
 
 @contextmanager
-def _stage(name: str) -> Iterator[None]:
-    """Re-raise any error of the block as a PipelineError naming the stage."""
+def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]:
+    """Re-raise any error of the block as a PipelineError naming the stage.
+
+    If the block succeeds, its perf_counter seconds are added to
+    `timings[name]`, when given.
+    """
+    start = time.perf_counter()
     try:
         yield
     except PipelineError:
         raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
+    if timings is not None:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 @contextmanager
@@ -211,17 +219,18 @@ def prepare_chunks(
     chunk_count: int,
     chunk_size: int,
     aliases: Mapping[tuple[str, str], Mapping[str, str]] | None = None,
+    timings: dict[str, float] | None = None,
 ) -> list[Chunk]:
     """Extract -> select -> chunk -> check: the front half of every command.
 
     Each speaker's dialogue is gathered per (play_id, translator), with
     `aliases[(play_id, translator)]` mapping speaker names (case-insensitive)
     onto canonical ones. A play with no eligible speaker is skipped; only a
-    corpus where no play has one fails.
+    corpus where no play has one fails. Stage seconds go into `timings`.
     """
     aliases = aliases or {}
     by_play: dict[tuple[str, str], dict[str, str]] = {}
-    with _stage("extract"):
+    with _stage("extract", timings):
         for play in plays:
             key = (play.play_id, play.translator)
             alias = {k.lower(): v.lower() for k, v in aliases.get(key, {}).items()}
@@ -229,7 +238,7 @@ def prepare_chunks(
             for speaker, text in extract_character_text(play).items():
                 speaker = alias.get(speaker, speaker)
                 texts[speaker] = f"{texts[speaker]} {text}" if speaker in texts else text
-    with _stage("segmentation"):
+    with _stage("segmentation", timings):
         eligible: dict[tuple[str, str, str], str] = {}
         for (play_id, translator), texts in sorted(by_play.items()):
             try:
@@ -250,14 +259,25 @@ def prepare_chunks(
 
 
 def chunk_matrix(
-    chunks: Sequence[Chunk], mode: TokenizationMode, jobs: int = 1
+    chunks: Sequence[Chunk], mode: TokenizationMode, sizes: dict | None = None
 ) -> DissimilarityMatrix:
-    """Tokenize every chunk under `mode` and score all pairs."""
-    return pairwise_matrix([tokenize(c.text, mode, c.chunk_id) for c in chunks], jobs=jobs)
+    """Tokenize every chunk under `mode` and score all pairs.
+
+    When given, `sizes` records the chunks, pairs and union vocabulary.
+    """
+    dists = [tokenize(c.text, mode, c.chunk_id) for c in chunks]
+    matrix = pairwise_matrix(dists)
+    if sizes is not None:
+        n = len(dists)
+        sizes["chunks"] = n
+        sizes["pairs"] = n * (n - 1) // 2
+        sizes["vocabulary"] = len(set().union(*(d.counts for d in dists)))
+    return matrix
 
 
-def _mode_analysis(config: ExperimentConfig, chunks, mode: TokenizationMode, jobs: int):
-    matrix = chunk_matrix(chunks, mode, jobs)
+def _mode_analysis(config: ExperimentConfig, chunks, mode: TokenizationMode, sizes: dict):
+    matrix = chunk_matrix(chunks, mode, sizes)
+    sizes["permutations"] = config.permutations
     labels = {c.chunk_id: c.category for c in chunks}
     attribution = attribute_chunks(matrix, labels)
     baselines = permutation_baselines(matrix, labels, config.permutations, config.seed)
@@ -284,25 +304,29 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Execute the full pipeline and write all artifacts.
 
     The artifacts replace `output_dir/experiment_id` as a whole, and only
-    if the run succeeds.
+    if the run succeeds. `jobs` is accepted but has no effect: the matrix
+    is one vectorised computation.
     """
     config.validate()
+    timings: dict[str, float] = {}
+    sizes: dict[str, dict] = {}
     with _output_dir(config) as out_dir:
-        with _stage("ingest"):
+        with _stage("ingest", timings):
             plays, warnings = _ingest_corpus(config)
         chunks = prepare_chunks(
             plays, config.labeling, config.min_size, config.chunk_count,
-            config.chunk_size, _aliases(config),
+            config.chunk_size, _aliases(config), timings,
         )
-        with _stage("segmentation"):
+        with _stage("segmentation", timings):
             manifest_path = out_dir / "chunk_manifest.csv"
             write_manifest(chunks, manifest_path)
         mode_sections = {}
         for mode_spec in config.modes:
             mode = TokenizationMode.parse(mode_spec)
-            with _stage(f"analysis:{mode.name}"):
+            sizes[mode.name] = {}
+            with _stage(f"analysis:{mode.name}", timings):
                 matrix, attribution, categories, attr_summary = _mode_analysis(
-                    config, chunks, mode, jobs
+                    config, chunks, mode, sizes[mode.name]
                 )
                 matrix_path = out_dir / f"matrix_{mode.name}.csv"
                 write_matrix_csv(matrix, matrix_path)
@@ -325,9 +349,14 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
                 "threshold": config.significance,
             },
         )
-        with _stage("report"):
+        with _stage("report", timings):
             (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-            sidecar = {"written_at": datetime.now(timezone.utc).isoformat()}
+        with _stage("report"):
+            sidecar = {
+                "written_at": datetime.now(timezone.utc).isoformat(),
+                "timings": {name: round(secs, 6) for name, secs in timings.items()},
+                "sizes": sizes,
+            }
             (out_dir / "run_meta.json").write_text(
                 json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
             )
@@ -339,6 +368,7 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 
     Needs at least two translators of the same play; the labeling is
     forced to character_by_translator. Writes cross_attribution.csv.
+    `jobs` is accepted but has no effect, as in `run_experiment`.
     """
     config.validate()
     by_play: dict[str, set[str]] = {}
@@ -359,7 +389,7 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
         for mode_spec in config.modes:
             mode = TokenizationMode.parse(mode_spec)
             with _stage(f"cross:{mode.name}"):
-                matrix = chunk_matrix(chunks, mode, jobs)
+                matrix = chunk_matrix(chunks, mode)
                 labels = {c.chunk_id: c.category for c in chunks}
                 attribution = attribute_chunks(matrix, labels)
                 by_id = {c.chunk_id: c for c in chunks}

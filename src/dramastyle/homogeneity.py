@@ -68,7 +68,9 @@ def rank_pairs(matrix: DissimilarityMatrix) -> RankedPairs:
         raise PreconditionFailed("need at least 2 chunks")
     n = len(matrix.chunk_ids)
     upper = np.triu_indices(n, 1)
-    ranks = rankdata(matrix.scores[upper], method="average")
+    # 12 significant digits: scores equal but for summation noise must tie
+    rounded = [float(format(v, ".12g")) for v in matrix.scores[upper].tolist()]
+    ranks = rankdata(rounded, method="average")
     rank_matrix = np.zeros((n, n))
     rank_matrix[upper] = ranks
     rank_matrix += rank_matrix.T

@@ -65,6 +65,23 @@ class TestRunExperiment:
         assert (out / "report.json").exists()
         assert (out / "run_meta.json").exists()
 
+    def test_run_meta_records_stage_timings_and_sizes(self, configs_dir, tmp_path):
+        run_experiment(synthetic_config(configs_dir, tmp_path))
+        out = tmp_path / "out" / "synthetic_two_category"
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert set(meta["timings"]) == {
+            "ingest", "extract", "segmentation",
+            "analysis:letter_unigram", "analysis:word_unigram", "report",
+        }
+        assert all(secs >= 0 for secs in meta["timings"].values())
+        assert set(meta["sizes"]) == {"letter_unigram", "word_unigram"}
+        for sizes in meta["sizes"].values():
+            assert set(sizes) == {"chunks", "pairs", "vocabulary", "permutations"}
+            assert sizes["pairs"] == sizes["chunks"] * (sizes["chunks"] - 1) // 2
+            assert sizes["permutations"] == 300
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert "timings" not in report and "sizes" not in report
+
     def test_latin1_fallback_is_reported(self, configs_dir, data_dir, tmp_path):
         play = tmp_path / "latin1.txt"
         text = (data_dir / "synthetic" / "two_category.txt").read_text(encoding="utf-8")

@@ -94,6 +94,26 @@ class TestRankPairs:
             assert ranked.rank_matrix[i, j] == ranked.rank_matrix[j, i] == expected[k]
         assert not ranked.rank_matrix.diagonal().any()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_last_bit_noise_does_not_change_ranks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 20
+        ids = tuple(f"c{i:02d}" for i in range(n))
+        pairs = list(itertools.combinations(ids, 2))
+        values = rng.integers(1, 6, len(pairs)) / 3  # many ties
+        m = make_matrix(ids, dict(zip(pairs, values)))
+        nudged_values = values.copy()
+        nudge = rng.random(len(values)) < 0.5
+        direction = np.where(rng.random(len(values)) < 0.5, -np.inf, np.inf)
+        nudged_values[nudge] = np.nextafter(values[nudge], direction[nudge])
+        assert not np.array_equal(nudged_values, values)
+        nudged = make_matrix(ids, dict(zip(pairs, nudged_values)))
+        assert np.array_equal(rank_pairs(nudged).ranks, rank_pairs(m).ranks)
+
+    def test_one_ties_with_its_predecessor(self):
+        m = four_chunk_matrix([0.5, 1.0, 0.9999999999999999, 2.0, 0.25, 3.0])
+        assert list(rank_pairs(m).ranks) == [2, 3.5, 3.5, 5, 1, 6]
+
     def test_rank_sum_total_invariant(self):
         ranked = rank_pairs(SEPARATED)
         p = len(ranked.ranks)

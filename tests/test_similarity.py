@@ -12,6 +12,7 @@ from dramastyle import (
     chi_square_dissimilarity,
     pairwise_matrix,
 )
+from dramastyle import similarity
 from dramastyle.similarity import write_matrix_csv
 
 MODE = TokenizationMode("letter_unigram")
@@ -93,7 +94,41 @@ class TestChiSquare:
         assert math.isfinite(got)
 
 
+@pytest.fixture(scope="module")
+def matrix_scale_oracle():
+    """40 seeded chunks over 600 tokens (shared, disjoint and single-token
+    supports) and the oracle's matrix for them."""
+    rng = np.random.default_rng(2001)
+    tokens = [f"t{k:03d}" for k in range(600)]
+    supports = [np.flatnonzero(rng.random(500) < 0.4) for _ in range(24)]  # shared
+    supports += [np.arange(500 + 10 * g, 510 + 10 * g) for g in range(10)]  # disjoint
+    supports += [np.array([k]) for k in (3, 3, 7, 505, 599, 42)]  # single token
+    dists = [
+        dist(f"c{i:02d}", {tokens[k]: int(rng.integers(1, 20)) for k in support})
+        for i, support in enumerate(supports)
+    ]
+    n = len(dists)
+    want = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                want[i, j] = oracle_chi_square(dists[i].counts, dists[j].counts)
+    return dists, want
+
+
 class TestPairwiseMatrix:
+    # with 1 << 16 a row's 39 later chunks fit in one tile of 600-token rows;
+    # the smaller tiles split them over several, down to one row per tile
+    @pytest.mark.parametrize("tile", [1 << 16, similarity._TILE, 4096, 256])
+    def test_matrix_scale_matches_oracle(self, matrix_scale_oracle, monkeypatch, tile):
+        dists, want = matrix_scale_oracle
+        monkeypatch.setattr(similarity, "_TILE", tile)
+        m = pairwise_matrix(dists)
+        assert m.chunk_ids == tuple(d.chunk_id for d in dists)
+        np.testing.assert_allclose(m.scores, want, rtol=1e-12, atol=0)
+        assert np.array_equal(m.scores, m.scores.T)
+        assert not m.scores.diagonal().any()
+
     def test_identical_pair_gives_zero_matrix(self):
         m = pairwise_matrix([dist("a", {"x": 2}), dist("b", {"x": 2})])
         assert m.scores.tolist() == [[0.0, 0.0], [0.0, 0.0]]
@@ -113,15 +148,17 @@ class TestPairwiseMatrix:
         assert m.scores[0, 2] == chi_square_dissimilarity(da, dc)
         assert m.scores[1, 2] == chi_square_dissimilarity(db, dc)
 
-    def test_worker_count_does_not_change_bits(self):
+    def test_input_order_does_not_change_bits(self):
         rng = np.random.default_rng(7)
         dists = [
             dist(f"c{i:02d}", {t: int(rng.integers(1, 30)) for t in "abcdefgh"})
             for i in range(12)
         ]
-        m1 = pairwise_matrix(dists, jobs=1)
-        m8 = pairwise_matrix(dists, jobs=8)
-        assert np.array_equal(m1.scores, m8.scores)
+        shuffled = [dists[i] for i in rng.permutation(len(dists))]
+        m1 = pairwise_matrix(dists)
+        m2 = pairwise_matrix(shuffled)
+        assert m1.chunk_ids == m2.chunk_ids
+        assert np.array_equal(m1.scores, m2.scores)
 
     def test_duplicate_ids_rejected(self):
         from dramastyle import PreconditionFailed
