@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateCategory, PreconditionFailed
 from .similarity import DissimilarityMatrix
@@ -70,7 +69,10 @@ def rank_pairs(matrix: DissimilarityMatrix) -> RankedPairs:
     upper = np.triu_indices(n, 1)
     # 12 significant digits: scores equal but for summation noise must tie
     rounded = [float(format(v, ".12g")) for v in matrix.scores[upper].tolist()]
-    ranks = rankdata(rounded, method="average")
+    # a run of `cnt` equal values ending at position cumsum shares the mean
+    # of its positions; ranks are multiples of 0.5, hence exact
+    _, inv, cnt = np.unique(rounded, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(cnt) - (cnt - 1) / 2)[inv]
     rank_matrix = np.zeros((n, n))
     rank_matrix[upper] = ranks
     rank_matrix += rank_matrix.T

@@ -50,21 +50,34 @@ def _dense(dists: Sequence[TokenDistribution]) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.array([float(d.total) for d in dists])
 
 
-def _row_scores(a: np.ndarray, na: float, b: np.ndarray, nb: np.ndarray) -> np.ndarray:
+def _row_scores(
+    a: np.ndarray, na: float, b: np.ndarray, nb: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """Scores of count vector `a` (total `na`) against each row of `b` (totals `nb`).
 
     Per token, the two pooled-expectation terms add up to
     (a*nb - b*na)^2 / ((a+b)*na*nb); tokens absent from both are skipped.
     Swapping the sides negates the difference exactly and leaves the
     denominator's products unchanged, so the score is symmetric bit for bit.
+
+    The temporaries go into `work`, a float64 buffer of shape
+    (3, >= len(b), V) whose contents on entry do not matter; one is
+    allocated when it is not given. Reusing one buffer across calls keeps
+    the large temporaries off the allocator, which may otherwise hand each
+    freed one back to the OS and page-fault it in again on the next call.
     """
-    pooled = a + b
-    diff = a * nb[:, None] - b * na
+    if work is None:
+        work = np.empty((3, *b.shape))
+    pooled, diff, den = work[:, : len(b)]
+    np.add(a, b, out=pooled)
+    np.multiply(a, nb[:, None], out=diff)
+    np.multiply(b, na, out=den)
+    np.subtract(diff, den, out=diff)
+    np.multiply(diff, diff, out=diff)  # +0.0 wherever pooled is 0: no divide there
+    np.multiply(pooled, (na * nb)[:, None], out=den)
     present = pooled > 0
-    terms = np.divide(
-        diff * diff, pooled * (na * nb)[:, None], out=np.zeros_like(pooled), where=present
-    )
-    return terms.sum(axis=1) / present.sum(axis=1)
+    np.divide(diff, den, out=diff, where=present)
+    return diff.sum(axis=1) / present.sum(axis=1)
 
 
 def chi_square_dissimilarity(da: TokenDistribution, db: TokenDistribution) -> float:
@@ -77,7 +90,8 @@ def pairwise_matrix(dists: Sequence[TokenDistribution]) -> DissimilarityMatrix:
     """Symmetric matrix over all chunk pairs, rows in sorted chunk_id order.
 
     Row i is scored against the later rows in slices of at most `_TILE`
-    count elements, then mirrored below the diagonal.
+    count elements, all through one work buffer, then mirrored below the
+    diagonal.
     """
     if len(dists) < 2:
         raise PreconditionFailed("need at least 2 distributions")
@@ -88,11 +102,14 @@ def pairwise_matrix(dists: Sequence[TokenDistribution]) -> DissimilarityMatrix:
     counts, totals = _dense(ordered)
     n, vocab = counts.shape
     height = max(1, _TILE // vocab)
+    work = np.empty((3, height, vocab))
     scores = np.zeros((n, n))
     for i in range(n - 1):
         for j in range(i + 1, n, height):
             k = min(j + height, n)
-            scores[i, j:k] = _row_scores(counts[i], totals[i], counts[j:k], totals[j:k])
+            scores[i, j:k] = _row_scores(
+                counts[i], totals[i], counts[j:k], totals[j:k], work
+            )
     return DissimilarityMatrix(
         chunk_ids=tuple(d.chunk_id for d in ordered), scores=scores + scores.T
     )

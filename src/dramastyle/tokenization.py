@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyDistribution
@@ -78,10 +79,9 @@ def tokenize(text: str, mode: TokenizationMode, chunk_id: str = "") -> TokenDist
         stream = _word_stream(text, mode)
         joiner = " "
     n = 1 if "unigram" in mode.kind else mode.n
-    counts: dict[str, int] = {}
-    for i in range(len(stream) - n + 1):
-        token = joiner.join(stream[i : i + n]) if n > 1 else stream[i]
-        counts[token] = counts.get(token, 0) + 1
+    # zip of the n shifted streams yields each sliding window once, in order
+    grams = stream if n == 1 else map(joiner.join, zip(*(stream[k:] for k in range(n))))
+    counts = dict(Counter(grams))
     total = sum(counts.values())
     if total == 0:
         raise EmptyDistribution(f"chunk {chunk_id or '<anonymous>'}: no tokens under {mode.name}")

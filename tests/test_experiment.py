@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,8 +80,12 @@ class TestRunExperiment:
         assert all(secs >= 0 for secs in meta["timings"].values())
         assert set(meta["sizes"]) == {"letter_unigram", "word_unigram"}
         for sizes in meta["sizes"].values():
-            assert set(sizes) == {"chunks", "pairs", "vocabulary", "permutations"}
+            assert set(sizes) == {
+                "chunks", "pairs", "vocabulary", "token_total_min", "token_total_max",
+                "permutations",
+            }
             assert sizes["pairs"] == sizes["chunks"] * (sizes["chunks"] - 1) // 2
+            assert 0 < sizes["token_total_min"] <= sizes["token_total_max"]
             assert sizes["permutations"] == 300
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert "timings" not in report and "sizes" not in report
@@ -341,3 +349,17 @@ class TestCliExitCodes:
         assert rc == 0
         shown = capsys.readouterr().out
         assert "alfa" in shown and "bravo" in shown
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs NumPy only; SciPy is a test-time oracle."""
+    probe = (
+        "import sys, dramastyle.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

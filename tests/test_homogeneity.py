@@ -89,6 +89,7 @@ class TestRankPairs:
         ranked = rank_pairs(m)
         expected = rankdata([m.scores[ids.index(a), ids.index(b)] for a, b in pairs])
         assert np.array_equal(ranked.ranks, expected)
+        assert ranked.ranks.dtype == expected.dtype
         for k, (a, b) in enumerate(pairs):
             i, j = ids.index(a), ids.index(b)
             assert ranked.rank_matrix[i, j] == ranked.rank_matrix[j, i] == expected[k]

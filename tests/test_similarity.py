@@ -116,6 +116,21 @@ def matrix_scale_oracle():
     return dists, want
 
 
+class TestRowScoresWorkBuffer:
+    """The kernel's result must not depend on what its work buffer held."""
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -1e300, 7.5e305])
+    @pytest.mark.parametrize("spare_rows", [0, 5])
+    def test_buffer_contents_do_not_matter(self, matrix_scale_oracle, fill, spare_rows):
+        dists, _ = matrix_scale_oracle
+        counts, totals = similarity._dense(dists)
+        for i in (0, 17, 30, len(dists) - 2):
+            a, na, b, nb = counts[i], totals[i], counts[i + 1 :], totals[i + 1 :]
+            work = np.full((3, len(b) + spare_rows, counts.shape[1]), fill)
+            got = similarity._row_scores(a, na, b, nb, work)
+            assert np.array_equal(got, similarity._row_scores(a, na, b, nb))
+
+
 class TestPairwiseMatrix:
     # with 1 << 16 a row's 39 later chunks fit in one tile of 600-token rows;
     # the smaller tiles split them over several, down to one row per tile
@@ -128,6 +143,18 @@ class TestPairwiseMatrix:
         np.testing.assert_allclose(m.scores, want, rtol=1e-12, atol=0)
         assert np.array_equal(m.scores, m.scores.T)
         assert not m.scores.diagonal().any()
+
+    # one later row per tile; 7, which leaves the last tile of most rows
+    # partial; one tile taller than any row's later rows
+    @pytest.mark.parametrize("height", [1, 7, 64])
+    def test_tile_height_does_not_change_bits(self, matrix_scale_oracle, monkeypatch, height):
+        dists, want = matrix_scale_oracle
+        unpatched = pairwise_matrix(dists).scores
+        vocab = len(set().union(*(d.counts for d in dists)))
+        monkeypatch.setattr(similarity, "_TILE", height * vocab)
+        m = pairwise_matrix(dists)
+        assert np.array_equal(m.scores, unpatched)
+        np.testing.assert_allclose(m.scores, want, rtol=1e-12, atol=0)
 
     def test_identical_pair_gives_zero_matrix(self):
         m = pairwise_matrix([dist("a", {"x": 2}), dist("b", {"x": 2})])

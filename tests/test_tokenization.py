@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dramastyle import EmptyDistribution, TokenizationMode, tokenize
+from dramastyle import tokenization
 
 LETTERS = TokenizationMode("letter_unigram")
 WORDS = TokenizationMode("word_unigram")
@@ -112,3 +115,42 @@ class TestProperties:
             return
         assert all(v >= 1 for v in d.counts.values())
         assert d.total == sum(d.counts.values())
+
+
+def _loop_counts(text: str, mode: TokenizationMode) -> dict[str, int]:
+    """Reference: the per-token counting loop `tokenize` used before Counter."""
+    if mode.kind in ("letter_unigram", "letter_ngram"):
+        stream = tokenization._letter_stream(text, mode)
+        joiner = ""
+    else:
+        stream = tokenization._word_stream(text, mode)
+        joiner = " "
+    n = 1 if "unigram" in mode.kind else mode.n
+    counts: dict[str, int] = {}
+    for i in range(len(stream) - n + 1):
+        token = joiner.join(stream[i : i + n]) if n > 1 else stream[i]
+        counts[token] = counts.get(token, 0) + 1
+    return counts
+
+
+class TestCountingMatchesLoop:
+    ALPHABET = "abcåøæß ABÅØ.,'’!1\n"
+    MODES = [
+        TokenizationMode(kind, n=n)
+        for kind in ("letter_ngram", "word_ngram")
+        for n in range(1, 6)
+    ] + [LETTERS, WORDS]
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: f"{m.kind}:{m.n}")
+    def test_counts_and_order_match_loop(self, mode):
+        rng = random.Random(f"{mode.kind}:{mode.n}")
+        for length in [*range(12), *(rng.randrange(12, 600) for _ in range(40))]:
+            text = "".join(rng.choice(self.ALPHABET) for _ in range(length))
+            expected = _loop_counts(text, mode)
+            if not expected:  # stream shorter than n
+                with pytest.raises(EmptyDistribution):
+                    tokenize(text, mode)
+                continue
+            counts = tokenize(text, mode).counts
+            assert counts == expected
+            assert list(counts) == list(expected)
