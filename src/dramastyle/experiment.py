@@ -100,6 +100,8 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         CategoryLabeling.for_mode(self.labeling)
+        for e in self.corpus:
+            _parse_rules(e)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -189,6 +191,16 @@ def _output_dir(config: ExperimentConfig) -> Iterator[Path]:
     shutil.rmtree(stale, ignore_errors=True)
 
 
+def _parse_rules(entry: CorpusEntry) -> ParseRules:
+    """Build `entry`'s ParseRules; a malformed `parse_rules` is a ConfigError."""
+    try:
+        return ParseRules(**entry.parse_rules)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{entry.play_id}/{entry.translator}: parse_rules: {exc}"
+        ) from None
+
+
 def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str]]:
     plays = []
     warnings = []
@@ -196,16 +208,29 @@ def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str
         doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
         if doc.encoding_note != "utf-8":
             warnings.append(f"{entry.play_id}/{entry.translator}: {doc.encoding_note}")
-        rules = ParseRules(**{
-            k: tuple(tuple(p) for p in v) if k == "stage_direction_brackets" else
-            (tuple(v) if k == "delimiters" else v)
-            for k, v in entry.parse_rules.items()
-        })
+        rules = _parse_rules(entry)
         doc = strip_boilerplate(doc, rules)
         play = parse_play(doc, rules, entry.play_id, entry.language, entry.translator)
         warnings.extend(f"{entry.play_id}/{entry.translator}: {w}" for w in play.warnings)
         plays.append(play)
     return plays, warnings
+
+
+def _write_run_meta(
+    out_dir: Path, timings: dict[str, float], sizes: dict[str, dict], **extra
+) -> None:
+    """Write the run_meta.json sidecar: the wall-clock time, stage seconds,
+    per-mode sizes and `extra` keys, none of them part of the hashed outputs."""
+    with _stage("report"):
+        sidecar = {
+            "written_at": datetime.now(timezone.utc).isoformat(),
+            "timings": {name: round(secs, 6) for name, secs in timings.items()},
+            "sizes": sizes,
+            **extra,
+        }
+        (out_dir / "run_meta.json").write_text(
+            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
+        )
 
 
 def _aliases(config: ExperimentConfig) -> dict[tuple[str, str], dict[str, str]]:
@@ -355,15 +380,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
         )
         with _stage("report", timings):
             (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        with _stage("report"):
-            sidecar = {
-                "written_at": datetime.now(timezone.utc).isoformat(),
-                "timings": {name: round(secs, 6) for name, secs in timings.items()},
-                "sizes": sizes,
-            }
-            (out_dir / "run_meta.json").write_text(
-                json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-            )
+        _write_run_meta(out_dir, timings, sizes)
         return report
 
 
@@ -371,8 +388,9 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Cross-translation table: each chunk's nearest foreign category.
 
     Needs at least two translators of the same play; the labeling is
-    forced to character_by_translator. Writes cross_attribution.csv.
-    `jobs` is accepted but has no effect, as in `run_experiment`.
+    forced to character_by_translator. Writes cross_attribution.csv and
+    the run_meta.json sidecar. `jobs` is accepted but has no effect, as in
+    `run_experiment`.
     """
     config.validate()
     by_play: dict[str, set[str]] = {}
@@ -382,18 +400,21 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
         raise PreconditionFailed("two translators of one play required")
     config = ExperimentConfig(**{**config.to_dict(), "labeling": "character_by_translator",
                                  "corpus": config.corpus})
+    timings: dict[str, float] = {}
+    sizes: dict[str, dict] = {}
     with _output_dir(config) as out_dir:
-        with _stage("ingest"):
-            plays, _ = _ingest_corpus(config)
+        with _stage("ingest", timings):
+            plays, warnings = _ingest_corpus(config)
         chunks = prepare_chunks(
             plays, config.labeling, config.min_size, config.chunk_count,
-            config.chunk_size, _aliases(config),
+            config.chunk_size, _aliases(config), timings,
         )
         rows = []
         for mode_spec in config.modes:
             mode = TokenizationMode.parse(mode_spec)
-            with _stage(f"cross:{mode.name}"):
-                matrix = chunk_matrix(chunks, mode)
+            sizes[mode.name] = {}
+            with _stage(f"cross:{mode.name}", timings):
+                matrix = chunk_matrix(chunks, mode, sizes[mode.name])
                 labels = {c.chunk_id: c.category for c in chunks}
                 attribution = attribute_chunks(matrix, labels)
                 by_id = {c.chunk_id: c for c in chunks}
@@ -417,7 +438,7 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
                             "nearest_foreign_score": foreign[nearest],
                         }
                     )
-        with _stage("report"):
+        with _stage("report", timings):
             table = out_dir / "cross_attribution.csv"
             with open(table, "w", newline="", encoding="utf-8") as f:
                 writer = csv.DictWriter(
@@ -430,4 +451,6 @@ def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
                         row["nearest_foreign_score"], ".6f"
                     )
                     writer.writerow(row)
+        # no report.json here, so the sidecar is the record of the warnings
+        _write_run_meta(out_dir, timings, sizes, warnings=warnings)
         return rows

@@ -8,11 +8,13 @@ rather than producing silent garbage.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .errors import CorpusError, NoTurnsFound, UnbalancedBoilerplateMarkers
@@ -24,6 +26,7 @@ log = logging.getLogger(__name__)
 _HONORIFICS = {"mr", "mrs", "ms", "dr", "st", "fru", "frk", "hr"}
 
 _WS_RE = re.compile(r"\s+")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -43,10 +46,11 @@ class RawDocument:
 class ParseRules:
     """Tunable heading/stage-direction conventions for one corpus file.
 
-    A speaker heading is a line whose leading token is 1-4 words, each
-    fully uppercase or starting with an uppercase letter, immediately
-    followed by one of `delimiters`. Everything after the delimiter on
-    that line is dialogue; following non-heading lines continue the turn.
+    A speaker heading is a line whose leading token is 1 to
+    `max_heading_words` (at least 1) words, each fully uppercase or
+    starting with an uppercase letter, immediately followed by one of
+    `delimiters`. Everything after the delimiter on that line is dialogue;
+    following non-heading lines continue the turn.
     """
 
     delimiters: tuple[str, ...] = (".", ":")
@@ -57,11 +61,23 @@ class ParseRules:
     max_heading_words: int = 4
 
     def __post_init__(self):
-        if not self.delimiters:
-            raise ValueError("delimiters must be non-empty")
+        # lists (as read from JSON) become tuples, so the rules stay hashable
+        object.__setattr__(self, "delimiters", tuple(self.delimiters))
+        object.__setattr__(
+            self, "stage_direction_brackets",
+            tuple(tuple(pair) for pair in self.stage_direction_brackets),
+        )
+        if not self.delimiters or not all(isinstance(d, str) and d for d in self.delimiters):
+            raise ValueError("delimiters must be a non-empty list of non-empty strings")
         flat = [b for pair in self.stage_direction_brackets for b in pair]
-        if len(set(flat)) != len(flat):
+        if (
+            any(len(pair) != 2 for pair in self.stage_direction_brackets)
+            or not all(isinstance(b, str) and b for b in flat)
+            or len(set(flat)) != len(flat)
+        ):
             raise ValueError("bracket pairs must be distinct, non-overlapping strings")
+        if type(self.max_heading_words) is not int or self.max_heading_words < 1:
+            raise ValueError("max_heading_words must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -164,11 +180,13 @@ def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | Non
     "Nora. Yes." -> "Nora").
     """
     stripped = line.lstrip()
-    if not stripped:
+    # Exact prefilter: a heading's first word is title-case, so its first
+    # character is upper-case.
+    if not stripped or not stripped[0].isupper():
         return None
-    tokens = list(re.finditer(r"\S+", stripped))
+    tokens = list(islice(_TOKEN_RE.finditer(stripped), rules.max_heading_words))
     last_end: int | None = None
-    for i, m in enumerate(tokens[: rules.max_heading_words]):
+    for i, m in enumerate(tokens):
         word = m.group()
         delim = next((d for d in rules.delimiters if word.endswith(d)), None)
         core = word[: -len(delim)] if delim else word
@@ -183,7 +201,6 @@ def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | Non
         nxt = tokens[i + 1].group() if i + 1 < len(tokens) else None
         may_extend = (
             nxt is not None
-            and i + 1 < rules.max_heading_words
             and ((all_upper and _is_upper_word(nxt)) or (honorific and _is_title_word(nxt)))
         )
         if not may_extend:
@@ -193,19 +210,25 @@ def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | Non
     return stripped[:last_end], stripped[last_end:].lstrip()
 
 
+@functools.lru_cache(maxsize=16)
+def _bracket_patterns(brackets: tuple[tuple[str, str], ...]) -> tuple[re.Pattern, ...]:
+    """One pattern per (open, close) pair: an innermost bracketed span."""
+    return tuple(
+        re.compile(
+            re.escape(o) + "(?:(?!" + re.escape(o) + "|" + re.escape(c) + ").)*" + re.escape(c),
+            re.DOTALL,
+        )
+        for o, c in brackets
+    )
+
+
 def remove_stage_directions(text: str, rules: ParseRules) -> tuple[str, list[str]]:
     """Delete bracketed spans, innermost first, until none remain.
 
     Unmatched bracket characters are kept verbatim and reported as
     warnings, never silently dropped.
     """
-    patterns = [
-        re.compile(
-            re.escape(o) + "(?:(?!" + re.escape(o) + "|" + re.escape(c) + ").)*" + re.escape(c),
-            re.DOTALL,
-        )
-        for o, c in rules.stage_direction_brackets
-    ]
+    patterns = _bracket_patterns(rules.stage_direction_brackets)
     changed = True
     while changed:
         changed = False
@@ -247,7 +270,7 @@ def parse_play(
             return
         body, warns = remove_stage_directions("\n".join(current_lines), rules)
         warnings.extend(warns)
-        body = _WS_RE.sub(" ", body).strip()
+        body = " ".join(body.split())
         speaker = normalize_speaker(current_speaker) if rules.name_normalization else current_speaker
         turns.append(SpeechTurn(speaker=speaker, text=body, ordinal=len(turns)))
         current_speaker, current_lines = None, []

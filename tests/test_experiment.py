@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,8 @@ class TestRunExperiment:
         run_experiment(synthetic_config(configs_dir, tmp_path))
         out = tmp_path / "out" / "synthetic_two_category"
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        # the warnings live in report.json only
+        assert set(meta) == {"written_at", "timings", "sizes"}
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation",
             "analysis:letter_unigram", "analysis:word_unigram", "report",
@@ -188,6 +191,31 @@ class TestCompareTranslations:
         assert matches > len(beta_rows) / 2
         table = tmp_path / "out" / "synthetic_translations" / "cross_attribution.csv"
         assert table.exists()
+
+    def test_run_meta_records_timings_sizes_and_warnings(self, configs_dir, data_dir, tmp_path):
+        config = load_config(
+            configs_dir / "synthetic_translations.json",
+            permutations=100, output_dir=str(tmp_path / "out"),
+        )
+        beta = tmp_path / "translation_b.txt"
+        text = (data_dir / "synthetic" / "translation_b.txt").read_text(encoding="utf-8")
+        beta.write_bytes(f"édition de 1901\n\n{text}".encode("latin-1"))
+        corpus = tuple(
+            replace(e, path=str(beta), latin1_fallback=True) if e.translator == "beta" else e
+            for e in config.corpus
+        )
+        compare_translations(ExperimentConfig(**{**config.to_dict(), "corpus": corpus}))
+        out = tmp_path / "out" / "synthetic_translations"
+        assert (out / "cross_attribution.csv").exists()
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert set(meta["timings"]) == {
+            "ingest", "extract", "segmentation", "cross:letter_unigram", "report",
+        }
+        assert set(meta["sizes"]) == {"letter_unigram"}
+        assert set(meta["sizes"]["letter_unigram"]) == {
+            "chunks", "pairs", "vocabulary", "token_total_min", "token_total_max",
+        }
+        assert meta["warnings"] == ["synthia/beta: latin-1 fallback"]
 
     def test_identical_translations_map_to_same_character(self, data_dir, tmp_path, configs_dir):
         src = data_dir / "synthetic" / "translation_a.txt"
@@ -313,6 +341,24 @@ class TestCliExitCodes:
         for entry in config["corpus"]:
             entry["path"] = str((configs_dir / entry["path"]).resolve())
         config[field] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("parse_rules", [
+        {"delimiters": []},
+        {"delimiter": ["."]},
+        {"stage_direction_brackets": [["[", "]"], ["(", "["]]},
+        {"max_heading_words": 0},
+        {"max_heading_words": -1},
+        {"max_heading_words": True},
+    ])
+    def test_bad_parse_rules_is_2(self, configs_dir, tmp_path, parse_rules):
+        config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+            entry["parse_rules"] = parse_rules
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

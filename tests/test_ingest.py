@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +13,14 @@ from dramastyle import (
     parse_play,
     strip_boilerplate,
 )
-from dramastyle.ingest import match_speaker_heading, normalize_speaker, remove_stage_directions
+from dramastyle.ingest import (
+    PlayScript,
+    SpeechTurn,
+    match_speaker_heading,
+    normalize_speaker,
+    play_to_json,
+    remove_stage_directions,
+)
 
 RULES = ParseRules()
 
@@ -155,3 +165,209 @@ class TestExtractCharacterText:
         assert sum(len(v) for v in texts.values()) == (
             sum(len(t.text) for t in play.turns) + joiners
         )
+
+
+# Reference parser: the heading matcher, stage-direction remover and turn
+# assembly as they were before the exact prefilter, cached bracket patterns
+# and split/join whitespace collapse. The current parser must agree with them.
+
+_REF_HONORIFICS = {"mr", "mrs", "ms", "dr", "st", "fru", "frk", "hr"}
+
+_REF_WS_RE = re.compile(r"\s+")
+
+
+def _ref_is_upper_word(word: str) -> bool:
+    stripped = word.rstrip(".:")
+    return bool(stripped) and stripped == stripped.upper() and any(c.isalpha() for c in stripped)
+
+
+def _ref_is_title_word(word: str) -> bool:
+    stripped = word.rstrip(".:")
+    return bool(stripped) and stripped[0].isupper()
+
+
+def _ref_match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | None:
+    stripped = line.lstrip()
+    if not stripped:
+        return None
+    tokens = list(re.finditer(r"\S+", stripped))
+    last_end: int | None = None
+    for i, m in enumerate(tokens[: rules.max_heading_words]):
+        word = m.group()
+        delim = next((d for d in rules.delimiters if word.endswith(d)), None)
+        core = word[: -len(delim)] if delim else word
+        if not core or not _ref_is_title_word(core):
+            break
+        if delim is None:
+            continue
+        last_end = m.end()
+        # the name may continue past this delimiter
+        all_upper = all(_ref_is_upper_word(t.group()) for t in tokens[: i + 1])
+        honorific = core.lower() in _REF_HONORIFICS
+        nxt = tokens[i + 1].group() if i + 1 < len(tokens) else None
+        may_extend = (
+            nxt is not None
+            and i + 1 < rules.max_heading_words
+            and ((all_upper and _ref_is_upper_word(nxt)) or (honorific and _ref_is_title_word(nxt)))
+        )
+        if not may_extend:
+            break
+    if last_end is None:
+        return None
+    return stripped[:last_end], stripped[last_end:].lstrip()
+
+
+def _ref_remove_stage_directions(text: str, rules: ParseRules) -> tuple[str, list[str]]:
+    patterns = [
+        re.compile(
+            re.escape(o) + "(?:(?!" + re.escape(o) + "|" + re.escape(c) + ").)*" + re.escape(c),
+            re.DOTALL,
+        )
+        for o, c in rules.stage_direction_brackets
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for pat in patterns:
+            text, n = pat.subn("", text)
+            changed = changed or n > 0
+    warnings = []
+    for o, c in rules.stage_direction_brackets:
+        for ch in (o, c):
+            if ch in text:
+                pos = text.index(ch)
+                snippet = text[pos : pos + 40].replace("\n", " ")
+                warnings.append(f"unmatched {ch!r} kept verbatim near: {snippet!r}")
+    return text, warnings
+
+
+def _ref_parse_turns(text: str, rules: ParseRules) -> tuple[list[SpeechTurn], list[str]]:
+    turns: list[SpeechTurn] = []
+    warnings: list[str] = []
+    current_speaker: str | None = None
+    current_lines: list[str] = []
+
+    def flush():
+        nonlocal current_speaker, current_lines
+        if current_speaker is None:
+            current_lines = []
+            return
+        body, warns = _ref_remove_stage_directions("\n".join(current_lines), rules)
+        warnings.extend(warns)
+        body = _REF_WS_RE.sub(" ", body).strip()
+        speaker = normalize_speaker(current_speaker) if rules.name_normalization else current_speaker
+        turns.append(SpeechTurn(speaker=speaker, text=body, ordinal=len(turns)))
+        current_speaker, current_lines = None, []
+
+    for line in text.splitlines():
+        heading = _ref_match_speaker_heading(line, rules)
+        if heading is not None:
+            flush()
+            current_speaker, rest = heading
+            current_lines = [rest] if rest else []
+        elif current_speaker is not None:
+            current_lines.append(line)
+    flush()
+    return turns, warnings
+
+
+_LEADING = ["", " ", "   ", "\t", "\xa0", "\u3000", "\x1c", "\x85", "\u2028", " \xa0"]
+_SEPARATORS = [" ", " ", " ", "  ", "\t", "\xa0", "\u3000", "\x1c", "\x85", "\u2028"]
+_WORDS = [
+    # honorifics, in every case and with or without their period
+    "Mrs.", "MRS.", "mrs.", "Mr", "MR.", "Dr.", "St.", "Fru", "FRK.", "Hr.", "Ms.",
+    # all-caps runs and title-case names
+    "NORA", "HELMER", "ALVING", "PASTOR", "MANDERS", "LINDE", "I", "A", "O'NEILL",
+    "Nora", "Linde", "Alving", "Manders", "Osvald", "Øyvind", "Élise", "Ünal",
+    # ordinary dialogue
+    "yes", "and", "the", "street", "was", "mine", "so", "it", "ends", "ÿes",
+    # digits and punctuation first
+    "1", "2nd", "42.", "--", "...", "'Tis", '"Nora', "¿Qué", "—", "*",
+    # brackets around and inside words
+    "[She", "dances.]", "(aside)", "[He", "(slowly)", "exits]", "[", ")",
+]
+
+
+def _seeded_line(rng: random.Random, delimiters: tuple[str, ...]) -> str:
+    words = [rng.choice(_WORDS) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.7:
+        # a delimiter at word position 1-6
+        k = min(rng.randint(0, 5), len(words) - 1)
+        words[k] += rng.choice(delimiters)
+    if rng.random() < 0.15:
+        words[0] = words[0].lower()
+    line = words[0]
+    for w in words[1:]:
+        line += rng.choice(_SEPARATORS) + w
+    return rng.choice(_LEADING) + line + rng.choice(["", "", " ", "\xa0"])
+
+
+_CUSTOM_RULES = [
+    ParseRules(),
+    *(ParseRules(max_heading_words=n) for n in range(1, 7)),
+    ParseRules(delimiters=("--", "::", "—"), max_heading_words=3),
+    ParseRules(delimiters=(":", ".", ".:"), max_heading_words=6),
+    ParseRules(delimiters=(".]",), stage_direction_brackets=(("<<", ">>"), ("{", "}"))),
+]
+
+
+class TestAgainstReferenceParser:
+    @pytest.mark.parametrize("rules", _CUSTOM_RULES, ids=repr)
+    def test_heading_matcher_matches_reference(self, rules):
+        rng = random.Random(f"headings:{rules!r}")
+        lines = [_seeded_line(rng, rules.delimiters) for _ in range(3000)]
+        lines += ["", " ", "\xa0", "\u2028", "NORA.", "Mrs. Linde. Hello.", "1. NORA. x"]
+        matched = 0
+        for line in lines:
+            expected = _ref_match_speaker_heading(line, rules)
+            assert match_speaker_heading(line, rules) == expected, repr(line)
+            matched += expected is not None
+        # the seeded lines exercise both outcomes
+        assert 0 < matched < len(lines)
+
+    @pytest.mark.parametrize("rules", [
+        ParseRules(),
+        ParseRules(stage_direction_brackets=(("<<", ">>"), ("{", "}"), ("[", "]"))),
+    ], ids=repr)
+    def test_stage_direction_remover_matches_reference(self, rules):
+        rng = random.Random(f"brackets:{rules!r}")
+        marks = [b for pair in rules.stage_direction_brackets for b in pair]
+        pieces = ["word", " ", "\n", "\xa0", "Nora.", "x", *marks, *marks]
+        for _ in range(2000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 25)))
+            assert remove_stage_directions(text, rules) == _ref_remove_stage_directions(
+                text, rules
+            ), repr(text)
+
+    @pytest.mark.parametrize("rules", _CUSTOM_RULES[:3] + _CUSTOM_RULES[-3:], ids=repr)
+    def test_parse_play_matches_reference_on_capital_heavy_script(self, rules):
+        rng = random.Random(f"script:{rules!r}")
+        open_, close = rules.stage_direction_brackets[0]
+        lines = []
+        for _ in range(600):
+            line = _seeded_line(rng, rules.delimiters)
+            roll = rng.random()
+            if roll < 0.2:
+                line = f"{open_}{line}{close}"
+            elif roll < 0.25:
+                line = f"{line} {open_}nested {open_}deep{close} aside{close}"
+            elif roll < 0.28:
+                line += f" {rng.choice([open_, close])}"
+            lines.append(line)
+        text = "\n".join(lines) + "\n"
+        play = parse_play(doc(text), rules, "p", "en")
+        turns, warnings = _ref_parse_turns(text, rules)
+        expected = PlayScript("p", "en", "original", tuple(turns))
+        assert play_to_json(play) == play_to_json(expected)
+        assert list(play.warnings) == warnings
+        assert len(turns) > 100 and warnings
+
+
+def test_regex_whitespace_is_str_isspace():
+    """`" ".join(s.split())` collapses exactly what `\\s+` did: same character set."""
+    ws = re.compile(r"\s")
+    disagree = [
+        hex(cp) for cp in range(0x110000)
+        if (ws.match(chr(cp)) is not None) != chr(cp).isspace()
+    ]
+    assert disagree == []
