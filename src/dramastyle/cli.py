@@ -50,9 +50,9 @@ def _cmd_run(args) -> int:
         overrides["output_dir"] = args.out
     config = load_config(args.config, **overrides)
     if args.compare_translations:
-        compare_translations(config, jobs=args.jobs)
+        compare_translations(config)
     else:
-        run_experiment(config, jobs=args.jobs)
+        run_experiment(config)
     print(f"wrote {Path(config.output_dir) / config.experiment_id}")
     return 0
 

@@ -4,10 +4,12 @@ A config JSON names the corpus files, the labeling mode, one or more
 tokenization modes, the chunking budget, and the permutation settings.
 `run_experiment` executes ingest -> extract -> select -> chunk ->
 tokenize -> matrix -> statistics and writes a manifest CSV, one matrix
-CSV per mode, and a report JSON; `prepare_chunks` and `chunk_matrix` are
-the front half that every command shares. Everything is deterministic
-given the config and corpus bytes; the wall-clock timestamp lives in a
-sidecar file so the hashed outputs stay reproducible.
+CSV per mode, and a report JSON; `compare_translations` writes each
+chunk's nearest foreign category instead. Both run through one shared
+pipeline, `_run`; `prepare_chunks` and `chunk_matrix` are the front half
+that every command shares. Everything is deterministic given the config
+and corpus bytes; the wall-clock timestamp lives in a sidecar file so
+the hashed outputs stay reproducible.
 """
 from __future__ import annotations
 
@@ -17,10 +19,10 @@ import secrets
 import shutil
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, NoEligibleCharacters, PipelineError, PreconditionFailed
 from .homogeneity import (
@@ -94,14 +96,25 @@ class ExperimentConfig:
         keys = [(e.play_id, e.language, e.translator) for e in self.corpus]
         if len(set(keys)) != len(keys):
             raise ConfigError("play_ids must be unique per (language, translator)")
+        if not self.modes:
+            raise ConfigError("modes must be non-empty")
+        names: dict[str, str] = {}
         for m in self.modes:
             try:
-                TokenizationMode.parse(m)
+                name = TokenizationMode.parse(m).name
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            if name in names:
+                raise ConfigError(f"modes {names[name]!r} and {m!r} are both {name}")
+            names[name] = m
         CategoryLabeling.for_mode(self.labeling)
         for e in self.corpus:
             _parse_rules(e)
+            aliases = e.speaker_aliases
+            if not (isinstance(aliases, Mapping)
+                    and all(isinstance(s, str) for kv in aliases.items() for s in kv)):
+                raise ConfigError(f"{e.play_id}/{e.translator}: speaker_aliases must map "
+                                  "names to names")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -216,27 +229,6 @@ def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str
     return plays, warnings
 
 
-def _write_run_meta(
-    out_dir: Path, timings: dict[str, float], sizes: dict[str, dict], **extra
-) -> None:
-    """Write the run_meta.json sidecar: the wall-clock time, stage seconds,
-    per-mode sizes and `extra` keys, none of them part of the hashed outputs."""
-    with _stage("report"):
-        sidecar = {
-            "written_at": datetime.now(timezone.utc).isoformat(),
-            "timings": {name: round(secs, 6) for name, secs in timings.items()},
-            "sizes": sizes,
-            **extra,
-        }
-        (out_dir / "run_meta.json").write_text(
-            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-        )
-
-
-def _aliases(config: ExperimentConfig) -> dict[tuple[str, str], dict[str, str]]:
-    return {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
-
-
 def prepare_chunks(
     plays: Sequence[PlayScript],
     labeling: str,
@@ -304,37 +296,21 @@ def chunk_matrix(
     return matrix
 
 
-def _mode_analysis(config: ExperimentConfig, chunks, mode: TokenizationMode, sizes: dict):
-    matrix = chunk_matrix(chunks, mode, sizes)
-    sizes["permutations"] = config.permutations
-    labels = {c.chunk_id: c.category for c in chunks}
-    attribution = attribute_chunks(matrix, labels)
-    baselines = permutation_baselines(matrix, labels, config.permutations, config.seed)
-    categories = [
-        {
-            **asdict(HomogeneityReport(
-                category=category,
-                rank_sum=rank_sum_null["observed"],
-                rank_sum_p=baselines.rank_sum_p[category],
-                attribution_hits=attribution.hits[category],
-                attribution_total=attribution.totals[category],
-                attribution_p=baselines.attribution_p[category],
-                permutations=config.permutations,
-                seed=config.seed,
-            )),
-            "rank_sum_null": rank_sum_null,
-        }
-        for category, rank_sum_null in baselines.rank_sum_null.items()
-    ]
-    return matrix, attribution, categories, baselines.attribution_null
+def _run(
+    config: ExperimentConfig,
+    prefix: str,
+    analyse: Callable[..., object],
+    write: Callable[..., tuple],
+):
+    """The pipeline shared by `run_experiment` and `compare_translations`.
 
-
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Execute the full pipeline and write all artifacts.
-
-    The artifacts replace `output_dir/experiment_id` as a whole, and only
-    if the run succeeds. `jobs` is accepted but has no effect: the matrix
-    is one vectorised computation.
+    Ingests and chunks the corpus, then for each mode scores the chunk
+    matrix and attributes every chunk, timed as stage `<prefix>:<mode>`;
+    `analyse(mode, chunks, labels, matrix, attribution, sizes)` turns that
+    into the mode's result. `write(out_dir, chunks, results, warnings)`
+    writes the artifacts from the results by mode name and returns the
+    caller's result and any extra run_meta.json keys. The artifacts replace
+    `output_dir/experiment_id` only if the run succeeds.
     """
     config.validate()
     timings: dict[str, float] = {}
@@ -342,35 +318,82 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     with _output_dir(config) as out_dir:
         with _stage("ingest", timings):
             plays, warnings = _ingest_corpus(config)
+        aliases = {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
         chunks = prepare_chunks(
             plays, config.labeling, config.min_size, config.chunk_count,
-            config.chunk_size, _aliases(config), timings,
+            config.chunk_size, aliases, timings,
         )
-        with _stage("segmentation", timings):
-            manifest_path = out_dir / "chunk_manifest.csv"
-            write_manifest(chunks, manifest_path)
-        mode_sections = {}
+        labels = {c.chunk_id: c.category for c in chunks}
+        results = {}
         for mode_spec in config.modes:
             mode = TokenizationMode.parse(mode_spec)
             sizes[mode.name] = {}
-            with _stage(f"analysis:{mode.name}", timings):
-                matrix, attribution, categories, attr_summary = _mode_analysis(
-                    config, chunks, mode, sizes[mode.name]
+            with _stage(f"{prefix}:{mode.name}", timings):
+                matrix = chunk_matrix(chunks, mode, sizes[mode.name])
+                attribution = attribute_chunks(matrix, labels)
+                results[mode.name] = analyse(
+                    mode.name, chunks, labels, matrix, attribution, sizes[mode.name]
                 )
-                matrix_path = out_dir / f"matrix_{mode.name}.csv"
-                write_matrix_csv(matrix, matrix_path)
-                mode_sections[mode.name] = {
-                    "chunk_manifest_ref": manifest_path.name,
-                    "matrix_ref": matrix_path.name,
-                    "categories": categories,
-                    "attribution": list(attribution.per_chunk),
-                    "attribution_null": attr_summary,
-                    "ties_logged": list(attribution.ties),
-                }
+        with _stage("report", timings):
+            result, extra = write(out_dir, chunks, results, warnings)
+        # outside the timed stage, so that the sidecar holds the report time
+        with _stage("report"):
+            sidecar = {
+                "written_at": datetime.now(timezone.utc).isoformat(),
+                "timings": {name: round(secs, 6) for name, secs in timings.items()},
+                "sizes": sizes,
+                **extra,
+            }
+            (out_dir / "run_meta.json").write_text(
+                json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
+            )
+        return result
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Execute the full pipeline and write all artifacts.
+
+    Writes chunk_manifest.csv, one matrix_<mode>.csv per mode, report.json
+    and the run_meta.json sidecar. They replace `output_dir/experiment_id`
+    as a whole, and only if the run succeeds.
+    """
+
+    def analyse(mode, chunks, labels, matrix, attribution, sizes):
+        sizes["permutations"] = config.permutations
+        baselines = permutation_baselines(matrix, labels, config.permutations, config.seed)
+        categories = [
+            {
+                **asdict(HomogeneityReport(
+                    category=category,
+                    rank_sum=rank_sum_null["observed"],
+                    rank_sum_p=baselines.rank_sum_p[category],
+                    attribution_hits=attribution.hits[category],
+                    attribution_total=attribution.totals[category],
+                    attribution_p=baselines.attribution_p[category],
+                    permutations=config.permutations,
+                    seed=config.seed,
+                )),
+                "rank_sum_null": rank_sum_null,
+            }
+            for category, rank_sum_null in baselines.rank_sum_null.items()
+        ]
+        return matrix, {
+            "chunk_manifest_ref": "chunk_manifest.csv",
+            "matrix_ref": f"matrix_{mode}.csv",
+            "categories": categories,
+            "attribution": list(attribution.per_chunk),
+            "attribution_null": baselines.attribution_null,
+            "ties_logged": list(attribution.ties),
+        }
+
+    def write(out_dir, chunks, results, warnings):
+        write_manifest(chunks, out_dir / "chunk_manifest.csv")
+        for matrix, section in results.values():
+            write_matrix_csv(matrix, out_dir / section["matrix_ref"])
         report = ExperimentReport(
             experiment_id=config.experiment_id,
             config=config.to_dict(),
-            modes=mode_sections,
+            modes={mode: section for mode, (_, section) in results.items()},
             warnings=warnings,
             settings={
                 "permutations": config.permutations,
@@ -378,79 +401,52 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
                 "threshold": config.significance,
             },
         )
-        with _stage("report", timings):
-            (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        _write_run_meta(out_dir, timings, sizes)
-        return report
+        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+        return report, {}
+
+    return _run(config, "analysis", analyse, write)
 
 
-def compare_translations(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+_CROSS_COLUMNS = (
+    "mode", "chunk_id", "play_id", "translator", "speaker",
+    "own_category", "nearest_foreign_category", "nearest_foreign_score",
+)
+
+
+def compare_translations(config: ExperimentConfig) -> list[dict]:
     """Cross-translation table: each chunk's nearest foreign category.
 
     Needs at least two translators of the same play; the labeling is
     forced to character_by_translator. Writes cross_attribution.csv and
-    the run_meta.json sidecar. `jobs` is accepted but has no effect, as in
-    `run_experiment`.
+    the run_meta.json sidecar.
     """
-    config.validate()
     by_play: dict[str, set[str]] = {}
     for e in config.corpus:
         by_play.setdefault(e.play_id, set()).add(e.translator)
     if not any(len(t) >= 2 for t in by_play.values()):
         raise PreconditionFailed("two translators of one play required")
-    config = ExperimentConfig(**{**config.to_dict(), "labeling": "character_by_translator",
-                                 "corpus": config.corpus})
-    timings: dict[str, float] = {}
-    sizes: dict[str, dict] = {}
-    with _output_dir(config) as out_dir:
-        with _stage("ingest", timings):
-            plays, warnings = _ingest_corpus(config)
-        chunks = prepare_chunks(
-            plays, config.labeling, config.min_size, config.chunk_count,
-            config.chunk_size, _aliases(config), timings,
-        )
-        rows = []
-        for mode_spec in config.modes:
-            mode = TokenizationMode.parse(mode_spec)
-            sizes[mode.name] = {}
-            with _stage(f"cross:{mode.name}", timings):
-                matrix = chunk_matrix(chunks, mode, sizes[mode.name])
-                labels = {c.chunk_id: c.category for c in chunks}
-                attribution = attribute_chunks(matrix, labels)
-                by_id = {c.chunk_id: c for c in chunks}
-                for record in attribution.per_chunk:
-                    own = record["true_category"]
-                    foreign = {
-                        c: s for c, s in record["mean_scores"].items() if c != own
-                    }
-                    nearest = min(foreign, key=lambda c: (foreign[c], c))
-                    chunk = by_id[record["chunk_id"]]
-                    play_id, translator, speaker = chunk.source
-                    rows.append(
-                        {
-                            "mode": mode.name,
-                            "chunk_id": record["chunk_id"],
-                            "play_id": play_id,
-                            "translator": translator,
-                            "speaker": speaker,
-                            "own_category": own,
-                            "nearest_foreign_category": nearest,
-                            "nearest_foreign_score": foreign[nearest],
-                        }
-                    )
-        with _stage("report", timings):
-            table = out_dir / "cross_attribution.csv"
-            with open(table, "w", newline="", encoding="utf-8") as f:
-                writer = csv.DictWriter(
-                    f, fieldnames=list(rows[0].keys()), lineterminator="\n"
-                )
-                writer.writeheader()
-                for row in rows:
-                    row = dict(row)
-                    row["nearest_foreign_score"] = format(
-                        row["nearest_foreign_score"], ".6f"
-                    )
-                    writer.writerow(row)
-        # no report.json here, so the sidecar is the record of the warnings
-        _write_run_meta(out_dir, timings, sizes, warnings=warnings)
+
+    def analyse(mode, chunks, labels, matrix, attribution, sizes):
+        rows = []  # per_chunk follows the matrix, which follows `chunks`
+        for chunk, record in zip(chunks, attribution.per_chunk):
+            own = record["true_category"]
+            foreign = {c: s for c, s in record["mean_scores"].items() if c != own}
+            nearest = min(foreign, key=lambda c: (foreign[c], c))
+            rows.append(dict(zip(_CROSS_COLUMNS, (
+                mode, chunk.chunk_id, *chunk.source, own, nearest, foreign[nearest],
+            ))))
         return rows
+
+    def write(out_dir, chunks, results, warnings):
+        rows = [row for mode_rows in results.values() for row in mode_rows]
+        with open(out_dir / "cross_attribution.csv", "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=_CROSS_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            for row in rows:
+                writer.writerow(
+                    {**row, "nearest_foreign_score": format(row["nearest_foreign_score"], ".6f")}
+                )
+        # no report.json here, so the sidecar is the record of the warnings
+        return rows, {"warnings": warnings}
+
+    return _run(replace(config, labeling="character_by_translator"), "cross", analyse, write)

@@ -127,14 +127,21 @@ class TestRunExperiment:
         assert (out / "matrix_letter_unigram.csv").exists()
         assert [p.name for p in (tmp_path / "out").iterdir()] == [out.name]
 
-    def test_failed_rerun_keeps_previous_results(self, configs_dir, tmp_path):
-        run_experiment(synthetic_config(configs_dir, tmp_path))
-        out = tmp_path / "out" / "synthetic_two_category"
+    @pytest.mark.parametrize("command, experiment", [
+        (run_experiment, "synthetic_two_category"),
+        (compare_translations, "synthetic_translations"),
+    ], ids=["run", "compare_translations"])
+    def test_failed_rerun_keeps_previous_results(self, configs_dir, tmp_path, command,
+                                                 experiment):
+        def config(**overrides):
+            return load_config(configs_dir / f"{experiment}.json", permutations=300,
+                               output_dir=str(tmp_path / "out"), **overrides)
+
+        command(config())
+        out = tmp_path / "out" / experiment
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        config = synthetic_config(configs_dir, tmp_path, min_size=10**6,
-                                  chunk_count=2, chunk_size=100)
         with pytest.raises(PipelineError):
-            run_experiment(config)
+            command(config(min_size=10**6, chunk_count=2, chunk_size=100))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in (tmp_path / "out").iterdir()] == [out.name]
 
@@ -144,7 +151,7 @@ class TestRunExperiment:
             config = synthetic_config(
                 configs_dir, tmp_path, output_dir=str(tmp_path / f"out{jobs}")
             )
-            run_experiment(config, jobs=jobs)
+            run_experiment(config)
             out = tmp_path / f"out{jobs}" / "synthetic_two_category"
             files[jobs] = {
                 p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"
@@ -216,6 +223,16 @@ class TestCompareTranslations:
             "chunks", "pairs", "vocabulary", "token_total_min", "token_total_max",
         }
         assert meta["warnings"] == ["synthia/beta: latin-1 fallback"]
+
+    def test_cross_table_matches_golden(self, configs_dir, data_dir, tmp_path):
+        rc = main([
+            "run", "--config", str(configs_dir / "synthetic_translations.json"),
+            "--compare-translations", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        table = tmp_path / "out" / "synthetic_translations" / "cross_attribution.csv"
+        golden = data_dir / "golden" / "synthetic_translations_cross.csv"
+        assert table.read_bytes() == golden.read_bytes()
 
     def test_identical_translations_map_to_same_character(self, data_dir, tmp_path, configs_dir):
         src = data_dir / "synthetic" / "translation_a.txt"
@@ -362,6 +379,27 @@ class TestCliExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("compare", [[], ["--compare-translations"]],
+                             ids=["run", "compare_translations"])
+    @pytest.mark.parametrize("modes, aliases", [
+        ([], {}),
+        (["letter_ngram", "letter_ngram:1"], {}),  # both are named letter_ngram1
+        (["letter_unigram"], ["x"]),
+        (["letter_unigram"], {"kari": 1}),
+    ], ids=["no_modes", "same_mode_name", "aliases_not_mapping", "alias_not_string"])
+    def test_bad_modes_or_speaker_aliases_is_2(self, configs_dir, tmp_path, compare,
+                                               modes, aliases):
+        config = json.loads((configs_dir / "synthetic_translations.json").read_text())
+        config["modes"] = modes
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+            entry["speaker_aliases"] = aliases
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *compare])
+        assert rc == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "matrix"])
