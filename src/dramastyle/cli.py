@@ -6,8 +6,8 @@ Subcommands:
   matrix  interchange JSON files -> dissimilarity matrix CSV
   report  re-render a report JSON as a readable text table
 
-Exit codes: 0 success, 2 config error, 3 corpus/parse error,
-4 degenerate-statistics error.
+Exit codes: 0 success, 2 config error (or a precondition the config
+does not meet), 3 corpus/parse error, 4 degenerate-statistics error.
 """
 from __future__ import annotations
 
@@ -17,9 +17,10 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, CorpusError, PipelineError, StatisticsError
+from .errors import ConfigError, CorpusError, PipelineError, PreconditionFailed, StatisticsError
 from .experiment import chunk_matrix, compare_translations, load_config, prepare_chunks, run_experiment
 from .ingest import ParseRules, load_document, parse_play, play_from_json, play_to_json, strip_boilerplate
+from .segmentation import CategoryLabeling
 from .similarity import write_matrix_csv
 from .tokenization import TokenizationMode
 
@@ -58,7 +59,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    mode = TokenizationMode.parse(args.mode)
+    try:
+        mode = TokenizationMode.parse(args.mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    CategoryLabeling.for_mode(args.labeling)  # fail before any file is read
     plays = [play_from_json(Path(path).read_text(encoding="utf-8")) for path in args.files]
     chunks = prepare_chunks(
         plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size
@@ -161,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(cause, StatisticsError):
             return 4
         return 3
-    except ConfigError as exc:
+    except (ConfigError, PreconditionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StatisticsError as exc:

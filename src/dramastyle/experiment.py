@@ -280,9 +280,11 @@ def chunk_matrix(
 ) -> DissimilarityMatrix:
     """Tokenize every chunk under `mode` and score all pairs.
 
-    When given, `sizes` records the chunks, pairs, union vocabulary and the
-    smallest and largest token total: the metric assumes equal-size chunks,
-    and token totals can differ between equal-size chunks.
+    When given, `sizes` records the chunks, pairs, union vocabulary, the
+    mean number of distinct tokens per chunk (which sets the matrix cost)
+    and the smallest and largest token total: the metric assumes
+    equal-size chunks, and token totals can differ between equal-size
+    chunks.
     """
     dists = [tokenize(c.text, mode, c.chunk_id) for c in chunks]
     matrix = pairwise_matrix(dists)
@@ -291,6 +293,7 @@ def chunk_matrix(
         sizes["chunks"] = n
         sizes["pairs"] = n * (n - 1) // 2
         sizes["vocabulary"] = len(set().union(*(d.counts for d in dists)))
+        sizes["support_mean"] = sum(len(d.counts) for d in dists) / n
         sizes["token_total_min"] = min(d.total for d in dists)
         sizes["token_total_max"] = max(d.total for d in dists)
     return matrix

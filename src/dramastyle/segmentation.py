@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import DegenerateCategory, InsufficientText, NoEligibleCharacters
+from .errors import ConfigError, DegenerateCategory, InsufficientText, NoEligibleCharacters
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ class CategoryLabeling:
             return cls(mode, lambda play_id, translator, speaker: play_id)
         if mode == "character_by_translator":
             return cls(mode, lambda play_id, translator, speaker: f"{speaker}@{translator}")
-        raise ValueError(f"unknown labeling mode {mode!r}; expected one of {LABELING_MODES}")
+        raise ConfigError(f"unknown labeling mode {mode!r}; expected one of {LABELING_MODES}")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ identical distributions score 0. Scores are homogeneous of degree 1 in
 the counts, which is why all chunks must have equal size.
 
 One vectorised kernel serves both the scalar and the matrix: the counts
-go into a dense float64 matrix with columns in code-point order, and the
-two pooled-expectation terms of a token are scored in their closed form.
-Scores match the term-by-term formula to 1e-12 relative and are
-symmetric to the last bit. A pair's last bit may depend on which other
-chunks share the call, because tokens absent from both chunks still
-take part (as zeros) in the summation order.
+go into a dense float64 matrix with columns in code-point order, and each
+pair is scored over the tokens of one of its chunks, with the tokens only
+the other chunk has added in closed form. Scores match the term-by-term
+formula to 1e-12 relative and are symmetric to the last bit. A pair's
+score depends on the pair alone: the scalar and every matrix that holds
+the pair give the same bits.
 """
 from __future__ import annotations
 
@@ -50,48 +50,64 @@ def _dense(dists: Sequence[TokenDistribution]) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.array([float(d.total) for d in dists])
 
 
-def _row_scores(
-    a: np.ndarray, na: float, b: np.ndarray, nb: np.ndarray, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Scores of count vector `a` (total `na`) against each row of `b` (totals `nb`).
+def _upper_scores(ordered: Sequence[TokenDistribution]) -> np.ndarray:
+    """(n, n) scores of every pair i < j of `ordered`, zero elsewhere.
 
-    Per token, the two pooled-expectation terms add up to
-    (a*nb - b*na)^2 / ((a+b)*na*nb); tokens absent from both are skipped.
-    Swapping the sides negates the difference exactly and leaves the
-    denominator's products unchanged, so the score is symmetric bit for bit.
+    Pair (i, j) is scored over S, the tokens chunk i has. Per token, the
+    two pooled-expectation terms add up to (a*nb - b*na)^2 / ((a+b)*na*nb),
+    and a token that only chunk j has adds b*na/nb, so those tokens
+    together add na*(nb - sum of b over S)/nb, an integer sum and so exact.
+    The sum is divided by the union vocabulary,
+    |S| + |supp b| - |S & supp b|. Columns of S are gathered in code-point
+    order, so a pair's bits do not depend on the other chunks of the call.
 
-    The temporaries go into `work`, a float64 buffer of shape
-    (3, >= len(b), V) whose contents on entry do not matter; one is
-    allocated when it is not given. Reusing one buffer across calls keeps
-    the large temporaries off the allocator, which may otherwise hand each
-    freed one back to the OS and page-fault it in again on the next call.
+    Row i is scored against the later rows in blocks of at most `_TILE`
+    count elements (at least one row), all through one work buffer: freed
+    temporaries of this size would go back to the OS and be page-faulted
+    in again on the next block.
     """
-    if work is None:
-        work = np.empty((3, *b.shape))
-    pooled, diff, den = work[:, : len(b)]
-    np.add(a, b, out=pooled)
-    np.multiply(a, nb[:, None], out=diff)
-    np.multiply(b, na, out=den)
-    np.subtract(diff, den, out=diff)
-    np.multiply(diff, diff, out=diff)  # +0.0 wherever pooled is 0: no divide there
-    np.multiply(pooled, (na * nb)[:, None], out=den)
-    present = pooled > 0
-    np.divide(diff, den, out=diff, where=present)
-    return diff.sum(axis=1) / present.sum(axis=1)
+    counts, totals = _dense(ordered)
+    nonzero = np.count_nonzero(counts, axis=1)
+    n = len(ordered)
+    scores = np.zeros((n, n))
+    work = np.empty((3, max(_TILE, counts.shape[1])))
+    for i in range(n - 1):
+        support = np.flatnonzero(counts[i])
+        a, na, width = counts[i, support], totals[i], len(support)
+        height = max(1, _TILE // width)
+        for j in range(i + 1, n, height):
+            k = min(j + height, n)
+            b, diff, den = work[:, : (k - j) * width].reshape(3, k - j, width)
+            np.take(counts[j:k], support, axis=1, out=b)
+            nb = totals[j:k]
+            np.multiply(a, nb[:, None], out=diff)
+            np.multiply(b, na, out=den)
+            np.subtract(diff, den, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(a, b, out=den)
+            np.multiply(den, (na * nb)[:, None], out=den)
+            np.divide(diff, den, out=diff)
+            only_b = na * (nb - b.sum(axis=1)) / nb
+            union = width + nonzero[j:k] - np.count_nonzero(b, axis=1)
+            scores[i, j:k] = (diff.sum(axis=1) + only_b) / union
+    return scores
 
 
 def chi_square_dissimilarity(da: TokenDistribution, db: TokenDistribution) -> float:
-    """Average pooled-expectation chi-square over the union vocabulary."""
-    counts, totals = _dense([da, db])
-    return float(_row_scores(counts[0], totals[0], counts[1:], totals[1:])[0])
+    """Average pooled-expectation chi-square over the union vocabulary.
+
+    The pair is oriented as `pairwise_matrix` orients it, by chunk_id and
+    then by counts, so swapping the arguments gives the same bits and
+    the matrix entry of the pair.
+    """
+    ordered = sorted((da, db), key=lambda d: (d.chunk_id, sorted(d.counts.items())))
+    return float(_upper_scores(ordered)[0, 1])
 
 
 def pairwise_matrix(dists: Sequence[TokenDistribution]) -> DissimilarityMatrix:
     """Symmetric matrix over all chunk pairs, rows in sorted chunk_id order.
 
-    Row i is scored against the later rows in slices of at most `_TILE`
-    count elements, all through one work buffer, then mirrored below the
-    diagonal.
+    Each pair is scored once, above the diagonal, and mirrored below it.
     """
     if len(dists) < 2:
         raise PreconditionFailed("need at least 2 distributions")
@@ -99,17 +115,7 @@ def pairwise_matrix(dists: Sequence[TokenDistribution]) -> DissimilarityMatrix:
     if len(set(ids)) != len(ids):
         raise PreconditionFailed("chunk_ids must be unique")
     ordered = sorted(dists, key=lambda d: d.chunk_id)
-    counts, totals = _dense(ordered)
-    n, vocab = counts.shape
-    height = max(1, _TILE // vocab)
-    work = np.empty((3, height, vocab))
-    scores = np.zeros((n, n))
-    for i in range(n - 1):
-        for j in range(i + 1, n, height):
-            k = min(j + height, n)
-            scores[i, j:k] = _row_scores(
-                counts[i], totals[i], counts[j:k], totals[j:k], work
-            )
+    scores = _upper_scores(ordered)
     return DissimilarityMatrix(
         chunk_ids=tuple(d.chunk_id for d in ordered), scores=scores + scores.T
     )

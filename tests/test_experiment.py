@@ -84,10 +84,11 @@ class TestRunExperiment:
         assert set(meta["sizes"]) == {"letter_unigram", "word_unigram"}
         for sizes in meta["sizes"].values():
             assert set(sizes) == {
-                "chunks", "pairs", "vocabulary", "token_total_min", "token_total_max",
-                "permutations",
+                "chunks", "pairs", "vocabulary", "support_mean", "token_total_min",
+                "token_total_max", "permutations",
             }
             assert sizes["pairs"] == sizes["chunks"] * (sizes["chunks"] - 1) // 2
+            assert 1 <= sizes["support_mean"] <= sizes["vocabulary"]
             assert 0 < sizes["token_total_min"] <= sizes["token_total_max"]
             assert sizes["permutations"] == 300
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
@@ -163,6 +164,17 @@ class TestRunExperiment:
             b = files[8][name].replace(b"out8", b"out#")
             assert a == b, name
 
+    @pytest.mark.parametrize("mode", ["letter_unigram", "word_unigram"])
+    def test_matrix_matches_golden(self, configs_dir, data_dir, tmp_path, mode):
+        rc = main([
+            "run", "--config", str(configs_dir / "synthetic_two_category.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        matrix = tmp_path / "out" / "synthetic_two_category" / f"matrix_{mode}.csv"
+        golden = data_dir / "golden" / f"synthetic_two_category_matrix_{mode}.csv"
+        assert matrix.read_bytes() == golden.read_bytes()
+
     def test_config_echo_reproduces_run(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path)
         run_experiment(config)
@@ -220,7 +232,8 @@ class TestCompareTranslations:
         }
         assert set(meta["sizes"]) == {"letter_unigram"}
         assert set(meta["sizes"]["letter_unigram"]) == {
-            "chunks", "pairs", "vocabulary", "token_total_min", "token_total_max",
+            "chunks", "pairs", "vocabulary", "support_mean", "token_total_min",
+            "token_total_max",
         }
         assert meta["warnings"] == ["synthia/beta: latin-1 fallback"]
 
@@ -412,6 +425,39 @@ class TestCliExitCodes:
         with pytest.raises(SystemExit) as exit_:
             main([*args, "--jobs", jobs, "--out", str(tmp_path / "out")])
         assert exit_.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_translations_needs_two_translators_is_2(self, configs_dir, tmp_path,
+                                                             capsys):
+        rc = main([
+            "run", "--config", str(configs_dir / "synthetic_two_category.json"),
+            "--compare-translations", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: two translators of one play required\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", [["--mode", "bogus"], ["--labeling", "bogus"]],
+                             ids=["mode", "labeling"])
+    def test_matrix_bad_mode_or_labeling_is_2(self, data_dir, tmp_path, capsys, option):
+        out = tmp_path / "matrix.csv"
+        rc = main(["matrix", str(data_dir / "golden" / "miniature_play.json"), *option,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown" in err
+        assert not out.exists()
+
+    def test_bad_labeling_in_config_is_2(self, configs_dir, tmp_path, capsys):
+        config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+        config["labeling"] = "bogus"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown labeling mode 'bogus'")
         assert not (tmp_path / "out").exists()
 
     def test_permutations_override_is_validated(self, configs_dir, tmp_path):

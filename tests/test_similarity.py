@@ -67,9 +67,12 @@ class TestChiSquare:
         with pytest.raises(EmptyDistribution):
             chi_square_dissimilarity(dist("a", {"a": 1}), bad)
 
+    # with equal ids the pair is oriented by its counts
+    @pytest.mark.parametrize("ids", [("a", "b"), ("same", "same")],
+                             ids=["distinct_ids", "equal_ids"])
     @given(count_maps, count_maps)
-    def test_symmetry_to_the_last_bit(self, ca, cb):
-        a, b = dist("a", ca), dist("b", cb)
+    def test_symmetry_to_the_last_bit(self, ids, ca, cb):
+        a, b = dist(ids[0], ca), dist(ids[1], cb)
         assert chi_square_dissimilarity(a, b) == chi_square_dissimilarity(b, a)
 
     @given(count_maps, count_maps)
@@ -116,25 +119,93 @@ def matrix_scale_oracle():
     return dists, want
 
 
-class TestRowScoresWorkBuffer:
+class TestWorkBuffer:
     """The kernel's result must not depend on what its work buffer held."""
 
+    class _FilledEmpty:
+        """numpy, except that `empty` returns an array full of `fill`."""
+
+        def __init__(self, fill):
+            self.fill = fill
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape):
+            return np.full(shape, self.fill)
+
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -1e300, 7.5e305])
-    @pytest.mark.parametrize("spare_rows", [0, 5])
-    def test_buffer_contents_do_not_matter(self, matrix_scale_oracle, fill, spare_rows):
+    @pytest.mark.parametrize("tile", [similarity._TILE, 256])
+    def test_buffer_contents_do_not_matter(self, matrix_scale_oracle, monkeypatch, fill, tile):
         dists, _ = matrix_scale_oracle
-        counts, totals = similarity._dense(dists)
-        for i in (0, 17, 30, len(dists) - 2):
-            a, na, b, nb = counts[i], totals[i], counts[i + 1 :], totals[i + 1 :]
-            work = np.full((3, len(b) + spare_rows, counts.shape[1]), fill)
-            got = similarity._row_scores(a, na, b, nb, work)
-            assert np.array_equal(got, similarity._row_scores(a, na, b, nb))
+        monkeypatch.setattr(similarity, "_TILE", tile)
+        want = pairwise_matrix(dists).scores
+        monkeypatch.setattr(similarity, "np", self._FilledEmpty(fill))
+        assert np.array_equal(pairwise_matrix(dists).scores, want)
+
+
+SHARED_TOKENS = [f"t{k:02d}" for k in range(30)]
+
+
+@st.composite
+def chunk_sets(draw):
+    """2-8 chunks: shared, disjoint (own tokens), one-token and identical ones."""
+    counts = st.integers(min_value=1, max_value=50)
+    maps = []
+    for i in range(draw(st.integers(min_value=2, max_value=8))):
+        kind = draw(st.sampled_from(["shared", "disjoint", "one_token", "identical"]))
+        if kind == "identical" and maps:
+            maps.append(dict(draw(st.sampled_from(maps))))
+        elif kind == "disjoint":
+            own = [f"own{i}.{k}" for k in range(6)]
+            maps.append(draw(st.dictionaries(st.sampled_from(own), counts, min_size=1)))
+        elif kind == "one_token":
+            maps.append({draw(st.sampled_from(SHARED_TOKENS)): draw(counts)})
+        else:
+            maps.append(draw(st.dictionaries(
+                st.sampled_from(SHARED_TOKENS), counts, min_size=1, max_size=20,
+            )))
+    return [dist(f"c{i}", m) for i, m in enumerate(maps)]
+
+
+class TestKernel:
+    """One kernel, scored over each pair's own tokens, for scalar and matrix."""
+
+    @given(chunk_sets())
+    def test_matrix_matches_oracle(self, dists):
+        m = pairwise_matrix(dists)
+        n = len(dists)
+        want = np.array([
+            [oracle_chi_square(dists[i].counts, dists[j].counts) if i != j else 0.0
+             for j in range(n)]
+            for i in range(n)
+        ])
+        np.testing.assert_allclose(m.scores, want, rtol=1e-12, atol=0)
+        assert np.array_equal(m.scores, m.scores.T)
+        assert not m.scores.diagonal().any()
+
+    def test_two_chunk_call_gives_full_matrix_bits(self, matrix_scale_oracle):
+        dists, _ = matrix_scale_oracle
+        full = pairwise_matrix(dists).scores
+        for i in range(len(dists)):
+            for j in range(i + 1, len(dists)):
+                pair = pairwise_matrix([dists[j], dists[i]]).scores
+                assert pair[0, 1] == full[i, j]
+
+    def test_matrix_equals_scalar_for_every_pair(self, matrix_scale_oracle):
+        dists, _ = matrix_scale_oracle
+        full = pairwise_matrix(dists).scores
+        for i, da in enumerate(dists):
+            for j, db in enumerate(dists):
+                if i != j:
+                    assert chi_square_dissimilarity(da, db) == full[i, j]
 
 
 class TestPairwiseMatrix:
-    # with 1 << 16 a row's 39 later chunks fit in one tile of 600-token rows;
-    # the smaller tiles split them over several, down to one row per tile
-    @pytest.mark.parametrize("tile", [1 << 16, similarity._TILE, 4096, 256])
+    # with 1 << 16 a row's 39 later chunks fit in one tile (a row has at most
+    # 600 tokens); the smaller tiles split them over several, and 1 gives one
+    # row per tile
+    @pytest.mark.parametrize("tile", [1 << 16, similarity._TILE, 4096, 256, 1])
     def test_matrix_scale_matches_oracle(self, matrix_scale_oracle, monkeypatch, tile):
         dists, want = matrix_scale_oracle
         monkeypatch.setattr(similarity, "_TILE", tile)
@@ -144,8 +215,9 @@ class TestPairwiseMatrix:
         assert np.array_equal(m.scores, m.scores.T)
         assert not m.scores.diagonal().any()
 
-    # one later row per tile; 7, which leaves the last tile of most rows
-    # partial; one tile taller than any row's later rows
+    # a tile of height x V counts holds at least `height` later rows (more for
+    # a row with fewer tokens): 1; 7, which leaves the last tile of most rows
+    # partial; 64, taller than any row's later rows
     @pytest.mark.parametrize("height", [1, 7, 64])
     def test_tile_height_does_not_change_bits(self, matrix_scale_oracle, monkeypatch, height):
         dists, want = matrix_scale_oracle
