@@ -39,6 +39,7 @@ from .homogeneity import (
     PermutationBaselines,
     RankedPairs,
     attribute_chunks,
+    draw_orders,
     permutation_baselines,
     rank_pairs,
     within_category_rank_sum,

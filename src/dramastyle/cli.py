@@ -18,7 +18,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, CorpusError, PipelineError, PreconditionFailed, StatisticsError
-from .experiment import chunk_matrix, compare_translations, load_config, prepare_chunks, run_experiment
+from .experiment import (
+    check_chunking, chunk_matrix, compare_translations, load_config, prepare_chunks, run_experiment,
+)
 from .ingest import ParseRules, load_document, parse_play, play_from_json, play_to_json, strip_boilerplate
 from .segmentation import CategoryLabeling
 from .similarity import write_matrix_csv
@@ -63,7 +65,9 @@ def _cmd_matrix(args) -> int:
         mode = TokenizationMode.parse(args.mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    CategoryLabeling.for_mode(args.labeling)  # fail before any file is read
+    # fail before any file is read
+    CategoryLabeling.for_mode(args.labeling)
+    check_chunking(args.min_size, args.chunk_count, args.chunk_size)
     plays = [play_from_json(Path(path).read_text(encoding="utf-8")) for path in args.files]
     chunks = prepare_chunks(
         plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size

@@ -28,6 +28,7 @@ from .errors import ConfigError, NoEligibleCharacters, PipelineError, Preconditi
 from .homogeneity import (
     HomogeneityReport,
     attribute_chunks,
+    draw_orders,
     permutation_baselines,
 )
 from .ingest import (
@@ -63,6 +64,20 @@ class CorpusEntry:
     latin1_fallback: bool = False
 
 
+def check_chunking(min_size: int, chunk_count: int, chunk_size: int) -> None:
+    """Raise ConfigError unless every eligible speaker can give the chunks:
+    at least 2 chunks of at least 1 character, within `min_size`."""
+    if chunk_count < 2:
+        raise ConfigError("chunk_count must be at least 2")
+    if chunk_size < 1:
+        raise ConfigError("chunk_size must be at least 1")
+    if chunk_count * chunk_size > min_size:
+        raise ConfigError(
+            f"chunk_count*chunk_size ({chunk_count * chunk_size}) "
+            f"exceeds min_size ({min_size})"
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
@@ -82,17 +97,9 @@ class ExperimentConfig:
             raise ConfigError("corpus must be non-empty")
         if self.permutations < 1:
             raise ConfigError("permutations must be at least 1")
-        if self.chunk_count < 2:
-            raise ConfigError("chunk_count must be at least 2")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk_size must be at least 1")
+        check_chunking(self.min_size, self.chunk_count, self.chunk_size)
         if not 0 < self.significance < 1:
             raise ConfigError("significance must lie strictly between 0 and 1")
-        if self.chunk_count * self.chunk_size > self.min_size:
-            raise ConfigError(
-                f"chunk_count*chunk_size ({self.chunk_count * self.chunk_size}) "
-                f"exceeds min_size ({self.min_size})"
-            )
         keys = [(e.play_id, e.language, e.translator) for e in self.corpus]
         if len(set(keys)) != len(keys):
             raise ConfigError("play_ids must be unique per (language, translator)")
@@ -166,10 +173,11 @@ class ExperimentReport:
 def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]:
     """Re-raise any error of the block as a PipelineError naming the stage.
 
-    If the block succeeds, its perf_counter seconds are added to
-    `timings[name]`, when given.
+    If the block succeeds, its perf_counter seconds, less those of the
+    stages timed inside it, are added to `timings[name]`, when given.
     """
     start = time.perf_counter()
+    nested = sum(timings.values()) if timings is not None else 0.0
     try:
         yield
     except PipelineError:
@@ -177,7 +185,8 @@ def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]
     except Exception as exc:
         raise PipelineError(name, exc) from exc
     if timings is not None:
-        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
+        nested = sum(timings.values()) - nested
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start - nested
 
 
 @contextmanager
@@ -309,11 +318,12 @@ def _run(
 
     Ingests and chunks the corpus, then for each mode scores the chunk
     matrix and attributes every chunk, timed as stage `<prefix>:<mode>`;
-    `analyse(mode, chunks, labels, matrix, attribution, sizes)` turns that
-    into the mode's result. `write(out_dir, chunks, results, warnings)`
-    writes the artifacts from the results by mode name and returns the
-    caller's result and any extra run_meta.json keys. The artifacts replace
-    `output_dir/experiment_id` only if the run succeeds.
+    `analyse(mode, chunks, labels, matrix, attribution, sizes, timings)`
+    turns that into the mode's result; stages it times itself in `timings`
+    do not count towards `<prefix>:<mode>`. `write(out_dir, chunks, results,
+    warnings)` writes the artifacts from the results by mode name and
+    returns the caller's result and any extra run_meta.json keys. The
+    artifacts replace `output_dir/experiment_id` only if the run succeeds.
     """
     config.validate()
     timings: dict[str, float] = {}
@@ -335,7 +345,8 @@ def _run(
                 matrix = chunk_matrix(chunks, mode, sizes[mode.name])
                 attribution = attribute_chunks(matrix, labels)
                 results[mode.name] = analyse(
-                    mode.name, chunks, labels, matrix, attribution, sizes[mode.name]
+                    mode.name, chunks, labels, matrix, attribution, sizes[mode.name],
+                    timings,
                 )
         with _stage("report", timings):
             result, extra = write(out_dir, chunks, results, warnings)
@@ -358,12 +369,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     Writes chunk_manifest.csv, one matrix_<mode>.csv per mode, report.json
     and the run_meta.json sidecar. They replace `output_dir/experiment_id`
-    as a whole, and only if the run succeeds.
+    as a whole, and only if the run succeeds. The permutation orders are
+    drawn once, for the first mode, as stage `permutation_orders`.
     """
+    first_ids, orders = None, None
 
-    def analyse(mode, chunks, labels, matrix, attribution, sizes):
+    def analyse(mode, chunks, labels, matrix, attribution, sizes, timings):
+        nonlocal first_ids, orders
+        if orders is None:
+            first_ids = matrix.chunk_ids
+            with _stage("permutation_orders", timings):
+                orders = draw_orders(len(first_ids), config.permutations, config.seed)
+        # the orders index positions in the first mode's sorted chunk order
+        assert matrix.chunk_ids == first_ids
         sizes["permutations"] = config.permutations
-        baselines = permutation_baselines(matrix, labels, config.permutations, config.seed)
+        baselines = permutation_baselines(
+            matrix, labels, config.permutations, config.seed, orders
+        )
         categories = [
             {
                 **asdict(HomogeneityReport(
@@ -429,7 +451,7 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
     if not any(len(t) >= 2 for t in by_play.values()):
         raise PreconditionFailed("two translators of one play required")
 
-    def analyse(mode, chunks, labels, matrix, attribution, sizes):
+    def analyse(mode, chunks, labels, matrix, attribution, sizes, timings):
         rows = []  # per_chunk follows the matrix, which follows `chunks`
         for chunk, record in zip(chunks, attribution.per_chunk):
             own = record["true_category"]

@@ -5,8 +5,10 @@ pairs (small = homogeneous) and the leave-one-out nearest-category
 attribution hit count (large = homogeneous). Each gets a Monte-Carlo
 p-value from uniformly shuffling category labels over chunks, category
 sizes preserved. Shuffles are keyed by (seed, permutation index), so the
-null distribution is independent of evaluation order; `permutation_baselines`
-draws each shuffle once and scores both statistics for every category from it.
+null distribution is independent of evaluation order. `draw_orders` draws
+each shuffle once per run with CPython's Fisher-Yates loop inlined, and
+`permutation_baselines` scores both statistics for every category and every
+mode from the same orders.
 """
 from __future__ import annotations
 
@@ -152,24 +154,57 @@ def attribute_chunks(
     )
 
 
+def draw_orders(n: int, permutations: int, seed: int) -> np.ndarray:
+    """(permutations, n) array whose row p is range(n) shuffled exactly as
+    `random.Random(f"{seed}:{p}").shuffle` shuffles it.
+
+    One generator is reseeded per row, and `Random.shuffle`'s loop with
+    `_randbelow_with_getrandbits` runs inline: the same draws without a
+    Python call per element. Rows use the smallest integer dtype holding n.
+    """
+    orders = np.empty((permutations, n), dtype=np.min_scalar_type(n))
+    rng = random.Random()
+    bits = rng.getrandbits
+    for p in range(permutations):
+        rng.seed(f"{seed}:{p}")
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = bits(k)
+            while j > i:
+                j = bits(k)
+            order[i], order[j] = order[j], order[i]
+        orders[p] = order
+    return orders
+
+
 def permutation_baselines(
     matrix: DissimilarityMatrix,
     labels: Mapping[str, str],
     permutations: int,
     seed: int,
+    orders: np.ndarray | None = None,
 ) -> PermutationBaselines:
     """One-sided permutation p-values of both statistics for every category.
 
-    Permutation p reorders the chunks' labels by shuffling range(n) with
-    `random.Random(f"{seed}:{p}")`. Each shuffle is drawn once and scores
-    the rank-sum (small = homogeneous) and the attribution hit count
-    (large = homogeneous) of all categories. p-values use the add-one
+    Permutation p reorders the chunks' labels by row p of `orders`, by
+    default `draw_orders(n, permutations, seed)`; callers scoring several
+    matrices over the same sorted chunks pass the orders drawn once. Each
+    order scores the rank-sum (small = homogeneous) and the attribution hit
+    count (large = homogeneous) of all categories. p-values use the add-one
     estimator, so none is below 1/(permutations+1).
     """
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
     rank_matrix = rank_pairs(matrix).rank_matrix
     categories, onehot = _encode(matrix.chunk_ids, labels)
+    n = len(onehot)
+    if orders is None:
+        orders = draw_orders(n, permutations, seed)
+    elif orders.shape != (permutations, n):
+        raise PreconditionFailed(
+            f"orders have shape {orders.shape}, need {(permutations, n)}"
+        )
 
     def score(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, B) rank-sums and hit counts of a (B, n, K) one-hot stack."""
@@ -183,14 +218,9 @@ def permutation_baselines(
     rank_null = np.empty((len(categories), permutations))
     hit_null = np.empty((len(categories), permutations))
     for start in range(0, permutations, _BLOCK):
-        orders = []
-        for p in range(start, min(start + _BLOCK, permutations)):
-            order = list(range(len(onehot)))
-            random.Random(f"{seed}:{p}").shuffle(order)
-            orders.append(order)
-        block = slice(start, start + len(orders))
+        block = slice(start, start + _BLOCK)
         # row i of a shuffled stack carries the label of chunk order[i]
-        rank_null[:, block], hit_null[:, block] = score(onehot[np.array(orders)])
+        rank_null[:, block], hit_null[:, block] = score(onehot[orders[block]])
 
     rank_sum_p, rank_sum_null = {}, {}
     for c, observed, null in zip(categories, observed_rank_sums[:, 0].tolist(), rank_null):

@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from dramastyle import (
 )
 from dramastyle.cli import main
 from dramastyle.errors import NoEligibleCharacters
-from dramastyle.experiment import CorpusEntry, ExperimentConfig
+from dramastyle.experiment import CorpusEntry, ExperimentConfig, _stage
 
 
 def synthetic_config(configs_dir, tmp_path, **overrides):
@@ -77,7 +79,7 @@ class TestRunExperiment:
         # the warnings live in report.json only
         assert set(meta) == {"written_at", "timings", "sizes"}
         assert set(meta["timings"]) == {
-            "ingest", "extract", "segmentation",
+            "ingest", "extract", "segmentation", "permutation_orders",
             "analysis:letter_unigram", "analysis:word_unigram", "report",
         }
         assert all(secs >= 0 for secs in meta["timings"].values())
@@ -93,6 +95,36 @@ class TestRunExperiment:
             assert sizes["permutations"] == 300
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert "timings" not in report and "sizes" not in report
+
+    def test_each_shuffle_drawn_once_per_run(self, configs_dir, tmp_path, monkeypatch):
+        generators, seeded = [], []
+
+        class Recording(random.Random):
+            def __init__(self, x=None):
+                generators.append(self)
+                super().__init__(x)
+
+            def seed(self, a=None, version=2):
+                seeded.append(a)
+                super().seed(a, version)
+
+        monkeypatch.setattr(random, "Random", Recording)
+        config = synthetic_config(configs_dir, tmp_path, permutations=130, seed=5)
+        assert config.modes == ("letter_unigram", "word_unigram")
+        run_experiment(config)
+        assert len(generators) == 1
+        # the constructor's seed(None), then each key once for both modes
+        assert seeded == [None, *(f"5:{p}" for p in range(130))]
+
+    def test_stage_time_excludes_stages_timed_inside_it(self, monkeypatch):
+        # outer starts, inner starts, inner ends, outer ends
+        clock = iter([0.0, 1.0, 3.0, 6.0])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+        timings = {}
+        with _stage("outer", timings):
+            with _stage("inner", timings):
+                pass
+        assert timings == {"inner": 2.0, "outer": 4.0}
 
     def test_latin1_fallback_is_reported(self, configs_dir, data_dir, tmp_path):
         play = tmp_path / "latin1.txt"
@@ -448,6 +480,27 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "unknown" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("chunking", [
+        ["--min-size", "100", "--chunk-count", "1", "--chunk-size", "50"],
+        ["--min-size", "0"],
+        ["--min-size", "100", "--chunk-count", "2", "--chunk-size", "0"],
+        ["--min-size", "100", "--chunk-count", "2", "--chunk-size", "200"],
+    ], ids=["one_chunk", "zero_min_size", "zero_chunk_size", "over_min_size"])
+    def test_matrix_bad_chunking_is_2(self, data_dir, tmp_path, capsys, chunking):
+        out = tmp_path / "matrix.csv"
+        rc = main(["matrix", str(data_dir / "golden" / "miniature_play.json"), *chunking,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: chunk_") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_matrix_checks_chunking_before_reading(self, tmp_path, capsys):
+        rc = main(["matrix", str(tmp_path / "missing.json"), "--chunk-size", "0",
+                   "--out", str(tmp_path / "matrix.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: chunk_size must be at least 1\n"
 
     def test_bad_labeling_in_config_is_2(self, configs_dir, tmp_path, capsys):
         config = json.loads((configs_dir / "synthetic_two_category.json").read_text())

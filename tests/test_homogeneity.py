@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from dramastyle import (
     DissimilarityMatrix,
     PreconditionFailed,
     attribute_chunks,
+    draw_orders,
     permutation_baselines,
     rank_pairs,
     within_category_rank_sum,
 )
-from dramastyle import homogeneity
 
 
 def make_matrix(ids, pair_scores):
@@ -407,19 +408,42 @@ class TestPermutationBaselines:
         result = attribute_chunks(matrix, labels)
         assert [list(r["mean_scores"].values()) for r in result.per_chunk] == means.tolist()
 
-    def test_each_shuffle_drawn_once(self, monkeypatch):
-        drawn = []
-
-        class Recording(random.Random):
-            def __init__(self, x=None):
-                drawn.append(x)
-                super().__init__(x)
-
-        monkeypatch.setattr(homogeneity.random, "Random", Recording)
-        matrix, labels = random_instance(9)  # 11 categories
-        permutation_baselines(matrix, labels, permutations=130, seed=5)
-        assert drawn == [f"5:{p}" for p in range(130)]
-
     def test_rejects_zero_permutations(self):
         with pytest.raises(PreconditionFailed):
             permutation_baselines(SEPARATED, LABELS4, permutations=0, seed=1)
+
+    @pytest.mark.parametrize("shape", [(-1, 0), (0, -1), (0, 1), (1, 0), "flat"])
+    def test_rejects_orders_of_wrong_shape(self, shape):
+        matrix, labels = random_instance(9)
+        n = len(matrix.chunk_ids)
+        orders = draw_orders(n, 130, seed=5)
+        if shape == "flat":
+            orders = orders.ravel()
+        else:
+            orders = np.zeros((130 + shape[0], n + shape[1]), dtype=orders.dtype)
+        with pytest.raises(PreconditionFailed, match="orders have shape"):
+            permutation_baselines(matrix, labels, 130, seed=5, orders=orders)
+
+    def test_given_orders_match_default(self):
+        matrix, labels = random_instance(9)
+        orders = draw_orders(len(matrix.chunk_ids), 130, seed=5)
+        given = permutation_baselines(matrix, labels, 130, seed=5, orders=orders)
+        default = permutation_baselines(matrix, labels, 130, seed=5)
+        assert json.dumps(asdict(given)) == json.dumps(asdict(default))
+
+
+class TestDrawOrders:
+    @pytest.mark.parametrize("n", [1, 2, 3, 80, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_rows_match_stdlib_shuffle(self, n, seed):
+        orders = draw_orders(n, 40, seed)
+        assert orders.shape == (40, n)
+        assert orders.dtype == np.min_scalar_type(n)
+        for p, row in enumerate(orders.tolist()):
+            expected = list(range(n))
+            random.Random(f"{seed}:{p}").shuffle(expected)
+            assert row == expected
+
+    def test_zero_permutations_is_empty(self):
+        orders = draw_orders(80, 0, seed=1)
+        assert orders.shape == (0, 80)
