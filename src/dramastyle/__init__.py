@@ -35,14 +35,11 @@ from .similarity import (
     pairwise_matrix,
 )
 from .homogeneity import (
-    HomogeneityReport,
     PermutationBaselines,
-    RankedPairs,
     attribute_chunks,
     draw_orders,
     permutation_baselines,
     rank_pairs,
-    within_category_rank_sum,
 )
 from .experiment import ExperimentConfig, compare_translations, load_config, run_experiment
 

@@ -68,7 +68,12 @@ def _cmd_matrix(args) -> int:
     # fail before any file is read
     CategoryLabeling.for_mode(args.labeling)
     check_chunking(args.min_size, args.chunk_count, args.chunk_size)
-    plays = [play_from_json(Path(path).read_text(encoding="utf-8")) for path in args.files]
+    plays = []
+    for path in args.files:
+        try:
+            plays.append(play_from_json(Path(path).read_text(encoding="utf-8")))
+        except (CorpusError, UnicodeDecodeError) as exc:
+            raise CorpusError(f"{path}: {exc}") from None
     chunks = prepare_chunks(
         plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size
     )
@@ -77,30 +82,40 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    data = json.loads(Path(args.report).read_text(encoding="utf-8"))
+def _render_report(data: dict) -> list[str]:
     threshold = data["settings"]["threshold"]
-    print(f"experiment: {data['experiment_id']}")
-    print(f"settings: permutations={data['settings']['permutations']} "
-          f"seed={data['settings']['seed']} threshold={threshold}")
+    lines = [
+        f"experiment: {data['experiment_id']}",
+        f"settings: permutations={data['settings']['permutations']} "
+        f"seed={data['settings']['seed']} threshold={threshold}",
+    ]
     for mode, section in data["modes"].items():
-        print(f"\n== mode: {mode} ==")
+        lines.append(f"\n== mode: {mode} ==")
         header = f"{'category':<28} {'rank_sum':>10} {'p':>8} {'hits':>9} {'p':>8}  flag"
-        print(header)
-        print("-" * len(header))
+        lines += [header, "-" * len(header)]
         for cat in section["categories"]:
             flag = "*" if (cat["rank_sum_p"] <= threshold or cat["attribution_p"] <= threshold) else ""
             hits = f"{cat['attribution_hits']}/{cat['attribution_total']}"
-            print(
+            lines.append(
                 f"{cat['category']:<28} {cat['rank_sum']:>10.1f} {cat['rank_sum_p']:>8.4f} "
                 f"{hits:>9} {cat['attribution_p']:>8.4f}  {flag}"
             )
         if section["ties_logged"]:
-            print(f"ties logged: {len(section['ties_logged'])}")
+            lines.append(f"ties logged: {len(section['ties_logged'])}")
     if data["warnings"]:
-        print(f"\nwarnings ({len(data['warnings'])}):")
-        for w in data["warnings"]:
-            print(f"  - {w}")
+        lines.append(f"\nwarnings ({len(data['warnings'])}):")
+        lines += [f"  - {w}" for w in data["warnings"]]
+    return lines
+
+
+def _cmd_report(args) -> int:
+    # render in full before printing, so a malformed report prints nothing
+    try:
+        lines = _render_report(json.loads(Path(args.report).read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
+        raise CorpusError(f"{args.report}: not a report: {type(exc).__name__}: {exc}") from None
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -25,12 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, NoEligibleCharacters, PipelineError, PreconditionFailed
-from .homogeneity import (
-    HomogeneityReport,
-    attribute_chunks,
-    draw_orders,
-    permutation_baselines,
-)
+from .homogeneity import attribute_chunks, draw_orders, permutation_baselines
 from .ingest import (
     ParseRules,
     PlayScript,
@@ -78,6 +73,17 @@ def check_chunking(min_size: int, chunk_count: int, chunk_size: int) -> None:
         )
 
 
+def _check_types(
+    obj: object, names: Sequence[str], kinds: tuple[type, ...], kind: str, where: str = ""
+) -> None:
+    """Raise ConfigError unless each named field's type is exactly one of
+    `kinds`, so that True and 1.5 are not integers."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) not in kinds:
+            raise ConfigError(f"{where}{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
@@ -93,8 +99,18 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
+        # JSON gives any type: check them before any value is compared or used
+        integers = ("permutations", "min_size", "chunk_count", "chunk_size", "seed")
+        _check_types(self, integers, (int,), "an integer")
+        _check_types(self, ("significance",), (int, float), "a number")
+        _check_types(self, ("experiment_id", "output_dir"), (str,), "a string")
+        _check_types(self, ("modes",), (list, tuple), "a list")
         if not self.corpus:
             raise ConfigError("corpus must be non-empty")
+        for e in self.corpus:
+            fields = ("path", "play_id", "language", "translator")
+            _check_types(e, fields, (str,), "a string", "corpus ")
+            _check_types(e, ("latin1_fallback",), (bool,), "true or false", "corpus ")
         if self.permutations < 1:
             raise ConfigError("permutations must be at least 1")
         check_chunking(self.min_size, self.chunk_count, self.chunk_size)
@@ -107,6 +123,8 @@ class ExperimentConfig:
             raise ConfigError("modes must be non-empty")
         names: dict[str, str] = {}
         for m in self.modes:
+            if type(m) is not str:
+                raise ConfigError(f"modes must be strings, got {m!r}")
             try:
                 name = TokenizationMode.parse(m).name
             except ValueError as exc:
@@ -137,7 +155,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
         corpus = tuple(CorpusEntry(**e) for e in data.pop("corpus"))
-        data["modes"] = tuple(data.get("modes", ("letter_unigram",)))
+        if isinstance(data.get("modes"), list):
+            data["modes"] = tuple(data["modes"])
         config = ExperimentConfig(corpus=corpus, **data)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -343,6 +362,8 @@ def _run(
             sizes[mode.name] = {}
             with _stage(f"{prefix}:{mode.name}", timings):
                 matrix = chunk_matrix(chunks, mode, sizes[mode.name])
+                # both `analyse` callbacks index chunks by matrix position
+                assert matrix.chunk_ids == tuple(labels)
                 attribution = attribute_chunks(matrix, labels)
                 results[mode.name] = analyse(
                     mode.name, chunks, labels, matrix, attribution, sizes[mode.name],
@@ -372,32 +393,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     as a whole, and only if the run succeeds. The permutation orders are
     drawn once, for the first mode, as stage `permutation_orders`.
     """
-    first_ids, orders = None, None
+    orders = None
 
     def analyse(mode, chunks, labels, matrix, attribution, sizes, timings):
-        nonlocal first_ids, orders
+        nonlocal orders
         if orders is None:
-            first_ids = matrix.chunk_ids
             with _stage("permutation_orders", timings):
-                orders = draw_orders(len(first_ids), config.permutations, config.seed)
-        # the orders index positions in the first mode's sorted chunk order
-        assert matrix.chunk_ids == first_ids
+                orders = draw_orders(len(chunks), config.permutations, config.seed)
         sizes["permutations"] = config.permutations
-        baselines = permutation_baselines(
-            matrix, labels, config.permutations, config.seed, orders
-        )
+        baselines = permutation_baselines(matrix, labels, orders)
         categories = [
             {
-                **asdict(HomogeneityReport(
-                    category=category,
-                    rank_sum=rank_sum_null["observed"],
-                    rank_sum_p=baselines.rank_sum_p[category],
-                    attribution_hits=attribution.hits[category],
-                    attribution_total=attribution.totals[category],
-                    attribution_p=baselines.attribution_p[category],
-                    permutations=config.permutations,
-                    seed=config.seed,
-                )),
+                "category": category,
+                "rank_sum": rank_sum_null["observed"],
+                "rank_sum_p": baselines.rank_sum_p[category],
+                "attribution_hits": attribution.hits[category],
+                "attribution_total": attribution.totals[category],
+                "attribution_p": baselines.attribution_p[category],
+                "permutations": config.permutations,
+                "seed": config.seed,
                 "rank_sum_null": rank_sum_null,
             }
             for category, rank_sum_null in baselines.rank_sum_null.items()
@@ -452,7 +466,7 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
         raise PreconditionFailed("two translators of one play required")
 
     def analyse(mode, chunks, labels, matrix, attribution, sizes, timings):
-        rows = []  # per_chunk follows the matrix, which follows `chunks`
+        rows = []
         for chunk, record in zip(chunks, attribution.per_chunk):
             own = record["true_category"]
             foreign = {c: s for c, s in record["mean_scores"].items() if c != own}

@@ -13,7 +13,7 @@ mode from the same orders.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,27 +22,6 @@ from .errors import DegenerateCategory, PreconditionFailed
 from .similarity import DissimilarityMatrix
 
 _BLOCK = 64  # permutations scored per (B, n, K) one-hot stack; bounds memory
-
-
-@dataclass(frozen=True)
-class RankedPairs:
-    """All chunk pairs ranked ascending by dissimilarity, average ties."""
-
-    chunk_ids: tuple[str, ...]
-    ranks: np.ndarray  # pairs i < j in row-major order; ties get the average rank
-    rank_matrix: np.ndarray = field(repr=False)  # symmetric, zero diagonal
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    category: str
-    rank_sum: float
-    rank_sum_p: float
-    attribution_hits: int
-    attribution_total: int
-    attribution_p: float
-    permutations: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -63,8 +42,9 @@ class PermutationBaselines:
     attribution_null: dict  # observed hits, permutations, null mean per category
 
 
-def rank_pairs(matrix: DissimilarityMatrix) -> RankedPairs:
-    """Rank all unordered pairs ascending by score (most similar = 1)."""
+def rank_pairs(matrix: DissimilarityMatrix) -> np.ndarray:
+    """Symmetric (n, n) ranks of all unordered pairs, ascending by score
+    (most similar = 1), with a zero diagonal; ties get the average rank."""
     if len(matrix.chunk_ids) < 2:
         raise PreconditionFailed("need at least 2 chunks")
     n = len(matrix.chunk_ids)
@@ -74,21 +54,9 @@ def rank_pairs(matrix: DissimilarityMatrix) -> RankedPairs:
     # a run of `cnt` equal values ending at position cumsum shares the mean
     # of its positions; ranks are multiples of 0.5, hence exact
     _, inv, cnt = np.unique(rounded, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(cnt) - (cnt - 1) / 2)[inv]
     rank_matrix = np.zeros((n, n))
-    rank_matrix[upper] = ranks
-    rank_matrix += rank_matrix.T
-    return RankedPairs(chunk_ids=matrix.chunk_ids, ranks=ranks, rank_matrix=rank_matrix)
-
-
-def within_category_rank_sum(
-    ranked: RankedPairs, labels: Mapping[str, str], category: str
-) -> float:
-    """Sum of ranks of pairs whose chunks both carry `category`."""
-    members = [i for i, cid in enumerate(ranked.chunk_ids) if labels[cid] == category]
-    if len(members) < 2:
-        raise DegenerateCategory(f"category {category!r} has {len(members)} chunk(s)")
-    return float(ranked.rank_matrix[np.ix_(members, members)].sum() / 2.0)
+    rank_matrix[upper] = (np.cumsum(cnt) - (cnt - 1) / 2)[inv]
+    return rank_matrix + rank_matrix.T
 
 
 def _encode(chunk_ids: Sequence[str], labels: Mapping[str, str]) -> tuple[list[str], np.ndarray]:
@@ -179,32 +147,25 @@ def draw_orders(n: int, permutations: int, seed: int) -> np.ndarray:
 
 
 def permutation_baselines(
-    matrix: DissimilarityMatrix,
-    labels: Mapping[str, str],
-    permutations: int,
-    seed: int,
-    orders: np.ndarray | None = None,
+    matrix: DissimilarityMatrix, labels: Mapping[str, str], orders: np.ndarray
 ) -> PermutationBaselines:
     """One-sided permutation p-values of both statistics for every category.
 
-    Permutation p reorders the chunks' labels by row p of `orders`, by
-    default `draw_orders(n, permutations, seed)`; callers scoring several
-    matrices over the same sorted chunks pass the orders drawn once. Each
-    order scores the rank-sum (small = homogeneous) and the attribution hit
-    count (large = homogeneous) of all categories. p-values use the add-one
-    estimator, so none is below 1/(permutations+1).
+    Permutation p reorders the chunks' labels by row p of `orders`, a
+    (permutations, n) array over the matrix's chunk order, such as
+    `draw_orders(n, permutations, seed)`. Each order scores the rank-sum
+    (small = homogeneous) and the attribution hit count (large =
+    homogeneous) of all categories. p-values use the add-one estimator, so
+    none is below 1/(permutations+1).
     """
-    if permutations < 1:
-        raise PreconditionFailed("permutations must be >= 1")
-    rank_matrix = rank_pairs(matrix).rank_matrix
+    rank_matrix = rank_pairs(matrix)
     categories, onehot = _encode(matrix.chunk_ids, labels)
     n = len(onehot)
-    if orders is None:
-        orders = draw_orders(n, permutations, seed)
-    elif orders.shape != (permutations, n):
+    if orders.ndim != 2 or len(orders) < 1 or orders.shape[1] != n:
         raise PreconditionFailed(
-            f"orders have shape {orders.shape}, need {(permutations, n)}"
+            f"orders have shape {orders.shape}, need (permutations >= 1, {n})"
         )
+    permutations = len(orders)
 
     def score(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, B) rank-sums and hit counts of a (B, n, K) one-hot stack."""

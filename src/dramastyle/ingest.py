@@ -323,12 +323,21 @@ def play_to_json(play: PlayScript) -> str:
 
 
 def play_from_json(text: str) -> PlayScript:
-    data = json.loads(text)
-    return PlayScript(
-        play_id=data["play_id"],
-        language=data["language"],
-        translator=data["translator"],
-        turns=tuple(
-            SpeechTurn(t["speaker"], t["text"], t["ordinal"]) for t in data["turns"]
-        ),
-    )
+    """Read the interchange format; anything else is a CorpusError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"invalid interchange JSON: {exc}") from None
+    try:
+        return PlayScript(
+            play_id=data["play_id"],
+            language=data["language"],
+            translator=data["translator"],
+            turns=tuple(
+                SpeechTurn(t["speaker"], t["text"], t["ordinal"]) for t in data["turns"]
+            ),
+        )
+    except KeyError as exc:
+        raise CorpusError(f"interchange JSON lacks key {exc}") from None
+    except TypeError as exc:
+        raise CorpusError(f"malformed interchange JSON: {exc}") from None

@@ -21,8 +21,8 @@ from dramastyle import (
     pairwise_matrix,
     rank_pairs,
     attribute_chunks,
+    draw_orders,
     permutation_baselines,
-    within_category_rank_sum,
 )
 from dramastyle.cli import main
 from dramastyle.experiment import load_config, run_experiment
@@ -108,19 +108,21 @@ def test_permutation_exactness_four_chunks():
     labels = {"x1": "x", "x2": "x", "y1": "y", "y2": "y"}
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
+    orders = draw_orders(4, 10000, seed=42)
     for _ in range(20):
         matrix = _four_chunk_instance(rng)
-        ranked = rank_pairs(matrix)
-        observed = within_category_rank_sum(ranked, labels, "x")
-        label_list = [labels[c] for c in ranked.chunk_ids]
+        rank_matrix = rank_pairs(matrix)
+        label_list = [labels[c] for c in matrix.chunk_ids]
+        own = [i for i, lab in enumerate(label_list) if lab == "x"]
+        observed = rank_matrix[np.ix_(own, own)].sum() / 2
         arrangements = sorted(set(itertools.permutations(label_list)))
         hits = 0
         for arr in arrangements:
             members = [i for i, lab in enumerate(arr) if lab == "x"]
-            stat = ranked.rank_matrix[np.ix_(members, members)].sum() / 2
+            stat = rank_matrix[np.ix_(members, members)].sum() / 2
             hits += stat <= observed
         exact = hits / len(arrangements)
-        mc = permutation_baselines(matrix, labels, permutations=10000, seed=42).rank_sum_p["x"]
+        mc = permutation_baselines(matrix, labels, orders).rank_sum_p["x"]
         assert abs(mc - exact) <= 0.02
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -132,6 +134,7 @@ def test_null_calibration():
     probs = np.full(15, 1 / 15)
     tokens = list("abcdefghijklmno")
     start = time.perf_counter()
+    orders = draw_orders(10, 499, seed=7)
     low = 0
     for _ in range(200):
         dists = []
@@ -141,7 +144,7 @@ def test_null_calibration():
             dists.append(dist(f"c{i}", counts))
         matrix = pairwise_matrix(dists)
         labels = {f"c{i}": ("a" if i < 5 else "b") for i in range(10)}
-        p = permutation_baselines(matrix, labels, permutations=499, seed=7).rank_sum_p["a"]
+        p = permutation_baselines(matrix, labels, orders).rank_sum_p["a"]
         low += p < 0.05
     elapsed = time.perf_counter() - start
     fraction = low / 200
@@ -166,7 +169,7 @@ def test_separation_power():
     labels = {d.chunk_id: d.chunk_id[0] for d in dists}
     attribution = attribute_chunks(matrix, labels)
     assert attribution.hits == {"a": 5, "b": 5}
-    baselines = permutation_baselines(matrix, labels, permutations=40000, seed=42)
+    baselines = permutation_baselines(matrix, labels, draw_orders(10, 40000, seed=42))
     attr_p = baselines.attribution_p
     for cat in ("a", "b"):
         rs_p = baselines.rank_sum_p[cat]

@@ -207,6 +207,21 @@ class TestRunExperiment:
         golden = data_dir / "golden" / f"synthetic_two_category_matrix_{mode}.csv"
         assert matrix.read_bytes() == golden.read_bytes()
 
+    def test_report_matches_golden(self, configs_dir, data_dir, tmp_path):
+        rc = main([
+            "run", "--config", str(configs_dir / "synthetic_two_category.json"),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 0
+        report = json.loads(
+            (tmp_path / "out" / "synthetic_two_category" / "report.json").read_text("utf-8")
+        )
+        # `config` is left out: it echoes absolute paths
+        pinned = {key: report[key] for key in ("modes", "warnings", "settings")}
+        golden = data_dir / "golden" / "synthetic_two_category_report.json"
+        text = json.dumps(pinned, ensure_ascii=False, indent=2) + "\n"
+        assert text == golden.read_text(encoding="utf-8")
+
     def test_config_echo_reproduces_run(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path)
         run_experiment(config)
@@ -408,6 +423,42 @@ class TestCliExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("permutations", 1.5),
+        ("permutations", True),
+        ("min_size", "10000"),
+        ("chunk_count", "5"),
+        ("chunk_size", 2000.0),
+        ("seed", "42"),
+        ("seed", 4.2),
+        ("significance", "0.05"),
+        ("significance", True),
+        ("experiment_id", 5),
+        ("output_dir", 5),
+        ("modes", "letter_unigram"),
+        ("modes", [5]),
+        ("corpus.path", 5),
+        ("corpus.play_id", 5),
+        ("corpus.translator", ["a"]),
+        ("corpus.latin1_fallback", "no"),
+    ])
+    def test_wrongly_typed_setting_is_2(self, configs_dir, tmp_path, capsys, monkeypatch,
+                                        field, value):
+        config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+        config["output_dir"] = str(tmp_path / "out")
+        target = config["corpus"][0] if field.startswith("corpus.") else config
+        target[field.removeprefix("corpus.")] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)  # where an output_dir of 5 would go
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field.replace('.', ' ')} must be ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     @pytest.mark.parametrize("parse_rules", [
         {"delimiters": []},
         {"delimiter": ["."]},
@@ -496,6 +547,19 @@ class TestCliExitCodes:
         assert err.startswith("error: chunk_") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, problem", [
+        ('{"play_id": "x", "language"', "invalid interchange JSON"),
+        ('{"play_id": "x"}', "interchange JSON lacks key 'language'"),
+    ], ids=["truncated", "missing_key"])
+    def test_matrix_bad_interchange_json_is_3(self, tmp_path, capsys, content, problem):
+        play = tmp_path / "play.json"
+        play.write_text(content)
+        out = tmp_path / "matrix.csv"
+        assert main(["matrix", str(play), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {play}: {problem}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_matrix_checks_chunking_before_reading(self, tmp_path, capsys):
         rc = main(["matrix", str(tmp_path / "missing.json"), "--chunk-size", "0",
                    "--out", str(tmp_path / "matrix.csv")])
@@ -532,6 +596,19 @@ class TestCliExitCodes:
         assert rc == 0
         shown = capsys.readouterr().out
         assert "alfa" in shown and "bravo" in shown
+
+
+    @pytest.mark.parametrize("content", ['{"experiment_id": "x", "settings"',
+                                         '{"experiment_id": "x", "modes": {}}'],
+                             ids=["invalid_json", "missing_settings"])
+    def test_report_of_non_report_is_3(self, tmp_path, capsys, content):
+        report = tmp_path / "report.json"
+        report.write_text(content)
+        assert main(["report", str(report)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {report}: not a report: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_import_loads_no_scipy():

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from dramastyle import (
     draw_orders,
     permutation_baselines,
     rank_pairs,
-    within_category_rank_sum,
 )
 
 
@@ -46,30 +44,41 @@ SEPARATED = four_chunk_matrix(
 LABELS4 = {"x1": "x", "x2": "x", "y1": "y", "y2": "y"}
 
 
-def enumerate_rank_sum_p(ranked, labels, category):
+def upper_ranks(matrix):
+    """Ranks of the pairs i < j in row-major order."""
+    return rank_pairs(matrix)[np.triu_indices(len(matrix.chunk_ids), 1)]
+
+
+def observed_rank_sum(matrix, labels, category):
+    """The engine's observed within-category rank-sum of `category`."""
+    orders = draw_orders(len(matrix.chunk_ids), 1, 0)
+    return permutation_baselines(matrix, labels, orders).rank_sum_null[category]["observed"]
+
+
+def enumerate_rank_sum_p(matrix, labels, category):
     """Oracle: exhaustive label arrangements, same statistic."""
-    label_list = [labels[cid] for cid in ranked.chunk_ids]
-    observed = within_category_rank_sum(ranked, labels, category)
+    rank_matrix = rank_pairs(matrix)
+    label_list = [labels[cid] for cid in matrix.chunk_ids]
+
+    def stat(arrangement):
+        members = [i for i, lab in enumerate(arrangement) if lab == category]
+        return rank_matrix[np.ix_(members, members)].sum() / 2
+
+    observed = stat(label_list)
     arrangements = sorted(set(itertools.permutations(label_list)))
-    hits = 0
-    for arr in arrangements:
-        members = [i for i, lab in enumerate(arr) if lab == category]
-        stat = ranked.rank_matrix[np.ix_(members, members)].sum() / 2
-        if stat <= observed:
-            hits += 1
+    hits = sum(stat(arr) <= observed for arr in arrangements)
     return hits / len(arrangements)
 
 
 class TestRankPairs:
     def test_distinct_scores_yield_permutation(self):
-        ranked = rank_pairs(SEPARATED)
-        assert sorted(ranked.ranks) == [1, 2, 3, 4, 5, 6]
+        assert sorted(upper_ranks(SEPARATED)) == [1, 2, 3, 4, 5, 6]
 
     def test_all_ties_average(self):
         m = four_chunk_matrix([0.5] * 6)
-        ranked = rank_pairs(m)
-        assert list(ranked.ranks) == [3.5] * 6
-        assert ranked.ranks.sum() == 21
+        ranks = upper_ranks(m)
+        assert list(ranks) == [3.5] * 6
+        assert ranks.sum() == 21
 
     def test_partial_ties(self):
         ids = ("a", "b", "c", "d")
@@ -78,8 +87,7 @@ class TestRankPairs:
             ("a", "b"): 0.1, ("a", "c"): 0.3, ("a", "d"): 0.3,
             ("b", "c"): 0.9, ("b", "d"): 1.0, ("c", "d"): 1.1,
         })
-        ranked = rank_pairs(m)
-        assert list(ranked.ranks[:4]) == [1, 2.5, 2.5, 4]
+        assert list(upper_ranks(m)[:4]) == [1, 2.5, 2.5, 4]
 
     @pytest.mark.parametrize("n", [2, 5, 17, 40])
     def test_matches_pairwise_loop_with_ties(self, n):
@@ -87,14 +95,15 @@ class TestRankPairs:
         ids = tuple(f"c{i:02d}" for i in range(n))
         pairs = list(itertools.combinations(ids, 2))
         m = make_matrix(ids, dict(zip(pairs, rng.integers(0, 4, len(pairs)) / 4)))
-        ranked = rank_pairs(m)
+        rank_matrix = rank_pairs(m)
+        ranks = rank_matrix[np.triu_indices(n, 1)]
         expected = rankdata([m.scores[ids.index(a), ids.index(b)] for a, b in pairs])
-        assert np.array_equal(ranked.ranks, expected)
-        assert ranked.ranks.dtype == expected.dtype
+        assert np.array_equal(ranks, expected)
+        assert ranks.dtype == expected.dtype
         for k, (a, b) in enumerate(pairs):
             i, j = ids.index(a), ids.index(b)
-            assert ranked.rank_matrix[i, j] == ranked.rank_matrix[j, i] == expected[k]
-        assert not ranked.rank_matrix.diagonal().any()
+            assert rank_matrix[i, j] == rank_matrix[j, i] == expected[k]
+        assert not rank_matrix.diagonal().any()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_last_bit_noise_does_not_change_ranks(self, seed):
@@ -110,44 +119,39 @@ class TestRankPairs:
         nudged_values[nudge] = np.nextafter(values[nudge], direction[nudge])
         assert not np.array_equal(nudged_values, values)
         nudged = make_matrix(ids, dict(zip(pairs, nudged_values)))
-        assert np.array_equal(rank_pairs(nudged).ranks, rank_pairs(m).ranks)
+        assert np.array_equal(upper_ranks(nudged), upper_ranks(m))
 
     def test_one_ties_with_its_predecessor(self):
         m = four_chunk_matrix([0.5, 1.0, 0.9999999999999999, 2.0, 0.25, 3.0])
-        assert list(rank_pairs(m).ranks) == [2, 3.5, 3.5, 5, 1, 6]
+        assert list(upper_ranks(m)) == [2, 3.5, 3.5, 5, 1, 6]
 
     def test_rank_sum_total_invariant(self):
-        ranked = rank_pairs(SEPARATED)
-        p = len(ranked.ranks)
-        assert ranked.ranks.sum() == p * (p + 1) / 2
+        ranks = upper_ranks(SEPARATED)
+        p = len(ranks)
+        assert ranks.sum() == p * (p + 1) / 2
 
 
 class TestWithinCategoryRankSum:
     def test_minimal_configuration(self):
-        ranked = rank_pairs(SEPARATED)
         # ranks: (x1,x2)=1, (y1,y2)=2; combined across both categories = 3
-        assert within_category_rank_sum(ranked, LABELS4, "x") == 1
-        assert within_category_rank_sum(ranked, LABELS4, "y") == 2
+        assert observed_rank_sum(SEPARATED, LABELS4, "x") == 1
+        assert observed_rank_sum(SEPARATED, LABELS4, "y") == 2
 
     def test_all_equal_distances(self):
-        ranked = rank_pairs(four_chunk_matrix([0.5] * 6))
-        assert within_category_rank_sum(ranked, LABELS4, "x") == 3.5
+        assert observed_rank_sum(four_chunk_matrix([0.5] * 6), LABELS4, "x") == 3.5
 
     def test_single_chunk_category_rejected(self):
-        ranked = rank_pairs(SEPARATED)
         labels = {"x1": "x", "x2": "x", "y1": "y", "y2": "z"}
         with pytest.raises(DegenerateCategory):
-            within_category_rank_sum(ranked, labels, "z")
+            permutation_baselines(SEPARATED, labels, draw_orders(4, 1, 0))
 
     def test_invariant_under_monotone_transform(self):
-        ranked = rank_pairs(SEPARATED)
         transformed = DissimilarityMatrix(
             SEPARATED.chunk_ids, np.where(SEPARATED.scores > 0, np.exp(SEPARATED.scores * 3), 0.0)
         )
-        ranked_t = rank_pairs(transformed)
         for cat in ("x", "y"):
-            assert within_category_rank_sum(ranked, LABELS4, cat) == (
-                within_category_rank_sum(ranked_t, LABELS4, cat)
+            assert observed_rank_sum(SEPARATED, LABELS4, cat) == (
+                observed_rank_sum(transformed, LABELS4, cat)
             )
 
     def test_bounds(self):
@@ -161,39 +165,37 @@ class TestWithinCategoryRankSum:
         scores = scores + scores.T
         m = DissimilarityMatrix(tuple(sorted(ids)), scores)
         labels = {cid: ("a" if i < 4 else "b") for i, cid in enumerate(m.chunk_ids)}
-        ranked = rank_pairs(m)
         k = 4
         within = k * (k - 1) // 2
         total_pairs = n * (n - 1) // 2
         lo = within * (within + 1) / 2
         hi = sum(range(total_pairs - within + 1, total_pairs + 1))
-        observed = within_category_rank_sum(ranked, labels, "a")
+        observed = observed_rank_sum(m, labels, "a")
         assert lo <= observed <= hi
 
 
 class TestRankSumBaseline:
     def test_all_equal_distances_give_p_one(self):
         m = four_chunk_matrix([0.5] * 6)
-        p = permutation_baselines(m, LABELS4, permutations=200, seed=1).rank_sum_p["x"]
+        p = permutation_baselines(m, LABELS4, draw_orders(4, 200, 1)).rank_sum_p["x"]
         assert p == 1.0
 
     def test_single_permutation_p_values(self):
-        p = permutation_baselines(SEPARATED, LABELS4, permutations=1, seed=0).rank_sum_p["x"]
+        p = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 1, 0)).rank_sum_p["x"]
         assert p in (0.5, 1.0)
 
     def test_reproducible(self):
-        a = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
-        b = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
+        a = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
+        b = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
         assert a == b
 
     def test_p_floor(self):
-        p = permutation_baselines(SEPARATED, LABELS4, permutations=100, seed=9).rank_sum_p["x"]
+        p = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 100, 9)).rank_sum_p["x"]
         assert p >= 1 / 101
 
     def test_converges_to_enumeration(self):
-        ranked = rank_pairs(SEPARATED)
-        exact = enumerate_rank_sum_p(ranked, LABELS4, "x")
-        p = permutation_baselines(SEPARATED, LABELS4, permutations=10000, seed=42).rank_sum_p["x"]
+        exact = enumerate_rank_sum_p(SEPARATED, LABELS4, "x")
+        p = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 10000, 42)).rank_sum_p["x"]
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(p - exact) <= 3 * se + 1 / 10001
 
@@ -206,9 +208,8 @@ class TestRankSumBaseline:
         scores = scores + scores.T
         m = DissimilarityMatrix(ids, scores)
         labels = {cid: ("a" if i % 2 == 0 else "b") for i, cid in enumerate(ids)}
-        ranked = rank_pairs(m)
-        exact = enumerate_rank_sum_p(ranked, labels, "a")
-        p = permutation_baselines(m, labels, permutations=10000, seed=7).rank_sum_p["a"]
+        exact = enumerate_rank_sum_p(m, labels, "a")
+        p = permutation_baselines(m, labels, draw_orders(6, 10000, 7)).rank_sum_p["a"]
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(p - exact) <= 3 * se + 1 / 10001
 
@@ -249,23 +250,23 @@ class TestAttribution:
 class TestAttributionBaseline:
     def test_all_equal_distances_give_p_one(self):
         m = four_chunk_matrix([0.5] * 6)
-        p_values = permutation_baselines(m, LABELS4, permutations=200, seed=3).attribution_p
+        p_values = permutation_baselines(m, LABELS4, draw_orders(4, 200, 3)).attribution_p
         assert p_values == {"x": 1.0, "y": 1.0}
 
     def test_single_permutation_tied_statistic(self):
         m = four_chunk_matrix([0.5] * 6)
-        p_values = permutation_baselines(m, LABELS4, permutations=1, seed=3).attribution_p
+        p_values = permutation_baselines(m, LABELS4, draw_orders(4, 1, 3)).attribution_p
         assert p_values["x"] == 1.0
 
     def test_reproducible(self):
-        a = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
-        b = permutation_baselines(SEPARATED, LABELS4, permutations=500, seed=42)
+        a = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
+        b = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
         assert a == b
 
     def test_separated_categories_are_significant(self):
         # with 4 chunks the complement labeling ties the hit count, so the
         # smallest reachable p is about 2 * (1/3)
-        p_values = permutation_baselines(SEPARATED, LABELS4, permutations=3000, seed=5).attribution_p
+        p_values = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 3000, 5)).attribution_p
         assert p_values["x"] < 1.0
 
 
@@ -293,13 +294,14 @@ def _rank_sum(rank_matrix, members):
     return float(sub.sum() / 2.0)
 
 
-def _rank_sum_baseline_loop(ranked, labels, category, permutations, seed):
+def _rank_sum_baseline_loop(matrix, labels, category, permutations, seed):
     """One-sided permutation p-value for the rank-sum (small = homogeneous)."""
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
-    label_list = [labels[cid] for cid in ranked.chunk_ids]
-    observed = _rank_sum(ranked.rank_matrix, _members(ranked.chunk_ids, label_list, category))
-    rank_rows = ranked.rank_matrix.tolist()  # python sums beat fancy indexing here
+    rank_matrix = rank_pairs(matrix)
+    label_list = [labels[cid] for cid in matrix.chunk_ids]
+    observed = _rank_sum(rank_matrix, _members(matrix.chunk_ids, label_list, category))
+    rank_rows = rank_matrix.tolist()  # python sums beat fancy indexing here
     null = np.empty(permutations)
     for p in range(permutations):
         shuffled = _shuffled(label_list, seed, p)
@@ -388,12 +390,12 @@ class TestPermutationBaselines:
         permutations = (1, 63, 64, 65, 300)[instance % 5]
         seed = 1000 + instance
         matrix, labels = random_instance(instance)
-        engine = permutation_baselines(matrix, labels, permutations, seed)
-        ranked = rank_pairs(matrix)
+        orders = draw_orders(len(matrix.chunk_ids), permutations, seed)
+        engine = permutation_baselines(matrix, labels, orders)
         categories = sorted(set(labels.values()))
         assert list(engine.rank_sum_p) == list(engine.rank_sum_null) == categories
         for c in categories:
-            p, summary = _rank_sum_baseline_loop(ranked, labels, c, permutations, seed)
+            p, summary = _rank_sum_baseline_loop(matrix, labels, c, permutations, seed)
             assert engine.rank_sum_p[c] == p
             assert json.dumps(engine.rank_sum_null[c]) == json.dumps(summary)
         attr_p, attr_summary = _attribution_baseline_loop(matrix, labels, permutations, seed)
@@ -409,27 +411,26 @@ class TestPermutationBaselines:
         assert [list(r["mean_scores"].values()) for r in result.per_chunk] == means.tolist()
 
     def test_rejects_zero_permutations(self):
-        with pytest.raises(PreconditionFailed):
-            permutation_baselines(SEPARATED, LABELS4, permutations=0, seed=1)
-
-    @pytest.mark.parametrize("shape", [(-1, 0), (0, -1), (0, 1), (1, 0), "flat"])
-    def test_rejects_orders_of_wrong_shape(self, shape):
-        matrix, labels = random_instance(9)
-        n = len(matrix.chunk_ids)
-        orders = draw_orders(n, 130, seed=5)
-        if shape == "flat":
-            orders = orders.ravel()
-        else:
-            orders = np.zeros((130 + shape[0], n + shape[1]), dtype=orders.dtype)
+        orders = np.zeros((0, 4), dtype=np.uint8)
         with pytest.raises(PreconditionFailed, match="orders have shape"):
-            permutation_baselines(matrix, labels, 130, seed=5, orders=orders)
+            permutation_baselines(SEPARATED, LABELS4, orders)
 
-    def test_given_orders_match_default(self):
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda o: o[:, :-1],
+            lambda o: np.hstack([o, o[:, :1]]),
+            lambda o: o.T,
+            lambda o: o[None],
+            np.ravel,
+        ],
+        ids=["fewer_columns", "more_columns", "transposed", "stacked", "flat"],
+    )
+    def test_rejects_orders_of_wrong_shape(self, reshape):
         matrix, labels = random_instance(9)
-        orders = draw_orders(len(matrix.chunk_ids), 130, seed=5)
-        given = permutation_baselines(matrix, labels, 130, seed=5, orders=orders)
-        default = permutation_baselines(matrix, labels, 130, seed=5)
-        assert json.dumps(asdict(given)) == json.dumps(asdict(default))
+        orders = reshape(draw_orders(len(matrix.chunk_ids), 130, seed=5))
+        with pytest.raises(PreconditionFailed, match="orders have shape"):
+            permutation_baselines(matrix, labels, orders)
 
 
 class TestDrawOrders:
