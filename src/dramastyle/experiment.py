@@ -113,6 +113,8 @@ class ExperimentConfig:
             _check_types(e, ("latin1_fallback",), (bool,), "true or false", "corpus ")
         if self.permutations < 1:
             raise ConfigError("permutations must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
         check_chunking(self.min_size, self.chunk_count, self.chunk_size)
         if not 0 < self.significance < 1:
             raise ConfigError("significance must lie strictly between 0 and 1")
@@ -152,6 +154,8 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
         corpus = tuple(CorpusEntry(**e) for e in data.pop("corpus"))

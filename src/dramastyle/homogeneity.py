@@ -6,13 +6,12 @@ attribution hit count (large = homogeneous). Each gets a Monte-Carlo
 p-value from uniformly shuffling category labels over chunks, category
 sizes preserved. Shuffles are keyed by (seed, permutation index), so the
 null distribution is independent of evaluation order. `draw_orders` draws
-each shuffle once per run with CPython's Fisher-Yates loop inlined, and
+each shuffle once per run from a counter-keyed SplitMix64 stream, and
 `permutation_baselines` scores both statistics for every category and every
 mode from the same orders.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -123,27 +122,22 @@ def attribute_chunks(
 
 
 def draw_orders(n: int, permutations: int, seed: int) -> np.ndarray:
-    """(permutations, n) array whose row p is range(n) shuffled exactly as
-    `random.Random(f"{seed}:{p}").shuffle` shuffles it.
-
-    One generator is reseeded per row, and `Random.shuffle`'s loop with
-    `_randbelow_with_getrandbits` runs inline: the same draws without a
-    Python call per element. Rows use the smallest integer dtype holding n.
-    """
-    orders = np.empty((permutations, n), dtype=np.min_scalar_type(n))
-    rng = random.Random()
-    bits = rng.getrandbits
-    for p in range(permutations):
-        rng.seed(f"{seed}:{p}")
-        order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            k = (i + 1).bit_length()
-            j = bits(k)
-            while j > i:
-                j = bits(k)
-            order[i], order[j] = order[j], order[i]
-        orders[p] = order
-    return orders
+    """(permutations, n) array in the smallest dtype holding n: row p is the
+    stable argsort of outputs p*n ... p*n+n-1 of the SplitMix64 stream (Steele,
+    Lea & Flood, 2014) seeded with `seed` in [0, 2**64). So row p depends only
+    on (seed, p, n), and has no ties: the finalizer is a bijection and the
+    row's counters are distinct."""
+    if not 0 <= seed < 2**64:
+        raise PreconditionFailed(f"seed must lie in [0, 2**64), got {seed}")
+    z = np.arange(1, permutations * n + 1, dtype=np.uint64)  # output k: counter k+1
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.argsort(z.reshape(permutations, n), kind="stable").astype(np.min_scalar_type(n))
 
 
 def permutation_baselines(

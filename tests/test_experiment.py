@@ -1,6 +1,5 @@
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -18,6 +17,7 @@ from dramastyle import (
     load_config,
     run_experiment,
 )
+from dramastyle import experiment
 from dramastyle.cli import main
 from dramastyle.errors import NoEligibleCharacters
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, _stage
@@ -97,24 +97,18 @@ class TestRunExperiment:
         assert "timings" not in report and "sizes" not in report
 
     def test_each_shuffle_drawn_once_per_run(self, configs_dir, tmp_path, monkeypatch):
-        generators, seeded = [], []
+        calls, draw_orders = [], experiment.draw_orders
 
-        class Recording(random.Random):
-            def __init__(self, x=None):
-                generators.append(self)
-                super().__init__(x)
+        def recording(n, permutations, seed):
+            calls.append((n, permutations, seed))
+            return draw_orders(n, permutations, seed)
 
-            def seed(self, a=None, version=2):
-                seeded.append(a)
-                super().seed(a, version)
-
-        monkeypatch.setattr(random, "Random", Recording)
+        monkeypatch.setattr(experiment, "draw_orders", recording)
         config = synthetic_config(configs_dir, tmp_path, permutations=130, seed=5)
         assert config.modes == ("letter_unigram", "word_unigram")
-        run_experiment(config)
-        assert len(generators) == 1
-        # the constructor's seed(None), then each key once for both modes
-        assert seeded == [None, *(f"5:{p}" for p in range(130))]
+        report = run_experiment(config)
+        n = sum(c["attribution_total"] for c in report.modes["letter_unigram"]["categories"])
+        assert calls == [(n, 130, 5)]
 
     def test_stage_time_excludes_stages_timed_inside_it(self, monkeypatch):
         # outer starts, inner starts, inner ends, outer ends
@@ -412,6 +406,8 @@ class TestCliExitCodes:
         ("chunk_size", 0),
         ("significance", 0.0),
         ("significance", 1.0),
+        ("seed", -1),
+        ("seed", 2**64),
     ])
     def test_out_of_range_setting_is_2(self, configs_dir, tmp_path, field, value):
         config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
@@ -421,6 +417,20 @@ class TestCliExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_option_is_2(self, configs_dir, tmp_path):
+        rc = main(["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                   "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", ["[]", '"x"'])
+    def test_config_that_is_not_an_object_is_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: top level must be a JSON object\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -623,3 +633,21 @@ def test_cli_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_run_loads_no_numpy_random(configs_dir, tmp_path):
+    """The shuffle is plain NumPy integer arithmetic: a run never imports
+    `numpy.random`, whose import alone costs megabytes of resident memory."""
+    config = configs_dir / "synthetic_two_category.json"
+    probe = (
+        "import sys; from dramastyle.cli import main; "
+        f"rc = main(['run', '--config', {str(config)!r}, '--permutations', '20', "
+        f"'--out', {str(tmp_path / 'out')!r}]); "
+        "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -1,11 +1,10 @@
 import itertools
 import json
 import math
-import random
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import chi2, rankdata
 
 from dramastyle import (
     DegenerateCategory,
@@ -271,15 +270,13 @@ class TestAttributionBaseline:
 
 
 # Reference: the per-permutation loops that permutation_baselines replaced,
-# kept verbatim. The engine must reproduce them bit for bit.
+# kept verbatim except that permutation p takes its shuffle from orders[p].
+# The engine must reproduce them bit for bit.
 
 
-def _shuffled(labels, seed, index):
-    """Deterministic label shuffle for permutation `index` of `seed`."""
-    rng = random.Random(f"{seed}:{index}")
-    out = list(labels)
-    rng.shuffle(out)
-    return out
+def _shuffled(labels, order):
+    """Labels of permutation `order`: position i takes the label of chunk order[i]."""
+    return [labels[j] for j in order.tolist()]
 
 
 def _members(chunk_ids, labels, category):
@@ -294,8 +291,9 @@ def _rank_sum(rank_matrix, members):
     return float(sub.sum() / 2.0)
 
 
-def _rank_sum_baseline_loop(matrix, labels, category, permutations, seed):
+def _rank_sum_baseline_loop(matrix, labels, category, orders):
     """One-sided permutation p-value for the rank-sum (small = homogeneous)."""
+    permutations = len(orders)
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
     rank_matrix = rank_pairs(matrix)
@@ -304,7 +302,7 @@ def _rank_sum_baseline_loop(matrix, labels, category, permutations, seed):
     rank_rows = rank_matrix.tolist()  # python sums beat fancy indexing here
     null = np.empty(permutations)
     for p in range(permutations):
-        shuffled = _shuffled(label_list, seed, p)
+        shuffled = _shuffled(label_list, orders[p])
         members = [i for i, lab in enumerate(shuffled) if lab == category]
         null[p] = sum(
             rank_rows[i][j] for a, i in enumerate(members) for j in members[a + 1 :]
@@ -337,8 +335,9 @@ def _category_means_loop(scores, labels, categories):
     return sums / denom
 
 
-def _attribution_baseline_loop(matrix, labels, permutations, seed):
+def _attribution_baseline_loop(matrix, labels, orders):
     """Per-category permutation p for the hit count (large = homogeneous)."""
+    permutations = len(orders)
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
     label_list = [labels[cid] for cid in matrix.chunk_ids]
@@ -348,7 +347,7 @@ def _attribution_baseline_loop(matrix, labels, permutations, seed):
     null_sums = {c: 0.0 for c in categories}
     cat_index = {c: k for k, c in enumerate(categories)}
     for p in range(permutations):
-        shuffled = _shuffled(label_list, seed, p)
+        shuffled = _shuffled(label_list, orders[p])
         means = _category_means_loop(matrix.scores, shuffled, categories)
         best = means.argmin(axis=1)
         null_hits = {c: 0 for c in categories}
@@ -395,10 +394,10 @@ class TestPermutationBaselines:
         categories = sorted(set(labels.values()))
         assert list(engine.rank_sum_p) == list(engine.rank_sum_null) == categories
         for c in categories:
-            p, summary = _rank_sum_baseline_loop(matrix, labels, c, permutations, seed)
+            p, summary = _rank_sum_baseline_loop(matrix, labels, c, orders)
             assert engine.rank_sum_p[c] == p
             assert json.dumps(engine.rank_sum_null[c]) == json.dumps(summary)
-        attr_p, attr_summary = _attribution_baseline_loop(matrix, labels, permutations, seed)
+        attr_p, attr_summary = _attribution_baseline_loop(matrix, labels, orders)
         assert json.dumps(engine.attribution_p) == json.dumps(attr_p)
         assert json.dumps(engine.attribution_null) == json.dumps(attr_summary)
 
@@ -433,17 +432,54 @@ class TestPermutationBaselines:
             permutation_baselines(matrix, labels, orders)
 
 
+def _splitmix64(seed):
+    """Reference SplitMix64 stream (Steele, Lea & Flood, 2014) in Python ints."""
+    mask = (1 << 64) - 1
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 class TestDrawOrders:
+    def test_reference_reproduces_published_vector(self):
+        stream = _splitmix64(1234567)
+        assert [next(stream) for _ in range(3)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+        ]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 80, 255, 256, 257, 1000])
-    @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_rows_match_stdlib_shuffle(self, n, seed):
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+    def test_rows_match_splitmix64_reference(self, n, seed):
         orders = draw_orders(n, 40, seed)
-        assert orders.shape == (40, n)
+        stream = _splitmix64(seed)
+        for row in orders.tolist():
+            words = [next(stream) for _ in range(n)]
+            assert row == sorted(range(n), key=words.__getitem__)
+
+    @pytest.mark.parametrize("n", [1, 2, 80, 255, 256, 257, 1000])
+    def test_prefix_dtype_and_permutation_rows(self, n):
+        orders = draw_orders(n, 300, 9)
+        assert orders.shape == (300, n)
         assert orders.dtype == np.min_scalar_type(n)
-        for p, row in enumerate(orders.tolist()):
-            expected = list(range(n))
-            random.Random(f"{seed}:{p}").shuffle(expected)
-            assert row == expected
+        assert np.array_equal(draw_orders(n, 120, 9), orders[:120])
+        assert (np.sort(orders, axis=1) == np.arange(n)).all()
+
+    def test_arrangements_of_four_are_uniform(self):
+        rows = 240_000
+        codes = draw_orders(4, rows, 42).astype(int) @ (4 ** np.arange(4))
+        _, counts = np.unique(codes, return_counts=True)
+        assert len(counts) == 24
+        statistic = float(((counts - rows / 24) ** 2).sum() / (rows / 24))
+        assert statistic < chi2.ppf(0.999, 23), statistic
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_rejected(self, seed):
+        with pytest.raises(PreconditionFailed, match="seed must lie in"):
+            draw_orders(4, 1, seed)
 
     def test_zero_permutations_is_empty(self):
         orders = draw_orders(80, 0, seed=1)
