@@ -42,16 +42,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.permutations is not None:
-        overrides["permutations"] = args.permutations
-    if args.mode is not None:
-        overrides["modes"] = (args.mode,)
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    config = load_config(args.config, **overrides)
+    config = load_config(
+        args.config, seed=args.seed, permutations=args.permutations,
+        modes=None if args.mode is None else (args.mode,), output_dir=args.out,
+    )
     if args.compare_translations:
         compare_translations(config)
     else:
@@ -77,7 +71,7 @@ def _cmd_matrix(args) -> int:
     chunks = prepare_chunks(
         plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size
     )
-    write_matrix_csv(chunk_matrix(chunks, mode), args.out)
+    write_matrix_csv(chunk_matrix(chunks, mode)[0], args.out)
     print(f"wrote {args.out}")
     return 0
 

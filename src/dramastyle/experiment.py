@@ -5,11 +5,14 @@ tokenization modes, the chunking budget, and the permutation settings.
 `run_experiment` executes ingest -> extract -> select -> chunk ->
 tokenize -> matrix -> statistics and writes a manifest CSV, one matrix
 CSV per mode, and a report JSON; `compare_translations` writes each
-chunk's nearest foreign category instead. Both run through one shared
-pipeline, `_run`; `prepare_chunks` and `chunk_matrix` are the front half
-that every command shares. Everything is deterministic given the config
-and corpus bytes; the wall-clock timestamp lives in a sidecar file so
-the hashed outputs stay reproducible.
+chunk's nearest foreign category instead. Each is one straight sequence
+of timed stages: `_chunk_corpus` (ingest, then `prepare_chunks`), the
+command's own loop over the modes (`chunk_matrix`, then its statistic),
+the report stage, and `_write_run_meta`. `prepare_chunks` and
+`chunk_matrix` are the front half that every command shares. Everything
+is deterministic given the config and corpus bytes; the wall-clock
+timestamp lives in a sidecar file so the hashed outputs stay
+reproducible.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import ConfigError, NoEligibleCharacters, PipelineError, PreconditionFailed
 from .homogeneity import attribute_chunks, draw_orders, permutation_baselines
@@ -46,6 +49,8 @@ from .similarity import DissimilarityMatrix, pairwise_matrix, write_matrix_csv
 from .tokenization import TokenizationMode, tokenize
 
 DEFAULT_SIGNIFICANCE = 0.05
+# 100x the paper's 10,000; the orders array takes permutations x chunks
+MAX_PERMUTATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -111,8 +116,12 @@ class ExperimentConfig:
             fields = ("path", "play_id", "language", "translator")
             _check_types(e, fields, (str,), "a string", "corpus ")
             _check_types(e, ("latin1_fallback",), (bool,), "true or false", "corpus ")
-        if self.permutations < 1:
-            raise ConfigError("permutations must be at least 1")
+        name = self.experiment_id
+        # it names a directory under output_dir that a run replaces as a whole
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ConfigError(f"experiment_id must be one plain path component, got {name!r}")
+        if not 1 <= self.permutations <= MAX_PERMUTATIONS:
+            raise ConfigError(f"permutations must lie in [1, {MAX_PERMUTATIONS}]")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)")
         check_chunking(self.min_size, self.chunk_count, self.chunk_size)
@@ -182,34 +191,24 @@ class ExperimentReport:
     settings: dict
 
     def to_json(self) -> str:
-        payload = {
-            "experiment_id": self.experiment_id,
-            "config": self.config,
-            "modes": self.modes,
-            "warnings": self.warnings,
-            "settings": self.settings,
-        }
-        return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
+        # vars, not asdict: asdict deep-copies the null distributions
+        return json.dumps(vars(self), ensure_ascii=False, indent=2) + "\n"
 
 
 @contextmanager
 def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]:
     """Re-raise any error of the block as a PipelineError naming the stage.
 
-    If the block succeeds, its perf_counter seconds, less those of the
-    stages timed inside it, are added to `timings[name]`, when given.
+    If the block succeeds, its perf_counter seconds go into
+    `timings[name]`, when given. Stages are never nested or repeated.
     """
     start = time.perf_counter()
-    nested = sum(timings.values()) if timings is not None else 0.0
     try:
         yield
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
     if timings is not None:
-        nested = sum(timings.values()) - nested
-        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start - nested
+        timings[name] = time.perf_counter() - start
 
 
 @contextmanager
@@ -261,6 +260,21 @@ def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str
     return plays, warnings
 
 
+def _chunk_corpus(
+    config: ExperimentConfig, timings: dict[str, float]
+) -> tuple[list[Chunk], list[str]]:
+    """Ingest the corpus and chunk it with `prepare_chunks`; return the
+    chunks and the encoding and parse warnings."""
+    # ingest in a frame of its own, so that its last document is freed before chunking
+    with _stage("ingest", timings):
+        plays, warnings = _ingest_corpus(config)
+    aliases = {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
+    return prepare_chunks(
+        plays, config.labeling, config.min_size, config.chunk_count,
+        config.chunk_size, aliases, timings,
+    ), warnings
+
+
 def prepare_chunks(
     plays: Sequence[PlayScript],
     labeling: str,
@@ -273,19 +287,20 @@ def prepare_chunks(
     """Extract -> select -> chunk -> check: the front half of every command.
 
     Each speaker's dialogue is gathered per (play_id, translator), with
-    `aliases[(play_id, translator)]` mapping speaker names (case-insensitive)
-    onto canonical ones. A play with no eligible speaker is skipped; only a
-    corpus where no play has one fails. Stage seconds go into `timings`.
+    `aliases[(play_id, translator)]` mapping speaker names onto canonical
+    ones; both sides compare and are stored case-folded. A play with no
+    eligible speaker is skipped; only a corpus where no play has one
+    fails. Stage seconds go into `timings`.
     """
     aliases = aliases or {}
     by_play: dict[tuple[str, str], dict[str, str]] = {}
     with _stage("extract", timings):
         for play in plays:
             key = (play.play_id, play.translator)
-            alias = {k.lower(): v.lower() for k, v in aliases.get(key, {}).items()}
+            alias = {k.casefold(): v.casefold() for k, v in aliases.get(key, {}).items()}
             texts = by_play.setdefault(key, {})
             for speaker, text in extract_character_text(play).items():
-                speaker = alias.get(speaker, speaker)
+                speaker = alias.get(speaker.casefold(), speaker)
                 texts[speaker] = f"{texts[speaker]} {text}" if speaker in texts else text
     with _stage("segmentation", timings):
         eligible: dict[tuple[str, str, str], str] = {}
@@ -308,85 +323,42 @@ def prepare_chunks(
 
 
 def chunk_matrix(
-    chunks: Sequence[Chunk], mode: TokenizationMode, sizes: dict | None = None
-) -> DissimilarityMatrix:
+    chunks: Sequence[Chunk], mode: TokenizationMode
+) -> tuple[DissimilarityMatrix, dict]:
     """Tokenize every chunk under `mode` and score all pairs.
 
-    When given, `sizes` records the chunks, pairs, union vocabulary, the
-    mean number of distinct tokens per chunk (which sets the matrix cost)
-    and the smallest and largest token total: the metric assumes
+    Returns the matrix and its sizes: the chunks, pairs, union vocabulary,
+    the mean number of distinct tokens per chunk (which sets the matrix
+    cost) and the smallest and largest token total: the metric assumes
     equal-size chunks, and token totals can differ between equal-size
     chunks.
     """
     dists = [tokenize(c.text, mode, c.chunk_id) for c in chunks]
     matrix = pairwise_matrix(dists)
-    if sizes is not None:
-        n = len(dists)
-        sizes["chunks"] = n
-        sizes["pairs"] = n * (n - 1) // 2
-        sizes["vocabulary"] = len(set().union(*(d.counts for d in dists)))
-        sizes["support_mean"] = sum(len(d.counts) for d in dists) / n
-        sizes["token_total_min"] = min(d.total for d in dists)
-        sizes["token_total_max"] = max(d.total for d in dists)
-    return matrix
+    n = len(dists)
+    return matrix, {
+        "chunks": n,
+        "pairs": n * (n - 1) // 2,
+        "vocabulary": len(set().union(*(d.counts for d in dists))),
+        "support_mean": sum(len(d.counts) for d in dists) / n,
+        "token_total_min": min(d.total for d in dists),
+        "token_total_max": max(d.total for d in dists),
+    }
 
 
-def _run(
-    config: ExperimentConfig,
-    prefix: str,
-    analyse: Callable[..., object],
-    write: Callable[..., tuple],
-):
-    """The pipeline shared by `run_experiment` and `compare_translations`.
-
-    Ingests and chunks the corpus, then for each mode scores the chunk
-    matrix and attributes every chunk, timed as stage `<prefix>:<mode>`;
-    `analyse(mode, chunks, labels, matrix, attribution, sizes, timings)`
-    turns that into the mode's result; stages it times itself in `timings`
-    do not count towards `<prefix>:<mode>`. `write(out_dir, chunks, results,
-    warnings)` writes the artifacts from the results by mode name and
-    returns the caller's result and any extra run_meta.json keys. The
-    artifacts replace `output_dir/experiment_id` only if the run succeeds.
-    """
-    config.validate()
-    timings: dict[str, float] = {}
-    sizes: dict[str, dict] = {}
-    with _output_dir(config) as out_dir:
-        with _stage("ingest", timings):
-            plays, warnings = _ingest_corpus(config)
-        aliases = {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
-        chunks = prepare_chunks(
-            plays, config.labeling, config.min_size, config.chunk_count,
-            config.chunk_size, aliases, timings,
+def _write_run_meta(out_dir: Path, timings: dict[str, float], sizes: dict, **extra) -> None:
+    """Write the run_meta.json sidecar: time written, stage seconds, sizes
+    and the `extra` keys. Call it after the report stage, whose time it holds."""
+    with _stage("report"):
+        sidecar = {
+            "written_at": datetime.now(timezone.utc).isoformat(),
+            "timings": {name: round(secs, 6) for name, secs in timings.items()},
+            "sizes": sizes,
+            **extra,
+        }
+        (out_dir / "run_meta.json").write_text(
+            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
         )
-        labels = {c.chunk_id: c.category for c in chunks}
-        results = {}
-        for mode_spec in config.modes:
-            mode = TokenizationMode.parse(mode_spec)
-            sizes[mode.name] = {}
-            with _stage(f"{prefix}:{mode.name}", timings):
-                matrix = chunk_matrix(chunks, mode, sizes[mode.name])
-                # both `analyse` callbacks index chunks by matrix position
-                assert matrix.chunk_ids == tuple(labels)
-                attribution = attribute_chunks(matrix, labels)
-                results[mode.name] = analyse(
-                    mode.name, chunks, labels, matrix, attribution, sizes[mode.name],
-                    timings,
-                )
-        with _stage("report", timings):
-            result, extra = write(out_dir, chunks, results, warnings)
-        # outside the timed stage, so that the sidecar holds the report time
-        with _stage("report"):
-            sidecar = {
-                "written_at": datetime.now(timezone.utc).isoformat(),
-                "timings": {name: round(secs, 6) for name, secs in timings.items()},
-                "sizes": sizes,
-                **extra,
-            }
-            (out_dir / "run_meta.json").write_text(
-                json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-            )
-        return result
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -395,59 +367,67 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Writes chunk_manifest.csv, one matrix_<mode>.csv per mode, report.json
     and the run_meta.json sidecar. They replace `output_dir/experiment_id`
     as a whole, and only if the run succeeds. The permutation orders are
-    drawn once, for the first mode, as stage `permutation_orders`.
+    drawn once, for all modes, as stage `permutation_orders`.
     """
-    orders = None
-
-    def analyse(mode, chunks, labels, matrix, attribution, sizes, timings):
-        nonlocal orders
-        if orders is None:
-            with _stage("permutation_orders", timings):
-                orders = draw_orders(len(chunks), config.permutations, config.seed)
-        sizes["permutations"] = config.permutations
-        baselines = permutation_baselines(matrix, labels, orders)
-        categories = [
-            {
-                "category": category,
-                "rank_sum": rank_sum_null["observed"],
-                "rank_sum_p": baselines.rank_sum_p[category],
-                "attribution_hits": attribution.hits[category],
-                "attribution_total": attribution.totals[category],
-                "attribution_p": baselines.attribution_p[category],
-                "permutations": config.permutations,
-                "seed": config.seed,
-                "rank_sum_null": rank_sum_null,
-            }
-            for category, rank_sum_null in baselines.rank_sum_null.items()
-        ]
-        return matrix, {
-            "chunk_manifest_ref": "chunk_manifest.csv",
-            "matrix_ref": f"matrix_{mode}.csv",
-            "categories": categories,
-            "attribution": list(attribution.per_chunk),
-            "attribution_null": baselines.attribution_null,
-            "ties_logged": list(attribution.ties),
-        }
-
-    def write(out_dir, chunks, results, warnings):
-        write_manifest(chunks, out_dir / "chunk_manifest.csv")
-        for matrix, section in results.values():
-            write_matrix_csv(matrix, out_dir / section["matrix_ref"])
-        report = ExperimentReport(
-            experiment_id=config.experiment_id,
-            config=config.to_dict(),
-            modes={mode: section for mode, (_, section) in results.items()},
-            warnings=warnings,
-            settings={
-                "permutations": config.permutations,
-                "seed": config.seed,
-                "threshold": config.significance,
-            },
-        )
-        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        return report, {}
-
-    return _run(config, "analysis", analyse, write)
+    config.validate()
+    timings: dict[str, float] = {}
+    sizes: dict[str, dict] = {}
+    matrices, sections = {}, {}
+    with _output_dir(config) as out_dir:
+        chunks, warnings = _chunk_corpus(config, timings)
+        labels = {c.chunk_id: c.category for c in chunks}
+        with _stage("permutation_orders", timings):
+            orders = draw_orders(len(chunks), config.permutations, config.seed)
+        for spec in config.modes:
+            mode = TokenizationMode.parse(spec)
+            with _stage(f"analysis:{mode.name}", timings):
+                matrix, sizes[mode.name] = chunk_matrix(chunks, mode)
+                # the orders permute chunks by matrix position
+                assert matrix.chunk_ids == tuple(labels)
+                attribution = attribute_chunks(matrix, labels)
+                sizes[mode.name]["permutations"] = config.permutations
+                baselines = permutation_baselines(matrix, labels, orders)
+                categories = [
+                    {
+                        "category": category,
+                        "rank_sum": rank_sum_null["observed"],
+                        "rank_sum_p": baselines.rank_sum_p[category],
+                        "attribution_hits": attribution.hits[category],
+                        "attribution_total": attribution.totals[category],
+                        "attribution_p": baselines.attribution_p[category],
+                        "permutations": config.permutations,
+                        "seed": config.seed,
+                        "rank_sum_null": rank_sum_null,
+                    }
+                    for category, rank_sum_null in baselines.rank_sum_null.items()
+                ]
+                matrices[mode.name] = matrix
+                sections[mode.name] = {
+                    "chunk_manifest_ref": "chunk_manifest.csv",
+                    "matrix_ref": f"matrix_{mode.name}.csv",
+                    "categories": categories,
+                    "attribution": list(attribution.per_chunk),
+                    "attribution_null": baselines.attribution_null,
+                    "ties_logged": list(attribution.ties),
+                }
+        with _stage("report", timings):
+            write_manifest(chunks, out_dir / "chunk_manifest.csv")
+            for name, matrix in matrices.items():
+                write_matrix_csv(matrix, out_dir / sections[name]["matrix_ref"])
+            report = ExperimentReport(
+                experiment_id=config.experiment_id,
+                config=config.to_dict(),
+                modes=sections,
+                warnings=warnings,
+                settings={
+                    "permutations": config.permutations,
+                    "seed": config.seed,
+                    "threshold": config.significance,
+                },
+            )
+            (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+        _write_run_meta(out_dir, timings, sizes)
+    return report
 
 
 _CROSS_COLUMNS = (
@@ -463,33 +443,39 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
     forced to character_by_translator. Writes cross_attribution.csv and
     the run_meta.json sidecar.
     """
-    by_play: dict[str, set[str]] = {}
-    for e in config.corpus:
-        by_play.setdefault(e.play_id, set()).add(e.translator)
-    if not any(len(t) >= 2 for t in by_play.values()):
+    config = replace(config, labeling="character_by_translator")
+    config.validate()
+    translated = {(e.play_id, e.translator) for e in config.corpus}
+    if len(translated) == len({play_id for play_id, _ in translated}):
         raise PreconditionFailed("two translators of one play required")
-
-    def analyse(mode, chunks, labels, matrix, attribution, sizes, timings):
-        rows = []
-        for chunk, record in zip(chunks, attribution.per_chunk):
-            own = record["true_category"]
-            foreign = {c: s for c, s in record["mean_scores"].items() if c != own}
-            nearest = min(foreign, key=lambda c: (foreign[c], c))
-            rows.append(dict(zip(_CROSS_COLUMNS, (
-                mode, chunk.chunk_id, *chunk.source, own, nearest, foreign[nearest],
-            ))))
-        return rows
-
-    def write(out_dir, chunks, results, warnings):
-        rows = [row for mode_rows in results.values() for row in mode_rows]
-        with open(out_dir / "cross_attribution.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.DictWriter(f, fieldnames=_CROSS_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(
-                    {**row, "nearest_foreign_score": format(row["nearest_foreign_score"], ".6f")}
-                )
+    timings: dict[str, float] = {}
+    sizes: dict[str, dict] = {}
+    rows = []
+    with _output_dir(config) as out_dir:
+        chunks, warnings = _chunk_corpus(config, timings)
+        labels = {c.chunk_id: c.category for c in chunks}
+        for spec in config.modes:
+            mode = TokenizationMode.parse(spec)
+            with _stage(f"cross:{mode.name}", timings):
+                matrix, sizes[mode.name] = chunk_matrix(chunks, mode)
+                # the attribution lists chunks by matrix position
+                assert matrix.chunk_ids == tuple(labels)
+                attribution = attribute_chunks(matrix, labels)
+                for chunk, record in zip(chunks, attribution.per_chunk):
+                    own = record["true_category"]
+                    foreign = {c: s for c, s in record["mean_scores"].items() if c != own}
+                    nearest = min(foreign, key=lambda c: (foreign[c], c))
+                    rows.append(dict(zip(_CROSS_COLUMNS, (
+                        mode.name, chunk.chunk_id, *chunk.source, own, nearest, foreign[nearest],
+                    ))))
+        with _stage("report", timings):
+            with open(out_dir / "cross_attribution.csv", "w", newline="",
+                      encoding="utf-8") as f:
+                writer = csv.DictWriter(f, fieldnames=_CROSS_COLUMNS, lineterminator="\n")
+                writer.writeheader()
+                for row in rows:
+                    score = format(row["nearest_foreign_score"], ".6f")
+                    writer.writerow({**row, "nearest_foreign_score": score})
         # no report.json here, so the sidecar is the record of the warnings
-        return rows, {"warnings": warnings}
-
-    return _run(replace(config, labeling="character_by_translator"), "cross", analyse, write)
+        _write_run_meta(out_dir, timings, sizes, warnings=warnings)
+    return rows

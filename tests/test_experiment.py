@@ -3,7 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
-import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +20,8 @@ from dramastyle import (
 from dramastyle import experiment
 from dramastyle.cli import main
 from dramastyle.errors import NoEligibleCharacters
-from dramastyle.experiment import CorpusEntry, ExperimentConfig, _stage
+from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
+from dramastyle.ingest import PlayScript, SpeechTurn
 
 
 def synthetic_config(configs_dir, tmp_path, **overrides):
@@ -110,15 +111,44 @@ class TestRunExperiment:
         n = sum(c["attribution_total"] for c in report.modes["letter_unigram"]["categories"])
         assert calls == [(n, 130, 5)]
 
-    def test_stage_time_excludes_stages_timed_inside_it(self, monkeypatch):
-        # outer starts, inner starts, inner ends, outer ends
-        clock = iter([0.0, 1.0, 3.0, 6.0])
-        monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
-        timings = {}
-        with _stage("outer", timings):
-            with _stage("inner", timings):
-                pass
-        assert timings == {"inner": 2.0, "outer": 4.0}
+    @pytest.mark.parametrize("command, config_name", [
+        (run_experiment, "synthetic_two_category"),
+        (compare_translations, "synthetic_translations"),
+    ], ids=["run", "compare_translations"])
+    def test_stages_are_never_nested_or_timed_twice(self, configs_dir, tmp_path, monkeypatch,
+                                                    command, config_name):
+        # a stage's seconds are its own and written once only if this holds
+        stage, open_stages, nested, timed = experiment._stage, [], [], []
+
+        @contextmanager
+        def recording(name, timings=None):
+            if open_stages:
+                nested.append((open_stages[-1], name))
+            if timings is not None:
+                timed.append(name)
+            open_stages.append(name)
+            try:
+                with stage(name, timings):
+                    yield
+            finally:
+                open_stages.pop()
+
+        monkeypatch.setattr(experiment, "_stage", recording)
+        command(load_config(configs_dir / f"{config_name}.json", permutations=50,
+                            output_dir=str(tmp_path / "out")))
+        meta = json.loads((tmp_path / "out" / config_name / "run_meta.json").read_text())
+        assert nested == []
+        assert timed == list(meta["timings"])
+
+    def test_speaker_aliases_match_case_folded_names(self):
+        # raw names, as parse_play leaves them with name_normalization off
+        turns = tuple(SpeechTurn(speaker, text * 100, i) for i, (speaker, text) in enumerate([
+            ("ALFA.", "a "), ("STRAßE.", "b "), ("BRAVO.", "c "),
+        ]))
+        play = PlayScript("p", "x", "original", turns)
+        aliases = {("p", "original"): {"alfa.": "strasse", "STRASSE.": "Straße"}}
+        chunks = prepare_chunks([play], "character", 200, 2, 100, aliases)
+        assert sorted({c.source[2] for c in chunks}) == ["BRAVO.", "strasse"]
 
     def test_latin1_fallback_is_reported(self, configs_dir, data_dir, tmp_path):
         play = tmp_path / "latin1.txt"
@@ -138,6 +168,22 @@ class TestRunExperiment:
             run_experiment(config)
         assert err.value.stage == "segmentation"
         assert isinstance(err.value.cause, NoEligibleCharacters)
+
+    @pytest.mark.parametrize("command", [run_experiment, compare_translations],
+                             ids=["run", "compare_translations"])
+    @pytest.mark.parametrize("experiment_id", ["", ".", "..", "a/b", "a\\b"])
+    def test_experiment_id_must_be_one_path_component(self, configs_dir, tmp_path, command,
+                                                      experiment_id):
+        sibling = tmp_path / "out" / "other_experiment"
+        sibling.mkdir(parents=True)
+        (sibling / "report.json").write_text("{}")
+        config = load_config(configs_dir / "synthetic_translations.json",
+                             output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match="experiment_id"):
+            command(replace(config, experiment_id=experiment_id))
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [sibling.name]
+        assert (sibling / "report.json").read_text() == "{}"
 
     def test_partial_outputs_removed_on_failure(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path, min_size=10**6,
@@ -587,12 +633,16 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("error: unknown labeling mode 'bogus'")
         assert not (tmp_path / "out").exists()
 
-    def test_permutations_override_is_validated(self, configs_dir, tmp_path):
+    @pytest.mark.parametrize("permutations", ["0", "1000001", "1000000000000"])
+    def test_permutations_override_is_validated(self, configs_dir, tmp_path, capsys,
+                                                permutations):
         rc = main([
             "run", "--config", str(configs_dir / "synthetic_two_category.json"),
-            "--permutations", "0", "--out", str(tmp_path / "out"),
+            "--permutations", permutations, "--out", str(tmp_path / "out"),
         ])
         assert rc == 2
+        assert capsys.readouterr().err == "error: permutations must lie in [1, 1000000]\n"
+        assert not (tmp_path / "out").exists()
 
     def test_report_subcommand(self, configs_dir, tmp_path, capsys):
         main([
