@@ -262,17 +262,19 @@ def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str
 
 def _chunk_corpus(
     config: ExperimentConfig, timings: dict[str, float]
-) -> tuple[list[Chunk], list[str]]:
+) -> tuple[list[Chunk], list[str], list[dict]]:
     """Ingest the corpus and chunk it with `prepare_chunks`; return the
-    chunks and the encoding and parse warnings."""
+    chunks, the encoding and parse warnings and the eligibility decisions."""
     # ingest in a frame of its own, so that its last document is freed before chunking
     with _stage("ingest", timings):
         plays, warnings = _ingest_corpus(config)
     aliases = {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
-    return prepare_chunks(
+    eligibility: list[dict] = []
+    chunks = prepare_chunks(
         plays, config.labeling, config.min_size, config.chunk_count,
-        config.chunk_size, aliases, timings,
-    ), warnings
+        config.chunk_size, aliases, timings, eligibility,
+    )
+    return chunks, warnings, eligibility
 
 
 def prepare_chunks(
@@ -283,6 +285,7 @@ def prepare_chunks(
     chunk_size: int,
     aliases: Mapping[tuple[str, str], Mapping[str, str]] | None = None,
     timings: dict[str, float] | None = None,
+    eligibility: list[dict] | None = None,
 ) -> list[Chunk]:
     """Extract -> select -> chunk -> check: the front half of every command.
 
@@ -290,7 +293,9 @@ def prepare_chunks(
     `aliases[(play_id, translator)]` mapping speaker names onto canonical
     ones; both sides compare and are stored case-folded. A play with no
     eligible speaker is skipped; only a corpus where no play has one
-    fails. Stage seconds go into `timings`.
+    fails. Stage seconds go into `timings`, and one record per speaker
+    (play_id, translator, speaker, chars of dialogue, kept) into
+    `eligibility`.
     """
     aliases = aliases or {}
     by_play: dict[tuple[str, str], dict[str, str]] = {}
@@ -308,9 +313,15 @@ def prepare_chunks(
             try:
                 kept = select_eligible(texts, min_size)
             except NoEligibleCharacters:
-                continue  # other plays may still qualify; checked globally below
-            for speaker, text in kept.items():
-                eligible[(play_id, translator, speaker)] = text
+                kept = {}  # other plays may still qualify; checked globally below
+            for speaker, text in texts.items():
+                if speaker in kept:
+                    eligible[(play_id, translator, speaker)] = text
+                if eligibility is not None:
+                    eligibility.append({
+                        "play_id": play_id, "translator": translator, "speaker": speaker,
+                        "chars": len(text), "kept": speaker in kept,
+                    })
         if not eligible:
             raise NoEligibleCharacters(
                 f"no character in any play reaches {min_size} characters"
@@ -374,7 +385,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     sizes: dict[str, dict] = {}
     matrices, sections = {}, {}
     with _output_dir(config) as out_dir:
-        chunks, warnings = _chunk_corpus(config, timings)
+        chunks, warnings, eligibility = _chunk_corpus(config, timings)
         labels = {c.chunk_id: c.category for c in chunks}
         with _stage("permutation_orders", timings):
             orders = draw_orders(len(chunks), config.permutations, config.seed)
@@ -426,7 +437,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 },
             )
             (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        _write_run_meta(out_dir, timings, sizes)
+        _write_run_meta(out_dir, timings, sizes, eligibility=eligibility)
     return report
 
 
@@ -452,7 +463,7 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
     sizes: dict[str, dict] = {}
     rows = []
     with _output_dir(config) as out_dir:
-        chunks, warnings = _chunk_corpus(config, timings)
+        chunks, warnings, eligibility = _chunk_corpus(config, timings)
         labels = {c.chunk_id: c.category for c in chunks}
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
@@ -477,5 +488,5 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
                     score = format(row["nearest_foreign_score"], ".6f")
                     writer.writerow({**row, "nearest_foreign_score": score})
         # no report.json here, so the sidecar is the record of the warnings
-        _write_run_meta(out_dir, timings, sizes, warnings=warnings)
+        _write_run_meta(out_dir, timings, sizes, warnings=warnings, eligibility=eligibility)
     return rows

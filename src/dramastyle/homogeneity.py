@@ -9,6 +9,15 @@ null distribution is independent of evaluation order. `draw_orders` draws
 each shuffle once per run from a counter-keyed SplitMix64 stream, and
 `permutation_baselines` scores both statistics for every category and every
 mode from the same orders.
+
+A shuffle costs only what its two statistics need. The rank-sum of a
+category sums the ranks of its within-category chunk pairs, listed once per
+call and grouped by category, at the positions the inverse order gives
+them; ranks are multiples of 0.5, so the sum is exact in any order. The
+attribution keeps one batched (n x n) @ (n x K) product per shuffle, divides
+it by the category sizes and corrects only each chunk's own category to
+leave-one-out, which gives the bits of dividing by (sizes - one-hot), as
+x / (s - 0.0) == x / s exactly.
 """
 from __future__ import annotations
 
@@ -21,6 +30,7 @@ from .errors import DegenerateCategory, PreconditionFailed
 from .similarity import DissimilarityMatrix
 
 _BLOCK = 64  # permutations scored per (B, n, K) one-hot stack; bounds memory
+_DRAW_WORDS = 1 << 16  # SplitMix64 outputs per block of rows in draw_orders; bounds memory
 
 
 @dataclass(frozen=True)
@@ -58,28 +68,18 @@ def rank_pairs(matrix: DissimilarityMatrix) -> np.ndarray:
     return rank_matrix + rank_matrix.T
 
 
-def _encode(chunk_ids: Sequence[str], labels: Mapping[str, str]) -> tuple[list[str], np.ndarray]:
-    """Sorted categories and the (n, K) one-hot matrix of the chunks' labels;
-    every category needs at least two chunks."""
+def _encode(
+    chunk_ids: Sequence[str], labels: Mapping[str, str]
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Sorted categories, each chunk's category index and the (n, K) one-hot
+    matrix of the chunks' labels; every category needs at least two chunks."""
     names, codes = np.unique([labels[cid] for cid in chunk_ids], return_inverse=True)
     categories = names.tolist()
     onehot = (codes[:, None] == np.arange(len(categories))).astype(float)
     for c, size in zip(categories, onehot.sum(axis=0)):
         if size < 2:
             raise DegenerateCategory(f"category {c!r} has {int(size)} chunk(s)")
-    return categories, onehot
-
-
-def _category_means(scores: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """means[..., i, c]: mean distance from chunk i to category c, leave-one-out
-    for the chunk's own category (the zero self-distance is excluded).
-
-    A leading axis of `onehot` stacks labelings; each slice is the same
-    (n x n) @ (n x K) product, so a stacked labeling gives the same bits as
-    a single one.
-    """
-    sizes = onehot.sum(axis=-2, keepdims=True)
-    return np.matmul(scores, onehot) / (sizes - onehot)
+    return categories, codes, onehot
 
 
 def attribute_chunks(
@@ -91,8 +91,9 @@ def attribute_chunks(
     the result rather than hidden.
     """
     label_list = [labels[cid] for cid in matrix.chunk_ids]
-    categories, onehot = _encode(matrix.chunk_ids, labels)
-    means = _category_means(matrix.scores, onehot)
+    categories, _, onehot = _encode(matrix.chunk_ids, labels)
+    # leave-one-out for the chunk's own category: its zero self-distance is excluded
+    means = matrix.scores @ onehot / (onehot.sum(axis=0) - onehot)
     best = means.argmin(axis=1)  # first index wins: lexicographic tie-break
     per_chunk = []
     ties = []
@@ -126,18 +127,26 @@ def draw_orders(n: int, permutations: int, seed: int) -> np.ndarray:
     stable argsort of outputs p*n ... p*n+n-1 of the SplitMix64 stream (Steele,
     Lea & Flood, 2014) seeded with `seed` in [0, 2**64). So row p depends only
     on (seed, p, n), and has no ties: the finalizer is a bijection and the
-    row's counters are distinct."""
+    row's counters are distinct. Rows are drawn in blocks of about
+    `_DRAW_WORDS` outputs to bound the temporaries; the result does not
+    depend on the block size."""
     if not 0 <= seed < 2**64:
         raise PreconditionFailed(f"seed must lie in [0, 2**64), got {seed}")
-    z = np.arange(1, permutations * n + 1, dtype=np.uint64)  # output k: counter k+1
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(seed)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return np.argsort(z.reshape(permutations, n), kind="stable").astype(np.min_scalar_type(n))
+    orders = np.empty((permutations, n), dtype=np.min_scalar_type(n))
+    step = max(1, _DRAW_WORDS // max(n, 1))
+    for start in range(0, permutations, step):
+        rows = orders[start : start + step]
+        # output k is counter k+1
+        z = np.arange(start * n + 1, start * n + rows.size + 1, dtype=np.uint64)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        rows[:] = np.argsort(z.reshape(rows.shape), kind="stable")
+    return orders
 
 
 def permutation_baselines(
@@ -147,35 +156,69 @@ def permutation_baselines(
 
     Permutation p reorders the chunks' labels by row p of `orders`, a
     (permutations, n) array over the matrix's chunk order, such as
-    `draw_orders(n, permutations, seed)`. Each order scores the rank-sum
-    (small = homogeneous) and the attribution hit count (large =
-    homogeneous) of all categories. p-values use the add-one estimator, so
-    none is below 1/(permutations+1).
+    `draw_orders(n, permutations, seed)`; every row must be a permutation
+    of range(n). Each order scores the rank-sum (small = homogeneous) and
+    the attribution hit count (large = homogeneous) of all categories, and
+    the identity order scores the observed values. p-values use the add-one
+    estimator, so none is below 1/(permutations+1).
     """
     rank_matrix = rank_pairs(matrix)
-    categories, onehot = _encode(matrix.chunk_ids, labels)
-    n = len(onehot)
+    categories, codes, onehot = _encode(matrix.chunk_ids, labels)
+    n, k = onehot.shape
     if orders.ndim != 2 or len(orders) < 1 or orders.shape[1] != n:
         raise PreconditionFailed(
             f"orders have shape {orders.shape}, need (permutations >= 1, {n})"
         )
+    if not np.issubdtype(orders.dtype, np.integer):
+        raise PreconditionFailed(f"orders must be integers, got {orders.dtype}")
+    not_permutations = f"every row of orders must be a permutation of range({n})"
     permutations = len(orders)
+    sizes = onehot.sum(axis=0)
+    # the within-category pairs (first < second), grouped by category
+    by_category = np.argsort(codes, kind="stable")
+    i, j = np.triu_indices(n, 1)
+    within = codes[by_category[i]] == codes[by_category[j]]
+    first, second = by_category[i[within]], by_category[j[within]]
+    pair_counts = sizes * (sizes - 1) / 2
+    starts = (np.cumsum(pair_counts) - pair_counts).astype(np.intp)
+    flat_ranks = rank_matrix.ravel()
+    # reused by every block: freshly allocated (B, n, K) temporaries can go
+    # back to the OS on each free and be page-faulted in again on the next block
+    stack_buffer, means_buffer = np.empty((2, _BLOCK, n, k))
 
-    def score(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, B) rank-sums and hit counts of a (B, n, K) one-hot stack."""
+    def score(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, B) rank-sums and hit counts under a (B, n) block of orders."""
+        rows = np.arange(len(block))[:, None]
+        if block.min() < 0 or block.max() >= n:
+            raise PreconditionFailed(not_permutations)
+        inv = np.full(block.shape, n)
+        inv[rows, block] = np.arange(n)  # shuffle p puts chunk a at position inv[p, a]
+        if inv.max() == n:  # a chunk missing from a row, so another one repeats
+            raise PreconditionFailed(not_permutations)
         # ranks are multiples of 0.5, so these sums are exact in any order
-        rank_sums = (stack * (rank_matrix @ stack)).sum(axis=1) / 2
-        best = _category_means(matrix.scores, stack).argmin(axis=2)
-        own_is_best = np.take_along_axis(stack, best[..., None], axis=2)
-        return rank_sums.T, (stack * own_is_best).sum(axis=1).T
+        ranks = flat_ranks[inv[:, first] * n + inv[:, second]]
+        rank_sums = np.add.reduceat(ranks, starts, axis=1)
+        # position i of shuffle p carries the label of chunk block[p, i]
+        own = codes[block]
+        # "clip" never clips here, as the range is checked above; "raise" would buffer `out`
+        stack = np.take(onehot, block, axis=0, out=stack_buffer[: len(block)], mode="clip")
+        means = np.matmul(matrix.scores, stack, out=means_buffer[: len(block)])
+        # leave-one-out in the own category only: x / (s - 0.0) == x / s
+        # exactly, so these are the bits of dividing by sizes - stack
+        at_own = np.arange(own.size) * k + own.ravel()
+        own_means = means.reshape(-1)[at_own] / (sizes - 1)[own.ravel()]
+        means /= sizes
+        means.reshape(-1)[at_own] = own_means
+        hit = means.argmin(axis=2) == own
+        hits = np.bincount((rows * k + own)[hit], minlength=len(block) * k)
+        return rank_sums.T, hits.reshape(-1, k).T
 
-    observed_rank_sums, observed_hits = score(onehot[None])
-    rank_null = np.empty((len(categories), permutations))
-    hit_null = np.empty((len(categories), permutations))
+    observed_rank_sums, observed_hits = score(np.arange(n)[None])
+    rank_null = np.empty((k, permutations))
+    hit_null = np.empty((k, permutations))
     for start in range(0, permutations, _BLOCK):
         block = slice(start, start + _BLOCK)
-        # row i of a shuffled stack carries the label of chunk order[i]
-        rank_null[:, block], hit_null[:, block] = score(onehot[orders[block]])
+        rank_null[:, block], hit_null[:, block] = score(orders[block])
 
     rank_sum_p, rank_sum_null = {}, {}
     for c, observed, null in zip(categories, observed_rank_sums[:, 0].tolist(), rank_null):

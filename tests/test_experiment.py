@@ -78,7 +78,7 @@ class TestRunExperiment:
         out = tmp_path / "out" / "synthetic_two_category"
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         # the warnings live in report.json only
-        assert set(meta) == {"written_at", "timings", "sizes"}
+        assert set(meta) == {"written_at", "timings", "sizes", "eligibility"}
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation", "permutation_orders",
             "analysis:letter_unigram", "analysis:word_unigram", "report",
@@ -96,6 +96,41 @@ class TestRunExperiment:
             assert sizes["permutations"] == 300
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert "timings" not in report and "sizes" not in report
+
+    def test_run_meta_records_eligibility_decisions(self, configs_dir, tmp_path):
+        run_experiment(synthetic_config(configs_dir, tmp_path, permutations=50))
+        out = tmp_path / "out" / "synthetic_two_category"
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["eligibility"] == [
+            {"play_id": "synthia", "translator": "original", "speaker": speaker,
+             "chars": chars, "kept": True}
+            for speaker, chars in (("alfa", 3410), ("bravo", 3409))
+        ]
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert set(report) == {"experiment_id", "config", "modes", "warnings", "settings"}
+
+    def test_eligibility_records_excluded_speakers_and_skipped_plays(self):
+        def play(play_id, speakers):
+            turns = tuple(SpeechTurn(name, "x" * chars, i)
+                          for i, (name, chars) in enumerate(speakers))
+            return PlayScript(play_id, "x", "original", turns)
+
+        eligibility = []
+        prepare_chunks(
+            [play("p", [("ALFA", 300), ("CHARLIE", 199), ("BRAVO", 200)]),
+             play("q", [("DELTA", 50)])],
+            "character", 200, 2, 100, eligibility=eligibility,
+        )
+        assert eligibility == [
+            {"play_id": "p", "translator": "original", "speaker": "ALFA", "chars": 300,
+             "kept": True},
+            {"play_id": "p", "translator": "original", "speaker": "CHARLIE", "chars": 199,
+             "kept": False},
+            {"play_id": "p", "translator": "original", "speaker": "BRAVO", "chars": 200,
+             "kept": True},
+            {"play_id": "q", "translator": "original", "speaker": "DELTA", "chars": 50,
+             "kept": False},
+        ]
 
     def test_each_shuffle_drawn_once_per_run(self, configs_dir, tmp_path, monkeypatch):
         calls, draw_orders = [], experiment.draw_orders
@@ -323,6 +358,22 @@ class TestCompareTranslations:
             "token_total_max",
         }
         assert meta["warnings"] == ["synthia/beta: latin-1 fallback"]
+
+    def test_run_meta_records_eligibility_per_translator(self, configs_dir, tmp_path):
+        config = load_config(configs_dir / "synthetic_translations.json",
+                             output_dir=str(tmp_path / "out"))
+        rows = compare_translations(config)
+        out = tmp_path / "out" / "synthetic_translations"
+        meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["eligibility"] == [
+            {"play_id": "synthia", "translator": translator, "speaker": speaker,
+             "chars": chars, "kept": True}
+            for translator in ("alpha", "beta")
+            for speaker, chars in (("ola", 3408), ("kari", 3412))
+        ]
+        assert {(r["translator"], r["speaker"]) for r in rows} == {
+            (e["translator"], e["speaker"]) for e in meta["eligibility"]
+        }
 
     def test_cross_table_matches_golden(self, configs_dir, data_dir, tmp_path):
         rc = main([

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, rankdata
 
+from dramastyle import homogeneity
 from dramastyle import (
     DegenerateCategory,
     DissimilarityMatrix,
@@ -383,6 +385,24 @@ def random_instance(instance):
     return matrix, dict(zip(ids, label_list))
 
 
+def wide_instance(n, ncat, integer_scores):
+    """`ncat` categories of unequal sizes (at least 2 each) over n chunks;
+    integer scores in 0..9 or scores rounded to 2 decimals."""
+    rng = np.random.default_rng(n * 100 + ncat)
+    sizes = 2 + np.bincount(rng.integers(0, ncat, n - 2 * ncat), minlength=ncat)
+    assert len(set(sizes.tolist())) > 1
+    label_list = [f"k{c:02d}" for c, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(label_list)
+    ids = tuple(f"c{i:03d}" for i in range(n))
+    iu = np.triu_indices(n, 1)
+    scores = np.zeros((n, n))
+    if integer_scores:
+        scores[iu] = rng.integers(0, 10, len(iu[0]))
+    else:
+        scores[iu] = np.round(rng.random(len(iu[0])), 2)
+    return DissimilarityMatrix(ids, scores + scores.T), dict(zip(ids, label_list))
+
+
 class TestPermutationBaselines:
     @pytest.mark.parametrize("instance", range(60))
     def test_matches_per_permutation_loops_exactly(self, instance):
@@ -394,6 +414,28 @@ class TestPermutationBaselines:
         categories = sorted(set(labels.values()))
         assert list(engine.rank_sum_p) == list(engine.rank_sum_null) == categories
         for c in categories:
+            p, summary = _rank_sum_baseline_loop(matrix, labels, c, orders)
+            assert engine.rank_sum_p[c] == p
+            assert json.dumps(engine.rank_sum_null[c]) == json.dumps(summary)
+        attr_p, attr_summary = _attribution_baseline_loop(matrix, labels, orders)
+        assert json.dumps(engine.attribution_p) == json.dumps(attr_p)
+        assert json.dumps(engine.attribution_null) == json.dumps(attr_summary)
+
+    @pytest.mark.parametrize(
+        "n, ncat, integer_scores",
+        [(255, 40, True), (255, 3, False), (256, 40, False), (256, 17, True),
+         (300, 40, True), (300, 2, True)],
+    )
+    def test_matches_loops_across_dtypes_ties_and_many_categories(
+        self, n, ncat, integer_scores
+    ):
+        # n = 255 draws uint8 orders, 256 and 300 draw uint16; integer
+        # scores make most attribution means tie
+        matrix, labels = wide_instance(n, ncat, integer_scores)
+        orders = draw_orders(n, 65, seed=n + ncat)
+        assert orders.dtype == (np.uint8 if n < 256 else np.uint16)
+        engine = permutation_baselines(matrix, labels, orders)
+        for c in sorted(set(labels.values())):
             p, summary = _rank_sum_baseline_loop(matrix, labels, c, orders)
             assert engine.rank_sum_p[c] == p
             assert json.dumps(engine.rank_sum_null[c]) == json.dumps(summary)
@@ -430,6 +472,43 @@ class TestPermutationBaselines:
         orders = reshape(draw_orders(len(matrix.chunk_ids), 130, seed=5))
         with pytest.raises(PreconditionFailed, match="orders have shape"):
             permutation_baselines(matrix, labels, orders)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda o, n: o[100].__setitem__(3, o[100, 7]),
+            lambda o, n: o[100].__setitem__(0, n),
+            # -1 in place of n-1 would index the last chunk if not caught
+            lambda o, n: o[100].__setitem__(int(np.flatnonzero(o[100] == n - 1)[0]), -1),
+        ],
+        ids=["duplicated", "too_large", "negative"],
+    )
+    def test_rejects_orders_that_are_not_permutations(self, corrupt):
+        matrix, labels = random_instance(9)
+        n = len(matrix.chunk_ids)
+        orders = draw_orders(n, 130, seed=5).astype(np.int16)
+        corrupt(orders, n)
+        with pytest.raises(PreconditionFailed, match=rf"permutation of range\({n}\)"):
+            permutation_baselines(matrix, labels, orders)
+
+    def test_rejects_orders_that_are_not_integers(self):
+        orders = draw_orders(4, 10, seed=5).astype(float)
+        with pytest.raises(PreconditionFailed, match="orders must be integers"):
+            permutation_baselines(SEPARATED, LABELS4, orders)
+
+    def test_memory_is_bounded_per_block(self):
+        # beyond the (K, permutations) nulls, nothing grows with the permutations
+        matrix, labels = random_instance(10)
+        n, ncat = len(matrix.chunk_ids), len(set(labels.values()))
+        peaks = {}
+        for permutations in (640, 6400):
+            orders = draw_orders(n, permutations, seed=3)
+            tracemalloc.start()
+            permutation_baselines(matrix, labels, orders)
+            peaks[permutations] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        nulls = 2 * ncat * (6400 - 640) * 8
+        assert peaks[6400] - peaks[640] <= 1.2 * nulls, (peaks, nulls)
 
 
 def _splitmix64(seed):
@@ -480,6 +559,31 @@ class TestDrawOrders:
     def test_seed_out_of_range_is_rejected(self, seed):
         with pytest.raises(PreconditionFailed, match="seed must lie in"):
             draw_orders(4, 1, seed)
+
+    @pytest.mark.parametrize("words", [1, 80, 160, 320, 4000, 10**6])
+    def test_blocked_draw_matches_one_shot(self, monkeypatch, words):
+        # blocks of max(1, words // n) rows: 1, 1, 2, 4, 50 and all 123 rows
+        n, permutations, seed = 80, 123, 2**63 + 5
+        z = np.arange(1, permutations * n + 1, dtype=np.uint64)
+        z *= np.uint64(0x9E3779B97F4A7C15)
+        z += np.uint64(seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        one_shot = np.argsort(z.reshape(permutations, n), kind="stable")
+        monkeypatch.setattr(homogeneity, "_DRAW_WORDS", words)
+        orders = draw_orders(n, permutations, seed)
+        assert orders.dtype == np.uint8
+        assert np.array_equal(orders, one_shot)
+
+    def test_draw_peak_memory_is_a_small_multiple_of_the_result(self):
+        tracemalloc.start()
+        orders = draw_orders(80, 20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 3 * orders.nbytes, peak / orders.nbytes
 
     def test_zero_permutations_is_empty(self):
         orders = draw_orders(80, 0, seed=1)
