@@ -297,6 +297,20 @@ class TestRunExperiment:
         text = json.dumps(pinned, ensure_ascii=False, indent=2) + "\n"
         assert text == golden.read_text(encoding="utf-8")
 
+    def test_letter_ngram_matrix_matches_golden(self, data_dir, tmp_path):
+        play = tmp_path / "two.json"
+        assert main([
+            "parse", str(data_dir / "synthetic" / "two_category.txt"), "--play-id", "synthia",
+            "--language", "synthetic", "--out", str(play),
+        ]) == 0
+        matrix = tmp_path / "matrix.csv"
+        assert main([
+            "matrix", str(play), "--mode", "letter_ngram:3", "--min-size", "3000",
+            "--chunk-count", "5", "--chunk-size", "600", "--out", str(matrix),
+        ]) == 0
+        golden = data_dir / "golden" / "synthetic_two_category_matrix_letter_ngram3.csv"
+        assert matrix.read_bytes() == golden.read_bytes()
+
     def test_config_echo_reproduces_run(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path)
         run_experiment(config)
