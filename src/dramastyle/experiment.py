@@ -27,6 +27,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, NoEligibleCharacters, PipelineError, PreconditionFailed
 from .homogeneity import attribute_chunks, draw_orders, permutation_baselines
 from .ingest import (
@@ -45,8 +47,8 @@ from .segmentation import (
     select_eligible,
     write_manifest,
 )
-from .similarity import DissimilarityMatrix, pairwise_matrix, write_matrix_csv
-from .tokenization import TokenizationMode, tokenize
+from .similarity import DissimilarityMatrix, matrix_from_counts, write_matrix_csv
+from .tokenization import TokenizationMode, count_matrix
 
 DEFAULT_SIGNIFICANCE = 0.05
 # 100x the paper's 10,000; the orders array takes permutations x chunks
@@ -245,36 +247,43 @@ def _parse_rules(entry: CorpusEntry) -> ParseRules:
         ) from None
 
 
-def _ingest_corpus(config: ExperimentConfig) -> tuple[list[PlayScript], list[str]]:
+def _ingest_corpus(
+    config: ExperimentConfig,
+) -> tuple[list[PlayScript], list[str], list[str]]:
+    """Load and parse every corpus entry; return the plays, the warnings and
+    the `play_id/translator` of each file that was not read as UTF-8."""
     plays = []
     warnings = []
+    fallbacks = []
     for entry in config.corpus:
         doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
         if doc.encoding_note != "utf-8":
+            fallbacks.append(f"{entry.play_id}/{entry.translator}")
             warnings.append(f"{entry.play_id}/{entry.translator}: {doc.encoding_note}")
         rules = _parse_rules(entry)
         doc = strip_boilerplate(doc, rules)
         play = parse_play(doc, rules, entry.play_id, entry.language, entry.translator)
         warnings.extend(f"{entry.play_id}/{entry.translator}: {w}" for w in play.warnings)
         plays.append(play)
-    return plays, warnings
+    return plays, warnings, fallbacks
 
 
 def _chunk_corpus(
     config: ExperimentConfig, timings: dict[str, float]
-) -> tuple[list[Chunk], list[str], list[dict]]:
+) -> tuple[list[Chunk], list[str], dict[str, list]]:
     """Ingest the corpus and chunk it with `prepare_chunks`; return the
-    chunks, the encoding and parse warnings and the eligibility decisions."""
+    chunks, the encoding and parse warnings, and the run_meta.json records
+    `encoding_fallbacks` and `eligibility` (the eligibility decisions)."""
     # ingest in a frame of its own, so that its last document is freed before chunking
     with _stage("ingest", timings):
-        plays, warnings = _ingest_corpus(config)
+        plays, warnings, fallbacks = _ingest_corpus(config)
     aliases = {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
     eligibility: list[dict] = []
     chunks = prepare_chunks(
         plays, config.labeling, config.min_size, config.chunk_count,
         config.chunk_size, aliases, timings, eligibility,
     )
-    return chunks, warnings, eligibility
+    return chunks, warnings, {"encoding_fallbacks": fallbacks, "eligibility": eligibility}
 
 
 def prepare_chunks(
@@ -334,26 +343,32 @@ def prepare_chunks(
 
 
 def chunk_matrix(
-    chunks: Sequence[Chunk], mode: TokenizationMode
+    chunks: Sequence[Chunk],
+    mode: TokenizationMode,
+    token_totals: dict[str, int] | None = None,
 ) -> tuple[DissimilarityMatrix, dict]:
-    """Tokenize every chunk under `mode` and score all pairs.
+    """Count every chunk's tokens under `mode` and score all pairs.
 
-    Returns the matrix and its sizes: the chunks, pairs, union vocabulary,
-    the mean number of distinct tokens per chunk (which sets the matrix
-    cost) and the smallest and largest token total: the metric assumes
-    equal-size chunks, and token totals can differ between equal-size
-    chunks.
+    Returns the matrix, rows in chunk_id order, and its sizes: the chunks,
+    pairs, union vocabulary, the mean number of distinct tokens per chunk
+    (which sets the matrix cost) and the smallest and largest token total:
+    the metric assumes equal-size chunks, and token totals can differ
+    between equal-size chunks. Each chunk's token total goes into
+    `token_totals[chunk_id]`, when given.
     """
-    dists = [tokenize(c.text, mode, c.chunk_id) for c in chunks]
-    matrix = pairwise_matrix(dists)
-    n = len(dists)
+    ordered = sorted(chunks, key=lambda c: c.chunk_id)
+    counts, totals = count_matrix([c.text for c in ordered], mode)
+    matrix = matrix_from_counts([c.chunk_id for c in ordered], counts, totals)
+    if token_totals is not None:
+        token_totals.update(zip(matrix.chunk_ids, map(int, totals)))
+    n = len(ordered)
     return matrix, {
         "chunks": n,
         "pairs": n * (n - 1) // 2,
-        "vocabulary": len(set().union(*(d.counts for d in dists))),
-        "support_mean": sum(len(d.counts) for d in dists) / n,
-        "token_total_min": min(d.total for d in dists),
-        "token_total_max": max(d.total for d in dists),
+        "vocabulary": counts.shape[1],
+        "support_mean": np.count_nonzero(counts) / n,
+        "token_total_min": int(totals.min()),
+        "token_total_max": int(totals.max()),
     }
 
 
@@ -383,16 +398,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     timings: dict[str, float] = {}
     sizes: dict[str, dict] = {}
+    token_totals: dict[str, dict[str, int]] = {}
     matrices, sections = {}, {}
     with _output_dir(config) as out_dir:
-        chunks, warnings, eligibility = _chunk_corpus(config, timings)
+        chunks, warnings, records = _chunk_corpus(config, timings)
         labels = {c.chunk_id: c.category for c in chunks}
         with _stage("permutation_orders", timings):
             orders = draw_orders(len(chunks), config.permutations, config.seed)
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
             with _stage(f"analysis:{mode.name}", timings):
-                matrix, sizes[mode.name] = chunk_matrix(chunks, mode)
+                totals = token_totals[mode.name] = {}
+                matrix, sizes[mode.name] = chunk_matrix(chunks, mode, totals)
                 # the orders permute chunks by matrix position
                 assert matrix.chunk_ids == tuple(labels)
                 attribution = attribute_chunks(matrix, labels)
@@ -437,7 +454,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 },
             )
             (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        _write_run_meta(out_dir, timings, sizes, eligibility=eligibility)
+        _write_run_meta(out_dir, timings, sizes, **records, token_totals=token_totals)
     return report
 
 
@@ -461,14 +478,16 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
         raise PreconditionFailed("two translators of one play required")
     timings: dict[str, float] = {}
     sizes: dict[str, dict] = {}
+    token_totals: dict[str, dict[str, int]] = {}
     rows = []
     with _output_dir(config) as out_dir:
-        chunks, warnings, eligibility = _chunk_corpus(config, timings)
+        chunks, warnings, records = _chunk_corpus(config, timings)
         labels = {c.chunk_id: c.category for c in chunks}
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
             with _stage(f"cross:{mode.name}", timings):
-                matrix, sizes[mode.name] = chunk_matrix(chunks, mode)
+                totals = token_totals[mode.name] = {}
+                matrix, sizes[mode.name] = chunk_matrix(chunks, mode, totals)
                 # the attribution lists chunks by matrix position
                 assert matrix.chunk_ids == tuple(labels)
                 attribution = attribute_chunks(matrix, labels)
@@ -488,5 +507,6 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
                     score = format(row["nearest_foreign_score"], ".6f")
                     writer.writerow({**row, "nearest_foreign_score": score})
         # no report.json here, so the sidecar is the record of the warnings
-        _write_run_meta(out_dir, timings, sizes, warnings=warnings, eligibility=eligibility)
+        _write_run_meta(out_dir, timings, sizes, warnings=warnings, **records,
+                        token_totals=token_totals)
     return rows

@@ -6,13 +6,18 @@ union vocabulary (Kilgarriff 2001). Larger means more different;
 identical distributions score 0. Scores are homogeneous of degree 1 in
 the counts, which is why all chunks must have equal size.
 
-One vectorised kernel serves both the scalar and the matrix: the counts
-go into a dense float64 matrix with columns in code-point order, and each
-pair is scored over the tokens of one of its chunks, with the tokens only
-the other chunk has added in closed form. Scores match the term-by-term
-formula to 1e-12 relative and are symmetric to the last bit. A pair's
-score depends on the pair alone: the scalar and every matrix that holds
-the pair give the same bits.
+One vectorised kernel scores a dense float64 count matrix whose columns
+are in code-point order of the tokens: each pair is scored over the
+tokens of one of its chunks, with the tokens only the other chunk has
+added in closed form. Scores match the term-by-term formula to 1e-12
+relative and are symmetric to the last bit. A pair's score depends on
+the pair alone: the scalar and every matrix that holds the pair give the
+same bits.
+
+`matrix_from_counts` serves the pipeline, which counts straight into
+that matrix (`tokenization.count_matrix`). The public dict API,
+`pairwise_matrix` and `chi_square_dissimilarity`, takes
+`TokenDistribution`s and gets to the same kernel through `_dense`.
 """
 from __future__ import annotations
 
@@ -36,7 +41,8 @@ class DissimilarityMatrix:
 
 
 def _dense(dists: Sequence[TokenDistribution]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, V) counts over the union vocabulary in code-point order, and totals."""
+    """(n, V) counts over the union vocabulary in code-point order, and totals:
+    the dict API's way into the kernel."""
     for d in dists[1:]:
         if d.mode != dists[0].mode:
             raise ModeMismatch(f"{dists[0].mode.name} vs {d.mode.name}")
@@ -50,8 +56,8 @@ def _dense(dists: Sequence[TokenDistribution]) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.array([float(d.total) for d in dists])
 
 
-def _upper_scores(ordered: Sequence[TokenDistribution]) -> np.ndarray:
-    """(n, n) scores of every pair i < j of `ordered`, zero elsewhere.
+def _upper_scores(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """(n, n) scores of every pair i < j of the rows of `counts`, zero elsewhere.
 
     Pair (i, j) is scored over S, the tokens chunk i has. Per token, the
     two pooled-expectation terms add up to (a*nb - b*na)^2 / ((a+b)*na*nb),
@@ -66,9 +72,8 @@ def _upper_scores(ordered: Sequence[TokenDistribution]) -> np.ndarray:
     temporaries of this size would go back to the OS and be page-faulted
     in again on the next block.
     """
-    counts, totals = _dense(ordered)
     nonzero = np.count_nonzero(counts, axis=1)
-    n = len(ordered)
+    n = len(counts)
     scores = np.zeros((n, n))
     work = np.empty((3, max(_TILE, counts.shape[1])))
     for i in range(n - 1):
@@ -101,24 +106,34 @@ def chi_square_dissimilarity(da: TokenDistribution, db: TokenDistribution) -> fl
     the matrix entry of the pair.
     """
     ordered = sorted((da, db), key=lambda d: (d.chunk_id, sorted(d.counts.items())))
-    return float(_upper_scores(ordered)[0, 1])
+    return float(_upper_scores(*_dense(ordered))[0, 1])
+
+
+def matrix_from_counts(
+    chunk_ids: Sequence[str], counts: np.ndarray, totals: np.ndarray
+) -> DissimilarityMatrix:
+    """Symmetric matrix over all pairs of the rows of `counts`.
+
+    Row i of the (n, V) `counts` holds chunk `chunk_ids[i]`'s token counts
+    over a vocabulary in code-point order, and `totals[i]` their sum; the
+    ids must be unique and sorted. Each pair is scored once, above the
+    diagonal, and mirrored below it.
+    """
+    if len(chunk_ids) < 2:
+        raise PreconditionFailed("need at least 2 distributions")
+    if any(a >= b for a, b in zip(chunk_ids, chunk_ids[1:])):
+        raise PreconditionFailed("chunk_ids must be unique and sorted")
+    for cid, total in zip(chunk_ids, totals):
+        if total <= 0:
+            raise EmptyDistribution(f"chunk {cid}: no tokens")
+    scores = _upper_scores(counts, totals)
+    return DissimilarityMatrix(chunk_ids=tuple(chunk_ids), scores=scores + scores.T)
 
 
 def pairwise_matrix(dists: Sequence[TokenDistribution]) -> DissimilarityMatrix:
-    """Symmetric matrix over all chunk pairs, rows in sorted chunk_id order.
-
-    Each pair is scored once, above the diagonal, and mirrored below it.
-    """
-    if len(dists) < 2:
-        raise PreconditionFailed("need at least 2 distributions")
-    ids = [d.chunk_id for d in dists]
-    if len(set(ids)) != len(ids):
-        raise PreconditionFailed("chunk_ids must be unique")
+    """Symmetric matrix over all chunk pairs, rows in sorted chunk_id order."""
     ordered = sorted(dists, key=lambda d: d.chunk_id)
-    scores = _upper_scores(ordered)
-    return DissimilarityMatrix(
-        chunk_ids=tuple(d.chunk_id for d in ordered), scores=scores + scores.T
-    )
+    return matrix_from_counts([d.chunk_id for d in ordered], *_dense(ordered))
 
 
 def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:

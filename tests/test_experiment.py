@@ -22,6 +22,7 @@ from dramastyle.cli import main
 from dramastyle.errors import NoEligibleCharacters
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
 from dramastyle.ingest import PlayScript, SpeechTurn
+from dramastyle.tokenization import TokenizationMode, tokenize
 
 
 def synthetic_config(configs_dir, tmp_path, **overrides):
@@ -78,7 +79,9 @@ class TestRunExperiment:
         out = tmp_path / "out" / "synthetic_two_category"
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         # the warnings live in report.json only
-        assert set(meta) == {"written_at", "timings", "sizes", "eligibility"}
+        assert set(meta) == {
+            "written_at", "timings", "sizes", "encoding_fallbacks", "eligibility", "token_totals",
+        }
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation", "permutation_orders",
             "analysis:letter_unigram", "analysis:word_unigram", "report",
@@ -324,6 +327,54 @@ class TestRunExperiment:
         )
         run_experiment(rerun)
         assert (out / "report.json").read_bytes() == first
+
+
+class TestRunMetaRecords:
+    @pytest.mark.parametrize("command, config_name, labeling, fallback", [
+        (run_experiment, "synthetic_two_category", "character", "original"),
+        (compare_translations, "synthetic_translations", "character_by_translator", "beta"),
+    ], ids=["run", "compare_translations"])
+    def test_token_totals_and_encoding_fallbacks(self, configs_dir, tmp_path, command,
+                                                 config_name, labeling, fallback):
+        config = load_config(configs_dir / f"{config_name}.json", permutations=20,
+                             output_dir=str(tmp_path / "out"))
+        corpus = []
+        for e in config.corpus:
+            if e.translator == fallback:
+                latin1 = tmp_path / f"{e.play_id}_{e.translator}.txt"
+                text = Path(e.path).read_text(encoding="utf-8")
+                latin1.write_bytes(f"édition de 1901\n\n{text}".encode("latin-1"))
+                e = replace(e, path=str(latin1), latin1_fallback=True)
+            corpus.append(e)
+        config = replace(config, corpus=tuple(corpus))
+        command(config)
+        meta = json.loads(
+            (tmp_path / "out" / config_name / "run_meta.json").read_text(encoding="utf-8")
+        )
+        assert meta["encoding_fallbacks"] == [f"synthia/{fallback}"]
+        chunks = experiment._chunk_corpus(replace(config, labeling=labeling), {})[0]
+        modes = [TokenizationMode.parse(spec) for spec in config.modes]
+        assert meta["token_totals"] == {
+            mode.name: {c.chunk_id: tokenize(c.text, mode).total for c in chunks}
+            for mode in modes
+        }
+        for mode in modes:
+            totals = meta["token_totals"][mode.name].values()
+            assert meta["sizes"][mode.name]["token_total_min"] == min(totals)
+            assert meta["sizes"][mode.name]["token_total_max"] == max(totals)
+
+    @pytest.mark.parametrize("command, config_name", [
+        (run_experiment, "synthetic_two_category"),
+        (compare_translations, "synthetic_translations"),
+    ], ids=["run", "compare_translations"])
+    def test_utf8_corpus_has_no_encoding_fallbacks(self, configs_dir, tmp_path, command,
+                                                   config_name):
+        command(load_config(configs_dir / f"{config_name}.json", permutations=20,
+                            output_dir=str(tmp_path / "out")))
+        meta = json.loads(
+            (tmp_path / "out" / config_name / "run_meta.json").read_text(encoding="utf-8")
+        )
+        assert meta["encoding_fallbacks"] == []
 
 
 class TestCompareTranslations:

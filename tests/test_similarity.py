@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from dramastyle import (
     chi_square_dissimilarity,
     pairwise_matrix,
 )
-from dramastyle import similarity
+from dramastyle import experiment, load_config, similarity, tokenize
+from dramastyle.experiment import chunk_matrix
+from dramastyle.segmentation import Chunk
 from dramastyle.similarity import write_matrix_csv
 
 MODE = TokenizationMode("letter_unigram")
@@ -273,3 +276,52 @@ class TestPairwiseMatrix:
         assert lines[0] == "chunk_id,a,b"
         assert lines[1] == "a,0.000000,0.266667"
         assert lines[2] == "b,0.266667,0.000000"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUNDLED_CONFIGS = ["synthetic_two_category", "synthetic_translations"]
+ALL_MODES = [TokenizationMode("letter_unigram"), TokenizationMode("word_unigram")] + [
+    TokenizationMode(kind, n=n) for kind in ("letter_ngram", "word_ngram") for n in range(1, 6)
+]
+
+
+@pytest.fixture(scope="module", params=BUNDLED_CONFIGS)
+def bundled_chunks(request):
+    config = load_config(CONFIGS / f"{request.param}.json")
+    return experiment._chunk_corpus(config, {})[0]
+
+
+class TestChunkMatrix:
+    """The pipeline's count-matrix path scores what the dict API scores."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.name)
+    def test_matches_pairwise_matrix_of_tokenize(self, bundled_chunks, mode):
+        matrix, sizes = chunk_matrix(bundled_chunks, mode)
+        dists = [tokenize(c.text, mode, c.chunk_id) for c in bundled_chunks]
+        want = pairwise_matrix(dists)
+        assert matrix.chunk_ids == want.chunk_ids
+        assert np.array_equal(matrix.scores, want.scores)
+        assert sizes["vocabulary"] == len(set().union(*(d.counts for d in dists)))
+        assert sizes["support_mean"] == sum(len(d.counts) for d in dists) / len(dists)
+        assert sizes["token_total_min"] == min(d.total for d in dists)
+        assert sizes["token_total_max"] == max(d.total for d in dists)
+
+    def test_reaches_neither_the_dict_api_nor_np_unique(self, bundled_chunks, monkeypatch):
+        # the first np.unique call of a process pages in NumPy code, and over
+        # all grams its temporaries would set the peak memory
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached")
+
+        want = [chunk_matrix(bundled_chunks, mode)[0].scores for mode in ALL_MODES]
+        monkeypatch.setattr(similarity, "_dense", unreachable)
+        monkeypatch.setattr(np, "unique", unreachable)
+        for mode, scores in zip(ALL_MODES, want):
+            assert np.array_equal(chunk_matrix(bundled_chunks, mode)[0].scores, scores)
+
+    def test_chunk_without_tokens_names_it(self):
+        chunks = [
+            Chunk("a#00", "a", ("p", "original", "a"), "abc def", 7),
+            Chunk("b#00", "b", ("p", "original", "b"), "123 !!", 6),
+        ]
+        with pytest.raises(EmptyDistribution, match="chunk b#00"):
+            chunk_matrix(chunks, MODE)

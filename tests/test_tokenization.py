@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from dramastyle import EmptyDistribution, TokenizationMode, tokenize
-from dramastyle import tokenization
+from dramastyle import similarity, tokenization
 
 LETTERS = TokenizationMode("letter_unigram")
 WORDS = TokenizationMode("word_unigram")
@@ -154,3 +155,78 @@ class TestCountingMatchesLoop:
             counts = tokenize(text, mode).counts
             assert counts == expected
             assert list(counts) == list(expected)
+
+
+def _assert_matches_dense_of_tokenize(texts, mode):
+    """`count_matrix` against its reference: `tokenize` each text, then the dict
+    API's `_dense`."""
+    counts, totals = tokenization.count_matrix(texts, mode)
+    want_counts, want_totals = similarity._dense(
+        [tokenize(t, mode, f"c{i}") for i, t in enumerate(texts)]
+    )
+    assert counts.dtype == totals.dtype == np.float64
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(totals, want_totals)
+
+
+def _has_tokens(text, mode):
+    try:
+        tokenize(text, mode)
+    except EmptyDistribution:
+        return False
+    return True
+
+
+ALL_MODES = [
+    TokenizationMode(kind, n=n, case_folding=folding, drop_non_letters=drop)
+    for kind in tokenization.KINDS
+    for n in range(1, 6)
+    for folding in (True, False)
+    for drop in (True, False)
+]
+
+# casefold-expanding (ß, ﬁ, İ), non-BMP (𝔄), a lone surrogate, digits, both apostrophes
+EXOTIC = "aAbBåÅzßﬁİ𝔄\ud800" + "09" + "'’" + " .,!\n"
+exotic_texts = st.lists(st.sampled_from(EXOTIC), max_size=60).map("".join)
+
+
+class TestCountMatrix:
+    """`count_matrix` counts what `tokenize` counts, in `_dense`'s layout."""
+
+    @pytest.mark.parametrize(
+        "mode", ALL_MODES,
+        ids=lambda m: f"{m.kind}:{m.n}-fold{int(m.case_folding)}-drop{int(m.drop_non_letters)}",
+    )
+    def test_matches_dense_of_tokenize(self, mode):
+        rng = random.Random(f"{mode}")
+        texts = ["".join(rng.choice(EXOTIC) for _ in range(rng.randrange(40, 400)))
+                 for _ in range(6)]
+        texts = [t for t in texts if _has_tokens(t, mode)]
+        assert len(texts) >= 2
+        _assert_matches_dense_of_tokenize(texts, mode)
+
+    @given(st.lists(exotic_texts, min_size=1, max_size=5), st.sampled_from(ALL_MODES))
+    def test_matches_dense_of_tokenize_on_any_text(self, texts, mode):
+        texts = [t for t in texts if _has_tokens(t, mode)]
+        if texts:
+            _assert_matches_dense_of_tokenize(texts, mode)
+
+    def test_alphabet_beyond_int64_mixed_radix(self):
+        # 7,000 letters at n = 5: the mixed-radix codes of the 5-grams would pass 2**63
+        alphabet = [chr(0x4E00 + k) for k in range(7000)]
+        assert all(c.isalpha() for c in alphabet) and len(alphabet) ** 5 >= 2**63
+        rng = random.Random(5)
+        shuffled = rng.sample(alphabet, len(alphabet))
+        texts = ["".join(shuffled)]
+        texts += ("".join(rng.choices(alphabet[:40], k=1500)) for _ in range(3))
+        _assert_matches_dense_of_tokenize(texts, TokenizationMode("letter_ngram", n=5))
+
+    def test_case_folding_maps_each_character_on_its_own(self):
+        # the alphabet is built from the folded characters, not the folded texts
+        every = "".join(map(chr, range(0x110000)))
+        assert every.casefold() == "".join(c.casefold() for c in every)
+
+    def test_text_without_tokens_gives_zero_row(self):
+        counts, totals = tokenization.count_matrix(["Aab", "... 1 !!", "b"], LETTERS)
+        assert counts.tolist() == [[2.0, 1.0], [0.0, 0.0], [0.0, 1.0]]
+        assert totals.tolist() == [3.0, 0.0, 1.0]
