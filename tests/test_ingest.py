@@ -371,3 +371,24 @@ def test_regex_whitespace_is_str_isspace():
         if (ws.match(chr(cp)) is not None) != chr(cp).isspace()
     ]
     assert disagree == []
+
+
+def test_edge_case_fixture_matches_golden(data_dir, tmp_path, caplog):
+    """Boilerplate markers next to U+2028 and form-feed breaks, both heading
+    styles, nested and unmatched stage directions, a heading after a
+    form feed and capitalised continuation lines, parsed byte for byte."""
+    from dramastyle.cli import main
+
+    out = tmp_path / "edge_cases.json"
+    assert main([
+        "parse", str(data_dir / "ingest_edge_cases.txt"), "--play-id", "edge_cases",
+        "--language", "english", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (data_dir / "golden" / "ingest_edge_cases.json").read_bytes()
+    assert [r.getMessage() for r in caplog.records] == [
+        "ingest_edge_cases.txt: unmatched '[' kept verbatim near: '[Aside. She never listens.'",
+        "ingest_edge_cases.txt: unmatched ']' kept verbatim near: "
+        "'] to the water. Wait for me, Osvald.'",
+        "ingest_edge_cases.txt: unmatched '(' kept verbatim near: "
+        "'( in the garden. I set it under the ches'",
+    ]
