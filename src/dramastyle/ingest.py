@@ -14,7 +14,6 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 from .errors import CorpusError, NoTurnsFound, UnbalancedBoilerplateMarkers
@@ -26,7 +25,10 @@ log = logging.getLogger(__name__)
 _HONORIFICS = {"mr", "mrs", "ms", "dr", "st", "fru", "frk", "hr"}
 
 _WS_RE = re.compile(r"\s+")
-_TOKEN_RE = re.compile(r"\S+")
+
+# The characters at which `str.splitlines` ends a line; "\r\n" is one break.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_END_RE = re.compile("\r\n?|[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,9 @@ class ParseRules:
     `max_heading_words` (at least 1) words, each fully uppercase or
     starting with an uppercase letter, immediately followed by one of
     `delimiters`. Everything after the delimiter on that line is dialogue;
-    following non-heading lines continue the turn.
+    following non-heading lines continue the turn. The boilerplate markers
+    are non-empty strings without a line break, so that each lies within
+    one line.
     """
 
     delimiters: tuple[str, ...] = (".", ":")
@@ -78,6 +82,12 @@ class ParseRules:
             raise ValueError("bracket pairs must be distinct, non-overlapping strings")
         if type(self.max_heading_words) is not int or self.max_heading_words < 1:
             raise ValueError("max_heading_words must be an integer of at least 1")
+        for name in ("boilerplate_start", "boilerplate_end"):
+            marker = getattr(self, name)
+            if not isinstance(marker, str) or marker.splitlines() != [marker]:
+                raise ValueError(f"{name} must be a non-empty string without a line break")
+        if type(self.name_normalization) is not bool:
+            raise ValueError("name_normalization must be true or false")
 
 
 @dataclass(frozen=True)
@@ -123,31 +133,35 @@ def strip_boilerplate(doc: RawDocument, rules: ParseRules) -> RawDocument:
     """Cut Gutenberg-style license header/footer around the play body.
 
     Keeps the lines strictly between the first line containing the start
-    marker and the first subsequent line containing the end marker. With
-    no markers the document passes through unchanged; a lone marker means
-    a truncated e-text and is an error.
+    marker and the first subsequent line containing the end marker, line
+    breaks included. With no markers the document passes through
+    unchanged; a lone marker means a truncated e-text and is an error.
+
+    Lines end as under `str.splitlines`: at "\n", "\r", "\r\n", "\x0b",
+    "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028" and "\u2029". The
+    markers hold none of these (ParseRules), so `str.find` locates them and
+    the cut is moved out to the ends of their lines.
     """
-    lines = doc.text.splitlines(keepends=True)
-    start_idx = end_idx = None
-    for i, line in enumerate(lines):
-        if start_idx is None and rules.boilerplate_start in line:
-            start_idx = i
-        elif start_idx is not None and rules.boilerplate_end in line:
-            end_idx = i
-            break
-    if start_idx is None:
+    text = doc.text
+    start = text.find(rules.boilerplate_start)
+    if start < 0:
         # an end marker without a start marker is equally suspicious
-        if any(rules.boilerplate_end in line for line in lines):
+        if rules.boilerplate_end in text:
             raise UnbalancedBoilerplateMarkers(
                 f"{doc.source_id}: end marker without start marker"
             )
         return doc
-    if end_idx is None:
+    # the body opens with the line after the start marker's line ...
+    line_end = _LINE_END_RE.search(text, start + len(rules.boilerplate_start))
+    begin = line_end.end() if line_end else len(text)
+    end = text.find(rules.boilerplate_end, begin)
+    if end < 0:
         raise UnbalancedBoilerplateMarkers(
             f"{doc.source_id}: start marker without end marker"
         )
-    body = "".join(lines[start_idx + 1 : end_idx])
-    return RawDocument(doc.source_id, body, doc.encoding_note)
+    # ... and closes with the line before the end marker's line
+    end = max(begin, *(text.rfind(b, begin, end) + 1 for b in _LINE_BREAKS))
+    return RawDocument(doc.source_id, text[begin:end], doc.encoding_note)
 
 
 def normalize_speaker(name: str) -> str:
@@ -162,12 +176,11 @@ def normalize_speaker(name: str) -> str:
 
 def _is_upper_word(word: str) -> bool:
     stripped = word.rstrip(".:")
-    return bool(stripped) and stripped == stripped.upper() and any(c.isalpha() for c in stripped)
+    return stripped == stripped.upper() and any(map(str.isalpha, stripped))
 
 
 def _is_title_word(word: str) -> bool:
-    stripped = word.rstrip(".:")
-    return bool(stripped) and stripped[0].isupper()
+    return word.rstrip(".:")[:1].isupper()
 
 
 def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | None:
@@ -177,37 +190,40 @@ def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | Non
     ("MRS. ALVING. How nice" -> "MRS. ALVING"); title-case names stop at
     the first delimiter unless the word before it is an honorific
     abbreviation ("Mrs. Linde. Hello" -> "Mrs. Linde", but
-    "Nora. Yes." -> "Nora").
+    "Nora. Yes." -> "Nora"). Words are the runs that `str.split` gives, read
+    in one pass over the first `max_heading_words` of them.
     """
-    stripped = line.lstrip()
-    # Exact prefilter: a heading's first word is title-case, so its first
-    # character is upper-case.
-    if not stripped or not stripped[0].isupper():
-        return None
-    tokens = list(islice(_TOKEN_RE.finditer(stripped), rules.max_heading_words))
-    last_end: int | None = None
-    for i, m in enumerate(tokens):
-        word = m.group()
-        delim = next((d for d in rules.delimiters if word.endswith(d)), None)
-        core = word[: -len(delim)] if delim else word
+    words = line.split(None, rules.max_heading_words)
+    delimiters = rules.delimiters
+    size = 0  # words in the name
+    all_upper = True  # every word so far is upper-case
+    # after a delimiter: (all upper-case, honorific) up to it, else None
+    extend: tuple[bool, bool] | None = None
+    for k, word in enumerate(words[: rules.max_heading_words]):
+        all_upper = all_upper and _is_upper_word(word)
+        if extend is not None:
+            # the name continues past its delimiter only with a like word
+            upper_name, honorific = extend
+            if not ((upper_name and all_upper) or (honorific and _is_title_word(word))):
+                break
+            extend = None
+        if not word.endswith(delimiters):
+            if not _is_title_word(word):
+                break
+            continue
+        for delim in delimiters:
+            if word.endswith(delim):
+                break
+        core = word[: -len(delim)]
         if not core or not _is_title_word(core):
             break
-        if delim is None:
-            continue
-        last_end = m.end()
-        # the name may continue past this delimiter
-        all_upper = all(_is_upper_word(t.group()) for t in tokens[: i + 1])
-        honorific = core.lower() in _HONORIFICS
-        nxt = tokens[i + 1].group() if i + 1 < len(tokens) else None
-        may_extend = (
-            nxt is not None
-            and ((all_upper and _is_upper_word(nxt)) or (honorific and _is_title_word(nxt)))
-        )
-        if not may_extend:
-            break
-    if last_end is None:
+        size = k + 1
+        extend = all_upper, core.lower() in _HONORIFICS
+    if not size:
         return None
-    return stripped[:last_end], stripped[last_end:].lstrip()
+    # the rest keeps its own whitespace, the name its inner whitespace
+    rest = line.split(None, size)[size] if size < len(words) else ""
+    return line[: len(line) - len(rest)].strip(), rest
 
 
 @functools.lru_cache(maxsize=16)
@@ -228,6 +244,11 @@ def remove_stage_directions(text: str, rules: ParseRules) -> tuple[str, list[str
     Unmatched bracket characters are kept verbatim and reported as
     warnings, never silently dropped.
     """
+    for o, c in rules.stage_direction_brackets:
+        if o in text or c in text:
+            break
+    else:
+        return text, []
     patterns = _bracket_patterns(rules.stage_direction_brackets)
     changed = True
     while changed:
@@ -254,39 +275,32 @@ def parse_play(
 ) -> PlayScript:
     """Split a boilerplate-stripped script into speaker-attributed turns.
 
-    Lines before the first heading are discarded; non-heading lines
-    continue the current turn; bracketed stage directions are deleted and
-    whitespace collapsed per turn.
+    Lines are those of `str.splitlines` (see `strip_boilerplate`). Lines
+    before the first heading are discarded; non-heading lines continue the
+    current turn; a turn's lines are joined with "\n", its bracketed stage
+    directions deleted and its whitespace collapsed.
     """
+    lines = doc.text.splitlines()
+    # Exact prefilter: a heading's first word is title-case, so the matcher
+    # rejects every line whose first non-blank character is not upper-case.
+    headings = [
+        (i, heading) for i, line in enumerate(lines)
+        if line.lstrip()[:1].isupper() and (heading := match_speaker_heading(line, rules))
+    ]
+    if not headings:
+        raise NoTurnsFound(f"{doc.source_id}: no speaker heading matched")
     turns: list[SpeechTurn] = []
     warnings: list[str] = []
-    current_speaker: str | None = None
-    current_lines: list[str] = []
-
-    def flush():
-        nonlocal current_speaker, current_lines
-        if current_speaker is None:
-            current_lines = []
-            return
-        body, warns = remove_stage_directions("\n".join(current_lines), rules)
+    speakers: dict[str, str] = {}
+    ends = [i for i, _ in headings[1:]] + [len(lines)]
+    for (i, (name, rest)), end in zip(headings, ends):
+        body = "\n".join([rest, *lines[i + 1 : end]] if rest else lines[i + 1 : end])
+        body, warns = remove_stage_directions(body, rules)
         warnings.extend(warns)
-        body = " ".join(body.split())
-        speaker = normalize_speaker(current_speaker) if rules.name_normalization else current_speaker
-        turns.append(SpeechTurn(speaker=speaker, text=body, ordinal=len(turns)))
-        current_speaker, current_lines = None, []
-
-    for line in doc.text.splitlines():
-        heading = match_speaker_heading(line, rules)
-        if heading is not None:
-            flush()
-            current_speaker, rest = heading
-            current_lines = [rest] if rest else []
-        elif current_speaker is not None:
-            current_lines.append(line)
-    flush()
-
-    if not turns:
-        raise NoTurnsFound(f"{doc.source_id}: no speaker heading matched")
+        speaker = speakers.get(name)
+        if speaker is None:
+            speaker = speakers[name] = normalize_speaker(name) if rules.name_normalization else name
+        turns.append(SpeechTurn(speaker, " ".join(body.split()), len(turns)))
     for w in warnings:
         log.warning("%s: %s", doc.source_id, w)
     return PlayScript(

@@ -649,6 +649,27 @@ class TestCliExitCodes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        *((marker, value) for marker in ("boilerplate_start", "boilerplate_end")
+          for value in ("", 5, None, ["***"], "*** START\nOF", "*** END\r", "***\u2028",
+                        "\x1c***", "**\x85*")),
+        ("name_normalization", "yes"),
+        ("name_normalization", 1),
+        ("name_normalization", None),
+    ])
+    def test_bad_marker_or_name_normalization_is_2(self, tmp_path, capsys, key, value):
+        # the corpus file does not exist: only a check made before it is read exits 2
+        config = {
+            "experiment_id": "x",
+            "corpus": [{"path": str(tmp_path / "missing.txt"), "play_id": "p",
+                        "language": "en", "translator": "t", "parse_rules": {key: value}}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: p/t: parse_rules: {key} must be ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("compare", [[], ["--compare-translations"]],
                              ids=["run", "compare_translations"])
     @pytest.mark.parametrize("modes, aliases", [

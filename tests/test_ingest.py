@@ -13,6 +13,7 @@ from dramastyle import (
     parse_play,
     strip_boilerplate,
 )
+from dramastyle import ingest
 from dramastyle.ingest import (
     PlayScript,
     SpeechTurn,
@@ -392,3 +393,157 @@ def test_edge_case_fixture_matches_golden(data_dir, tmp_path, caplog):
         "ingest_edge_cases.txt: unmatched '(' kept verbatim near: "
         "'( in the garden. I set it under the ches'",
     ]
+
+
+# Reference boilerplate cut: the line scan over `splitlines(keepends=True)`
+# that `strip_boilerplate` replaced with `str.find`.
+def _ref_strip_boilerplate(doc: RawDocument, rules: ParseRules) -> RawDocument:
+    lines = doc.text.splitlines(keepends=True)
+    start_idx = end_idx = None
+    for i, line in enumerate(lines):
+        if start_idx is None and rules.boilerplate_start in line:
+            start_idx = i
+        elif start_idx is not None and rules.boilerplate_end in line:
+            end_idx = i
+            break
+    if start_idx is None:
+        if any(rules.boilerplate_end in line for line in lines):
+            raise UnbalancedBoilerplateMarkers(
+                f"{doc.source_id}: end marker without start marker"
+            )
+        return doc
+    if end_idx is None:
+        raise UnbalancedBoilerplateMarkers(
+            f"{doc.source_id}: start marker without end marker"
+        )
+    body = "".join(lines[start_idx + 1 : end_idx])
+    return RawDocument(doc.source_id, body, doc.encoding_note)
+
+
+# every line break of `str.splitlines`, "\r\n" included
+_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error, type and message, is the outcome
+        return type(exc), str(exc)
+
+
+def test_splitlines_breaks_are_the_listed_ones():
+    breaks = [chr(cp) for cp in range(0x110000) if len(f"a{chr(cp)}b".splitlines()) == 2]
+    assert breaks == sorted(b for b in _BREAKS if len(b) == 1)
+    assert "a\r\nb".splitlines() == ["a", "b"]
+    assert sorted(ingest._LINE_BREAKS) == breaks
+    assert [ingest._LINE_END_RE.fullmatch(b) is not None for b in _BREAKS] == [True] * 11
+    assert ingest._LINE_END_RE.match("\r\n").end() == 2
+
+
+class TestStripBoilerplateAgainstReference:
+    @pytest.mark.parametrize("rules", [
+        ParseRules(),
+        ParseRules(boilerplate_start="<<", boilerplate_end="<<"),
+        ParseRules(boilerplate_start="BEGIN", boilerplate_end="END"),
+    ], ids=["gutenberg", "same_marker", "nested_words"])
+    def test_matches_reference_on_seeded_texts(self, rules):
+        rng = random.Random(f"boilerplate:{rules!r}")
+        start, end = rules.boilerplate_start, rules.boilerplate_end
+        pieces = [
+            "plain words", "NORA. Hello.", "", " ", "x", "START", "END OF",
+            f"{start} X ***", f"*** {end} X", f"{end}{start}", f"{start}{end}",
+            f"{start} and {end}", f"{end} and {start}", "\t", "\xa0",
+        ]
+        outcomes = set()
+        for n in range(3000):
+            lines = [rng.choice(pieces) for _ in range(rng.randint(1, 9))]
+            if n % 5 == 0:  # markers on the first and on the last line
+                lines[0] += f" {start}"
+                lines[-1] += f" {end}"
+            text = lines[0]
+            for line in lines[1:]:
+                text += rng.choice(_BREAKS) + line
+            if rng.random() < 0.5:
+                text += rng.choice(_BREAKS)
+            if not text:
+                continue
+            d = RawDocument("seeded", text)
+            got = _outcome(strip_boilerplate, d, rules)
+            expected = _outcome(_ref_strip_boilerplate, d, rules)
+            if isinstance(expected, RawDocument):
+                assert isinstance(got, RawDocument), repr(text)
+                got, expected = got.text, expected.text
+                outcomes.add("cut" if got != text else "unchanged")
+            else:
+                outcomes.add(expected[1].split(": ", 1)[1])
+            assert got == expected, repr(text)
+        expected_outcomes = {
+            "cut", "unchanged", "empty document",
+            "start marker without end marker", "end marker without start marker",
+        }
+        if start == end:  # an end marker is then a start marker too
+            expected_outcomes.remove("end marker without start marker")
+        assert outcomes == expected_outcomes
+
+    @pytest.mark.parametrize("brk", _BREAKS, ids=repr)
+    @pytest.mark.parametrize("text", [
+        "*** START OF X{b}BODY{b}*** END OF X",  # markers on the first and last line
+        "*** START OF X{b}BODY{b}*** END OF X{b}",
+        "*** START OF X *** END OF X{b}BODY{b}*** END OF X{b}tail",  # end on start's line
+        "*** END OF X{b}*** START OF X{b}BODY{b}*** END OF X",  # end before start
+        "head{b}*** START OF X{b}{b}{b}*** END OF X",  # empty lines only
+        "head{b}*** START OF X{b}BODY",  # lone start marker
+        "head{b}*** END OF X{b}BODY",  # lone end marker
+        "head{b}*** START OF X",  # start marker on the last line
+        "head{b}*** START OF X *** END OF X",  # both on one line
+    ])
+    def test_matches_reference_at_each_break(self, brk, text):
+        d = RawDocument("fixed", text.format(b=brk))
+        got = _outcome(strip_boilerplate, d, RULES)
+        expected = _outcome(_ref_strip_boilerplate, d, RULES)
+        if isinstance(expected, RawDocument):
+            got, expected = got.text, expected.text
+        assert got == expected
+
+
+@pytest.mark.parametrize("rules", [
+    ParseRules(),
+    ParseRules(max_heading_words=2, name_normalization=False),
+    ParseRules(delimiters=("--", ":"), stage_direction_brackets=(("<<", ">>"), ("{", "}"))),
+], ids=repr)
+@pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1d", "\x1e", "\u2029"], ids=repr)
+def test_parse_play_matches_reference_at_each_line_break(rules, brk):
+    rng = random.Random(f"breaks:{rules!r}:{brk!r}")
+    (open_, close), (open2, close2) = rules.stage_direction_brackets
+    delim = rules.delimiters[0]
+    plain = ["yes", "and", "the", "street", "was", "mine", "so", "it", "ends", "\xa0", "--"]
+    lines = ["a title page line", "and a cast list"]
+    kinds = set()
+    for _ in range(300):
+        kind = rng.choice(["plain", "unmatched", "nested", "empty_rest", "seeded"])
+        kinds.add(kind)
+        name = rng.choice(["NORA", "MRS. ALVING", "Osvald", "Mrs. Linde"])
+        words = [rng.choice(plain) for _ in range(rng.randint(1, 6))]
+        if kind == "unmatched":
+            words.insert(rng.randrange(len(words) + 1), rng.choice([open_, close, open2, close2]))
+        elif kind == "nested":
+            words.insert(0, f"{open_}aside {open2}deep{close2} more{close}")
+        rest = "" if kind == "empty_rest" else " ".join(words)
+        lines.append(f"{name}{delim} {rest}".rstrip())
+        for _ in range(rng.randint(0, 3)):
+            if kind == "seeded":
+                lines.append(_seeded_line(rng, rules.delimiters))
+            else:
+                lines.append(" ".join(rng.choice(plain) for _ in range(rng.randint(0, 8))))
+            if kind != "plain" and rng.random() < 0.3:
+                lines[-1] += f" {rng.choice([open_, close])}"
+    text = brk.join(lines) + brk
+    play = parse_play(doc(text), rules, "p", "en")
+    turns, warnings = _ref_parse_turns(text, rules)
+    expected = PlayScript("p", "en", "original", tuple(turns))
+    assert play_to_json(play) == play_to_json(expected)
+    assert list(play.warnings) == warnings
+    assert kinds == {"plain", "unmatched", "nested", "empty_rest", "seeded"}
+    assert warnings and any(t.text == "" for t in turns)
+    assert any(not any(b in t.text for pair in rules.stage_direction_brackets for b in pair)
+               for t in turns)
