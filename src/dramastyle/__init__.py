@@ -7,7 +7,6 @@ from .errors import (
     DramastyleError,
     EmptyDistribution,
     InsufficientText,
-    ModeMismatch,
     NoEligibleCharacters,
     NoTurnsFound,
     PipelineError,
@@ -28,12 +27,8 @@ from .ingest import (
     strip_boilerplate,
 )
 from .segmentation import CategoryLabeling, Chunk, build_chunks, chunk_text, select_eligible
-from .tokenization import TokenDistribution, TokenizationMode, tokenize
-from .similarity import (
-    DissimilarityMatrix,
-    chi_square_dissimilarity,
-    pairwise_matrix,
-)
+from .tokenization import TokenizationMode, count_matrix
+from .similarity import DissimilarityMatrix, matrix_from_counts
 from .homogeneity import (
     PermutationBaselines,
     attribute_chunks,

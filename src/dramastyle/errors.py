@@ -37,10 +37,6 @@ class EmptyDistribution(StatisticsError):
     """Tokenization produced no tokens for a chunk."""
 
 
-class ModeMismatch(StatisticsError):
-    """Two token distributions come from different tokenization modes."""
-
-
 class DegenerateCategory(StatisticsError):
     """A category has fewer than 2 chunks; no within-category pair exists."""
 

@@ -11,13 +11,11 @@ are in code-point order of the tokens: each pair is scored over the
 tokens of one of its chunks, with the tokens only the other chunk has
 added in closed form. Scores match the term-by-term formula to 1e-12
 relative and are symmetric to the last bit. A pair's score depends on
-the pair alone: the scalar and every matrix that holds the pair give the
-same bits.
+the pair alone: a 2-row `matrix_from_counts` call gives the same bits as
+the pair's entry in any call that holds both rows.
 
-`matrix_from_counts` serves the pipeline, which counts straight into
-that matrix (`tokenization.count_matrix`). The public dict API,
-`pairwise_matrix` and `chi_square_dissimilarity`, takes
-`TokenDistribution`s and gets to the same kernel through `_dense`.
+`matrix_from_counts` is the one entry; `tokenization.count_matrix`
+counts straight into the matrix it scores.
 """
 from __future__ import annotations
 
@@ -28,8 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDistribution, ModeMismatch, PreconditionFailed
-from .tokenization import TokenDistribution
+from .errors import EmptyDistribution, PreconditionFailed
 
 _TILE = 1 << 14  # count elements per block of rows scored at once; bounds memory
 
@@ -38,22 +35,6 @@ _TILE = 1 << 14  # count elements per block of rows scored at once; bounds memor
 class DissimilarityMatrix:
     chunk_ids: tuple[str, ...]
     scores: np.ndarray  # symmetric, zero diagonal
-
-
-def _dense(dists: Sequence[TokenDistribution]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, V) counts over the union vocabulary in code-point order, and totals:
-    the dict API's way into the kernel."""
-    for d in dists[1:]:
-        if d.mode != dists[0].mode:
-            raise ModeMismatch(f"{dists[0].mode.name} vs {d.mode.name}")
-    if any(d.total <= 0 for d in dists):
-        raise EmptyDistribution("all distributions must be non-empty")
-    vocab = sorted(set().union(*(d.counts for d in dists)))
-    column = {t: k for k, t in enumerate(vocab)}
-    counts = np.zeros((len(dists), len(vocab)))
-    for row, d in zip(counts, dists):
-        row[[column[t] for t in d.counts]] = list(d.counts.values())
-    return counts, np.array([float(d.total) for d in dists])
 
 
 def _upper_scores(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -98,17 +79,6 @@ def _upper_scores(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return scores
 
 
-def chi_square_dissimilarity(da: TokenDistribution, db: TokenDistribution) -> float:
-    """Average pooled-expectation chi-square over the union vocabulary.
-
-    The pair is oriented as `pairwise_matrix` orients it, by chunk_id and
-    then by counts, so swapping the arguments gives the same bits and
-    the matrix entry of the pair.
-    """
-    ordered = sorted((da, db), key=lambda d: (d.chunk_id, sorted(d.counts.items())))
-    return float(_upper_scores(*_dense(ordered))[0, 1])
-
-
 def matrix_from_counts(
     chunk_ids: Sequence[str], counts: np.ndarray, totals: np.ndarray
 ) -> DissimilarityMatrix:
@@ -119,6 +89,11 @@ def matrix_from_counts(
     ids must be unique and sorted. Each pair is scored once, above the
     diagonal, and mirrored below it.
     """
+    if not len(chunk_ids) == counts.shape[0] == len(totals):
+        raise PreconditionFailed(
+            f"{len(chunk_ids)} chunk_ids, {counts.shape[0]} count rows and "
+            f"{len(totals)} totals: need one of each per chunk"
+        )
     if len(chunk_ids) < 2:
         raise PreconditionFailed("need at least 2 distributions")
     if any(a >= b for a, b in zip(chunk_ids, chunk_ids[1:])):
@@ -128,12 +103,6 @@ def matrix_from_counts(
             raise EmptyDistribution(f"chunk {cid}: no tokens")
     scores = _upper_scores(counts, totals)
     return DissimilarityMatrix(chunk_ids=tuple(chunk_ids), scores=scores + scores.T)
-
-
-def pairwise_matrix(dists: Sequence[TokenDistribution]) -> DissimilarityMatrix:
-    """Symmetric matrix over all chunk pairs, rows in sorted chunk_id order."""
-    ordered = sorted(dists, key=lambda d: d.chunk_id)
-    return matrix_from_counts([d.chunk_id for d in ordered], *_dense(ordered))
 
 
 def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:

@@ -1,21 +1,17 @@
-"""Chunk text to token counts under configurable modes.
+"""Chunk text to token counts under a tokenization mode.
 
-Two entries count the same tokens. `count_matrix` serves the pipeline:
-it counts many texts at once, with NumPy, straight into the float64
-count matrix that the chi-square kernel scores. `tokenize` serves the
-public dict API: one text to a `TokenDistribution`, whose counts keep
-the tokens in order of first occurrence.
+`count_matrix` counts many texts at once, with NumPy, straight into the
+float64 count matrix that the chi-square kernel scores. Text is
+case-folded; letter modes count letters only, word modes maximal
+alphanumeric runs.
 """
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import EmptyDistribution
 
 KINDS = ("letter_unigram", "word_unigram", "letter_ngram", "word_ngram")
 
@@ -27,8 +23,6 @@ _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
 class TokenizationMode:
     kind: str
     n: int = 1
-    case_folding: bool = True
-    drop_non_letters: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -47,57 +41,14 @@ class TokenizationMode:
         return self.kind if "unigram" in self.kind else f"{self.kind}{self.n}"
 
 
-@dataclass(frozen=True)
-class TokenDistribution:
-    chunk_id: str
-    mode: TokenizationMode
-    counts: dict[str, int]
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total must equal the sum of counts")
-        if any(v < 1 for v in self.counts.values()):
-            raise ValueError("zero or negative counts must not be stored")
+def _word_stream(text: str) -> list[str]:
+    return _WORD_RE.findall(text.casefold())
 
 
-def _letter_stream(text: str, mode: TokenizationMode) -> list[str]:
-    if mode.case_folding:
-        text = text.casefold()
-    if mode.drop_non_letters:
-        return [c for c in text if c.isalpha()]
-    return list(text)
-
-
-def _word_stream(text: str, mode: TokenizationMode) -> list[str]:
-    if mode.case_folding:
-        text = text.casefold()
-    return _WORD_RE.findall(text)
-
-
-def _grams(stream: list[str], n: int, joiner: str) -> Iterable[str]:
-    """The sliding n-grams of `stream`, each window joined by `joiner`, in order."""
+def _grams(stream: list[str], n: int) -> Iterable[str]:
+    """The sliding n-grams of `stream`, each window joined by a space, in order."""
     # zip of the n shifted streams yields each sliding window once, in order
-    return stream if n == 1 else map(joiner.join, zip(*(stream[k:] for k in range(n))))
-
-
-def tokenize(text: str, mode: TokenizationMode, chunk_id: str = "") -> TokenDistribution:
-    """Count tokens in `text` under `mode`; deterministic.
-
-    Letter modes count Unicode alphabetic scalars (or sliding n-grams of
-    them); word modes count maximal alphanumeric runs (or sliding word
-    n-grams joined with a space).
-    """
-    n = 1 if "unigram" in mode.kind else mode.n
-    if mode.kind in ("letter_unigram", "letter_ngram"):
-        grams = _grams(_letter_stream(text, mode), n, "")
-    else:
-        grams = _grams(_word_stream(text, mode), n, " ")
-    counts = dict(Counter(grams))
-    total = sum(counts.values())
-    if total == 0:
-        raise EmptyDistribution(f"chunk {chunk_id or '<anonymous>'}: no tokens under {mode.name}")
-    return TokenDistribution(chunk_id=chunk_id, mode=mode, counts=counts, total=total)
+    return stream if n == 1 else map(" ".join, zip(*(stream[k:] for k in range(n))))
 
 
 def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
@@ -115,7 +66,7 @@ def _union(distinct: Sequence[np.ndarray]) -> np.ndarray:
     return values[_first_of_runs(values)]
 
 
-def _letter_codes(texts: Sequence[str], mode: TokenizationMode, n: int) -> list[np.ndarray]:
+def _letter_codes(texts: Sequence[str], n: int) -> list[np.ndarray]:
     """Each text's letter n-grams as integer codes that sort as the n-grams do.
 
     A letter's digit is its place in the sorted alphabet of the texts; an
@@ -124,13 +75,10 @@ def _letter_codes(texts: Sequence[str], mode: TokenizationMode, n: int) -> list[
     could pass 2**63, the codes are replaced by their ranks among the codes
     of all the texts, which keeps their order.
     """
-    chars = set().union(*texts)
-    if mode.case_folding:
-        # case folding maps each character on its own, so the folded texts
-        # have the folded characters; each text is folded when its turn comes
-        chars = set().union(*(c.casefold() for c in chars))
-    chars = sorted(chars)
-    kept = np.array([c.isalpha() or not mode.drop_non_letters for c in chars], bool)
+    # case folding maps each character on its own, so the folded texts have
+    # the folded characters; each text is folded when its turn comes
+    chars = sorted(set().union(*(c.casefold() for c in set().union(*texts))))
+    kept = np.array([c.isalpha() for c in chars], bool)
     points = np.array([ord(c) for c in chars], np.uint32)
     size = int(np.count_nonzero(kept))
     # the smallest unsigned type that holds the digits; a dropped character's
@@ -138,11 +86,9 @@ def _letter_codes(texts: Sequence[str], mode: TokenizationMode, n: int) -> list[
     digit = (np.cumsum(kept) - 1).astype(np.min_scalar_type(size))
     digits = []
     for text in texts:
-        if mode.case_folding:
-            text = text.casefold()
-        # surrogatepass: a lone surrogate is a character to `tokenize` too
-        at = np.searchsorted(points, np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                                                   np.uint32))
+        # surrogatepass: a lone surrogate encodes, and is dropped as a non-letter
+        at = np.searchsorted(points, np.frombuffer(
+            text.casefold().encode("utf-32-le", "surrogatepass"), np.uint32))
         digits.append(digit[at[kept[at]]])
     if n == 1:
         return digits
@@ -160,11 +106,11 @@ def _letter_codes(texts: Sequence[str], mode: TokenizationMode, n: int) -> list[
     return codes
 
 
-def _word_codes(texts: Sequence[str], mode: TokenizationMode, n: int) -> list[np.ndarray]:
+def _word_codes(texts: Sequence[str], n: int) -> list[np.ndarray]:
     """Each text's word n-grams as int64 codes: their ranks in the sorted vocabulary."""
     ids: dict[str, int] = {}
     grams = [
-        [ids.setdefault(g, len(ids)) for g in _grams(_word_stream(text, mode), n, " ")]
+        [ids.setdefault(g, len(ids)) for g in _grams(_word_stream(text), n)]
         for text in texts
     ]
     rank = np.empty(len(ids), np.int64)
@@ -175,15 +121,18 @@ def _word_codes(texts: Sequence[str], mode: TokenizationMode, n: int) -> list[np
 def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> tuple[np.ndarray, np.ndarray]:
     """(n, V) float64 token counts of `texts` under `mode`, and the (n,) totals.
 
-    Row i holds the counts `tokenize(texts[i], mode)` gives, over the
-    union vocabulary of the texts in code-point order of the tokens. A
-    text without tokens gives a zero row and total.
+    Row i holds the count of each token of the case-folded `texts[i]`:
+    letters or their sliding n-grams under a letter mode, words (maximal
+    alphanumeric runs, apostrophes inside kept) or their sliding n-grams
+    joined by a space under a word mode. Columns are the union vocabulary
+    of the texts in code-point order of the tokens. A text without tokens
+    gives a zero row and total.
     """
     n = 1 if "unigram" in mode.kind else mode.n
     if mode.kind in ("letter_unigram", "letter_ngram"):
-        codes = _letter_codes(texts, mode, n)
+        codes = _letter_codes(texts, n)
     else:
-        codes = _word_codes(texts, mode, n)
+        codes = _word_codes(texts, n)
     totals = np.array([float(len(c)) for c in codes])
     distinct, runs = [], []
     while codes:  # each text's codes are freed once counted

@@ -14,11 +14,8 @@ import pytest
 from dramastyle import (
     DissimilarityMatrix,
     InsufficientText,
-    TokenDistribution,
-    TokenizationMode,
-    chi_square_dissimilarity,
     chunk_text,
-    pairwise_matrix,
+    matrix_from_counts,
     rank_pairs,
     attribute_chunks,
     draw_orders,
@@ -26,13 +23,14 @@ from dramastyle import (
 )
 from dramastyle.cli import main
 from dramastyle.experiment import load_config, run_experiment
+from reference_counts import _rows
 
 REPO = Path(__file__).resolve().parent.parent
-MODE = TokenizationMode("letter_unigram")
 
 
-def dist(chunk_id, counts):
-    return TokenDistribution(chunk_id, MODE, counts, sum(counts.values()))
+def score(ca, cb):
+    """The score of one pair of token -> count maps: a 2-row matrix."""
+    return float(matrix_from_counts(["a", "b"], *_rows([ca, cb])).scores[0, 1])
 
 
 def oracle_chi_square(counts_a, counts_b):
@@ -61,7 +59,7 @@ def test_metric_oracle_equivalence():
     start = time.perf_counter()
     for _ in range(200):
         ca, cb = random_counts(rng), random_counts(rng)
-        got = chi_square_dissimilarity(dist("a", ca), dist("b", cb))
+        got = score(ca, cb)
         want = oracle_chi_square(ca, cb)
         assert abs(got - want) <= 1e-12 * max(abs(want), 1e-30)
     elapsed = time.perf_counter() - start
@@ -70,12 +68,11 @@ def test_metric_oracle_equivalence():
 
 
 def test_hand_computed_values():
-    got = chi_square_dissimilarity(dist("a", {"a": 2, "b": 2}), dist("b", {"a": 1, "b": 3}))
+    got = score({"a": 2, "b": 2}, {"a": 1, "b": 3})
     assert abs(got - 4 / 15) <= 1e-12
-    got = chi_square_dissimilarity(dist("a", {"a": 2}), dist("b", {"b": 2}))
+    got = score({"a": 2}, {"b": 2})
     assert abs(got - 2.0) <= 1e-12
-    same = dist("a", {"x": 3, "y": 9})
-    assert chi_square_dissimilarity(same, dist("b", {"x": 3, "y": 9})) == 0.0
+    assert score({"x": 3, "y": 9}, {"x": 3, "y": 9}) == 0.0
     print("\nPASS hand-computed metric values")
 
 
@@ -83,12 +80,9 @@ def test_count_scaling_law():
     rng = np.random.default_rng(777)
     for _ in range(50):
         ca, cb = random_counts(rng), random_counts(rng)
-        base = chi_square_dissimilarity(dist("a", ca), dist("b", cb))
+        base = score(ca, cb)
         for k in (2, 3, 10):
-            scaled = chi_square_dissimilarity(
-                dist("a", {t: k * v for t, v in ca.items()}),
-                dist("b", {t: k * v for t, v in cb.items()}),
-            )
+            scaled = score({t: k * v for t, v in ca.items()}, {t: k * v for t, v in cb.items()})
             assert abs(scaled - k * base) <= 1e-9 * max(abs(k * base), 1e-30)
     print("\nPASS count scaling law (50 pairs, k in {2,3,10})")
 
@@ -137,12 +131,11 @@ def test_null_calibration():
     orders = draw_orders(10, 499, seed=7)
     low = 0
     for _ in range(200):
-        dists = []
+        maps = []
         for i in range(10):
             draws = rng.multinomial(400, probs)
-            counts = {t: int(c) for t, c in zip(tokens, draws) if c > 0}
-            dists.append(dist(f"c{i}", counts))
-        matrix = pairwise_matrix(dists)
+            maps.append({t: int(c) for t, c in zip(tokens, draws) if c > 0})
+        matrix = matrix_from_counts([f"c{i}" for i in range(10)], *_rows(maps))
         labels = {f"c{i}": ("a" if i < 5 else "b") for i in range(10)}
         p = permutation_baselines(matrix, labels, orders).rank_sum_p["a"]
         low += p < 0.05
@@ -158,15 +151,14 @@ def test_separation_power():
     rng = np.random.default_rng(5)
     tokens_a = list("abcdefgh")
     tokens_b = list("ijklmnop")
-    dists = []
-    for i in range(5):
-        draws = rng.multinomial(1500, np.full(8, 1 / 8))
-        dists.append(dist(f"a#{i}", {t: int(c) for t, c in zip(tokens_a, draws) if c}))
-    for i in range(5):
-        draws = rng.multinomial(1500, np.full(8, 1 / 8))
-        dists.append(dist(f"b#{i}", {t: int(c) for t, c in zip(tokens_b, draws) if c}))
-    matrix = pairwise_matrix(dists)
-    labels = {d.chunk_id: d.chunk_id[0] for d in dists}
+    ids, maps = [], []
+    for cat, tokens in (("a", tokens_a), ("b", tokens_b)):
+        for i in range(5):
+            draws = rng.multinomial(1500, np.full(8, 1 / 8))
+            ids.append(f"{cat}#{i}")
+            maps.append({t: int(c) for t, c in zip(tokens, draws) if c})
+    matrix = matrix_from_counts(ids, *_rows(maps))
+    labels = {cid: cid[0] for cid in ids}
     attribution = attribute_chunks(matrix, labels)
     assert attribution.hits == {"a": 5, "b": 5}
     baselines = permutation_baselines(matrix, labels, draw_orders(10, 40000, seed=42))

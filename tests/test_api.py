@@ -1,0 +1,55 @@
+import types
+
+import dramastyle
+
+# the public Python API: a change to it shows here as a diff
+PUBLIC_NAMES = [
+    "CategoryLabeling",
+    "Chunk",
+    "ConfigError",
+    "CorpusError",
+    "DegenerateCategory",
+    "DissimilarityMatrix",
+    "DramastyleError",
+    "EmptyDistribution",
+    "ExperimentConfig",
+    "InsufficientText",
+    "NoEligibleCharacters",
+    "NoTurnsFound",
+    "ParseRules",
+    "PermutationBaselines",
+    "PipelineError",
+    "PlayScript",
+    "PreconditionFailed",
+    "RawDocument",
+    "SpeechTurn",
+    "StatisticsError",
+    "TokenizationMode",
+    "UnbalancedBoilerplateMarkers",
+    "attribute_chunks",
+    "build_chunks",
+    "chunk_text",
+    "compare_translations",
+    "count_matrix",
+    "draw_orders",
+    "extract_character_text",
+    "load_config",
+    "load_document",
+    "matrix_from_counts",
+    "parse_play",
+    "permutation_baselines",
+    "play_from_json",
+    "play_to_json",
+    "rank_pairs",
+    "run_experiment",
+    "select_eligible",
+    "strip_boilerplate",
+]
+
+
+def test_public_names_are_pinned():
+    public = sorted(
+        name for name in dir(dramastyle)
+        if not name.startswith("_") and not isinstance(getattr(dramastyle, name), types.ModuleType)
+    )
+    assert public == PUBLIC_NAMES

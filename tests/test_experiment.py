@@ -22,7 +22,8 @@ from dramastyle.cli import main
 from dramastyle.errors import NoEligibleCharacters
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
 from dramastyle.ingest import PlayScript, SpeechTurn
-from dramastyle.tokenization import TokenizationMode, tokenize
+from dramastyle.tokenization import TokenizationMode
+from reference_counts import _ref_tokenize
 
 
 def synthetic_config(configs_dir, tmp_path, **overrides):
@@ -355,7 +356,7 @@ class TestRunMetaRecords:
         chunks = experiment._chunk_corpus(replace(config, labeling=labeling), {})[0]
         modes = [TokenizationMode.parse(spec) for spec in config.modes]
         assert meta["token_totals"] == {
-            mode.name: {c.chunk_id: tokenize(c.text, mode).total for c in chunks}
+            mode.name: {c.chunk_id: sum(_ref_tokenize(c.text, mode).values()) for c in chunks}
             for mode in modes
         }
         for mode in modes:

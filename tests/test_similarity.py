@@ -7,22 +7,28 @@ from hypothesis import given, strategies as st
 
 from dramastyle import (
     EmptyDistribution,
-    ModeMismatch,
-    TokenDistribution,
+    PreconditionFailed,
     TokenizationMode,
-    chi_square_dissimilarity,
-    pairwise_matrix,
+    matrix_from_counts,
 )
-from dramastyle import experiment, load_config, similarity, tokenize
+from dramastyle import experiment, load_config, similarity
 from dramastyle.experiment import chunk_matrix
 from dramastyle.segmentation import Chunk
 from dramastyle.similarity import write_matrix_csv
+from reference_counts import _ref_tokenize, _rows
 
 MODE = TokenizationMode("letter_unigram")
 
 
-def dist(chunk_id, counts):
-    return TokenDistribution(chunk_id, MODE, counts, sum(counts.values()))
+def matrix(maps, ids=None):
+    """`matrix_from_counts` of the token -> count maps, ids c00, c01, ... by default."""
+    ids = [f"c{i:02d}" for i in range(len(maps))] if ids is None else ids
+    return matrix_from_counts(ids, *_rows(maps))
+
+
+def score(ca, cb):
+    """The score of one pair: a 2-row `matrix_from_counts` call."""
+    return float(matrix([ca, cb]).scores[0, 1])
 
 
 def oracle_chi_square(counts_a, counts_b):
@@ -49,53 +55,43 @@ count_maps = st.dictionaries(
 
 class TestChiSquare:
     def test_identical_is_zero(self):
-        d = dist("a", {"x": 3, "y": 7})
-        assert chi_square_dissimilarity(d, dist("b", {"x": 3, "y": 7})) == 0.0
+        assert score({"x": 3, "y": 7}, {"x": 3, "y": 7}) == 0.0
 
     def test_hand_value(self):
-        got = chi_square_dissimilarity(dist("a", {"a": 2, "b": 2}), dist("b", {"a": 1, "b": 3}))
+        got = score({"a": 2, "b": 2}, {"a": 1, "b": 3})
         assert got == pytest.approx(4 / 15, rel=1e-12)
 
     def test_disjoint_vocabulary(self):
-        got = chi_square_dissimilarity(dist("a", {"a": 2}), dist("b", {"b": 2}))
+        got = score({"a": 2}, {"b": 2})
         assert got == pytest.approx(2.0, rel=1e-12)
 
-    def test_mode_mismatch(self):
-        other = TokenDistribution("b", TokenizationMode("word_unigram"), {"a": 1}, 1)
-        with pytest.raises(ModeMismatch):
-            chi_square_dissimilarity(dist("a", {"a": 1}), other)
+    def test_empty_rejected_naming_the_chunk(self):
+        with pytest.raises(EmptyDistribution, match="chunk c01"):
+            matrix([{"a": 1}, {}])
 
-    def test_empty_rejected(self):
-        bad = TokenDistribution("b", MODE, {}, 0)
-        with pytest.raises(EmptyDistribution):
-            chi_square_dissimilarity(dist("a", {"a": 1}), bad)
-
-    # with equal ids the pair is oriented by its counts
-    @pytest.mark.parametrize("ids", [("a", "b"), ("same", "same")],
-                             ids=["distinct_ids", "equal_ids"])
+    # either row first: the matrix mirrors the one score of the pair
+    @pytest.mark.parametrize("swap", [False, True], ids=["as_given", "swapped"])
     @given(count_maps, count_maps)
-    def test_symmetry_to_the_last_bit(self, ids, ca, cb):
-        a, b = dist(ids[0], ca), dist(ids[1], cb)
-        assert chi_square_dissimilarity(a, b) == chi_square_dissimilarity(b, a)
+    def test_symmetry_to_the_last_bit(self, swap, ca, cb):
+        m = matrix([cb, ca] if swap else [ca, cb]).scores
+        assert m[0, 1] == m[1, 0]
+        assert np.array_equal(m, m.T)
 
     @given(count_maps, count_maps)
     def test_matches_oracle(self, ca, cb):
-        got = chi_square_dissimilarity(dist("a", ca), dist("b", cb))
+        got = score(ca, cb)
         want = oracle_chi_square(ca, cb)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     @given(count_maps, count_maps, st.integers(min_value=2, max_value=10))
     def test_count_scaling_law(self, ca, cb, k):
-        base = chi_square_dissimilarity(dist("a", ca), dist("b", cb))
-        scaled = chi_square_dissimilarity(
-            dist("a", {t: k * v for t, v in ca.items()}),
-            dist("b", {t: k * v for t, v in cb.items()}),
-        )
+        base = score(ca, cb)
+        scaled = score({t: k * v for t, v in ca.items()}, {t: k * v for t, v in cb.items()})
         assert scaled == pytest.approx(k * base, rel=1e-9, abs=1e-12)
 
     @given(count_maps, count_maps)
     def test_non_negative_and_finite(self, ca, cb):
-        got = chi_square_dissimilarity(dist("a", ca), dist("b", cb))
+        got = score(ca, cb)
         assert got >= 0.0
         assert math.isfinite(got)
 
@@ -103,23 +99,20 @@ class TestChiSquare:
 @pytest.fixture(scope="module")
 def matrix_scale_oracle():
     """40 seeded chunks over 600 tokens (shared, disjoint and single-token
-    supports) and the oracle's matrix for them."""
+    supports) as token -> count maps, and the oracle's matrix for them."""
     rng = np.random.default_rng(2001)
     tokens = [f"t{k:03d}" for k in range(600)]
     supports = [np.flatnonzero(rng.random(500) < 0.4) for _ in range(24)]  # shared
     supports += [np.arange(500 + 10 * g, 510 + 10 * g) for g in range(10)]  # disjoint
     supports += [np.array([k]) for k in (3, 3, 7, 505, 599, 42)]  # single token
-    dists = [
-        dist(f"c{i:02d}", {tokens[k]: int(rng.integers(1, 20)) for k in support})
-        for i, support in enumerate(supports)
-    ]
-    n = len(dists)
+    maps = [{tokens[k]: int(rng.integers(1, 20)) for k in support} for support in supports]
+    n = len(maps)
     want = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                want[i, j] = oracle_chi_square(dists[i].counts, dists[j].counts)
-    return dists, want
+                want[i, j] = oracle_chi_square(maps[i], maps[j])
+    return maps, want
 
 
 class TestWorkBuffer:
@@ -140,11 +133,11 @@ class TestWorkBuffer:
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -1e300, 7.5e305])
     @pytest.mark.parametrize("tile", [similarity._TILE, 256])
     def test_buffer_contents_do_not_matter(self, matrix_scale_oracle, monkeypatch, fill, tile):
-        dists, _ = matrix_scale_oracle
+        maps, _ = matrix_scale_oracle
         monkeypatch.setattr(similarity, "_TILE", tile)
-        want = pairwise_matrix(dists).scores
+        want = matrix(maps).scores
         monkeypatch.setattr(similarity, "np", self._FilledEmpty(fill))
-        assert np.array_equal(pairwise_matrix(dists).scores, want)
+        assert np.array_equal(matrix(maps).scores, want)
 
 
 SHARED_TOKENS = [f"t{k:02d}" for k in range(30)]
@@ -168,52 +161,47 @@ def chunk_sets(draw):
             maps.append(draw(st.dictionaries(
                 st.sampled_from(SHARED_TOKENS), counts, min_size=1, max_size=20,
             )))
-    return [dist(f"c{i}", m) for i, m in enumerate(maps)]
+    return maps
 
 
 class TestKernel:
-    """One kernel, scored over each pair's own tokens, for scalar and matrix."""
+    """One kernel, scored over each pair's own tokens, whatever else the call holds."""
 
     @given(chunk_sets())
-    def test_matrix_matches_oracle(self, dists):
-        m = pairwise_matrix(dists)
-        n = len(dists)
+    def test_matrix_matches_oracle(self, maps):
+        m = matrix(maps)
+        n = len(maps)
         want = np.array([
-            [oracle_chi_square(dists[i].counts, dists[j].counts) if i != j else 0.0
-             for j in range(n)]
+            [oracle_chi_square(maps[i], maps[j]) if i != j else 0.0 for j in range(n)]
             for i in range(n)
         ])
         np.testing.assert_allclose(m.scores, want, rtol=1e-12, atol=0)
         assert np.array_equal(m.scores, m.scores.T)
         assert not m.scores.diagonal().any()
 
-    def test_two_chunk_call_gives_full_matrix_bits(self, matrix_scale_oracle):
-        dists, _ = matrix_scale_oracle
-        full = pairwise_matrix(dists).scores
-        for i in range(len(dists)):
-            for j in range(i + 1, len(dists)):
-                pair = pairwise_matrix([dists[j], dists[i]]).scores
-                assert pair[0, 1] == full[i, j]
-
-    def test_matrix_equals_scalar_for_every_pair(self, matrix_scale_oracle):
-        dists, _ = matrix_scale_oracle
-        full = pairwise_matrix(dists).scores
-        for i, da in enumerate(dists):
-            for j, db in enumerate(dists):
-                if i != j:
-                    assert chi_square_dissimilarity(da, db) == full[i, j]
+    def test_two_row_call_gives_full_matrix_bits(self, matrix_scale_oracle):
+        # the pair's rows over its own vocabulary, and over the full one
+        maps, _ = matrix_scale_oracle
+        ids = [f"c{i:02d}" for i in range(len(maps))]
+        counts, totals = _rows(maps)
+        full = matrix_from_counts(ids, counts, totals).scores
+        for i in range(len(maps)):
+            for j in range(i + 1, len(maps)):
+                own = matrix([maps[i], maps[j]], [ids[i], ids[j]]).scores
+                rows = matrix_from_counts([ids[i], ids[j]], counts[[i, j]], totals[[i, j]]).scores
+                assert own[0, 1] == rows[0, 1] == full[i, j]
 
 
-class TestPairwiseMatrix:
+class TestMatrixFromCounts:
     # with 1 << 16 a row's 39 later chunks fit in one tile (a row has at most
     # 600 tokens); the smaller tiles split them over several, and 1 gives one
     # row per tile
     @pytest.mark.parametrize("tile", [1 << 16, similarity._TILE, 4096, 256, 1])
     def test_matrix_scale_matches_oracle(self, matrix_scale_oracle, monkeypatch, tile):
-        dists, want = matrix_scale_oracle
+        maps, want = matrix_scale_oracle
         monkeypatch.setattr(similarity, "_TILE", tile)
-        m = pairwise_matrix(dists)
-        assert m.chunk_ids == tuple(d.chunk_id for d in dists)
+        m = matrix(maps)
+        assert m.chunk_ids == tuple(f"c{i:02d}" for i in range(len(maps)))
         np.testing.assert_allclose(m.scores, want, rtol=1e-12, atol=0)
         assert np.array_equal(m.scores, m.scores.T)
         assert not m.scores.diagonal().any()
@@ -223,53 +211,49 @@ class TestPairwiseMatrix:
     # partial; 64, taller than any row's later rows
     @pytest.mark.parametrize("height", [1, 7, 64])
     def test_tile_height_does_not_change_bits(self, matrix_scale_oracle, monkeypatch, height):
-        dists, want = matrix_scale_oracle
-        unpatched = pairwise_matrix(dists).scores
-        vocab = len(set().union(*(d.counts for d in dists)))
+        maps, want = matrix_scale_oracle
+        unpatched = matrix(maps).scores
+        vocab = len(set().union(*maps))
         monkeypatch.setattr(similarity, "_TILE", height * vocab)
-        m = pairwise_matrix(dists)
+        m = matrix(maps)
         assert np.array_equal(m.scores, unpatched)
         np.testing.assert_allclose(m.scores, want, rtol=1e-12, atol=0)
 
     def test_identical_pair_gives_zero_matrix(self):
-        m = pairwise_matrix([dist("a", {"x": 2}), dist("b", {"x": 2})])
+        m = matrix([{"x": 2}, {"x": 2}])
         assert m.scores.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_structure_three_chunks(self):
-        m = pairwise_matrix([dist("c", {"x": 1}), dist("a", {"y": 1}), dist("b", {"z": 1})])
+        m = matrix([{"y": 1}, {"z": 1}, {"x": 1}], ["a", "b", "c"])
         assert m.chunk_ids == ("a", "b", "c")
         assert np.array_equal(m.scores, m.scores.T)
         assert np.all(np.diag(m.scores) == 0.0)
 
-    def test_entries_match_scalar_operation(self):
-        da = dist("a", {"a": 2, "b": 2})
-        db = dist("b", {"a": 1, "b": 3})
-        dc = dist("c", {"a": 2})
-        m = pairwise_matrix([da, db, dc])
-        assert m.scores[0, 1] == chi_square_dissimilarity(da, db)
-        assert m.scores[0, 2] == chi_square_dissimilarity(da, dc)
-        assert m.scores[1, 2] == chi_square_dissimilarity(db, dc)
+    def test_entries_match_two_row_calls(self):
+        ca, cb, cc = {"a": 2, "b": 2}, {"a": 1, "b": 3}, {"a": 2}
+        m = matrix([ca, cb, cc])
+        assert m.scores[0, 1] == score(ca, cb)
+        assert m.scores[0, 2] == score(ca, cc)
+        assert m.scores[1, 2] == score(cb, cc)
 
-    def test_input_order_does_not_change_bits(self):
-        rng = np.random.default_rng(7)
-        dists = [
-            dist(f"c{i:02d}", {t: int(rng.integers(1, 30)) for t in "abcdefgh"})
-            for i in range(12)
-        ]
-        shuffled = [dists[i] for i in rng.permutation(len(dists))]
-        m1 = pairwise_matrix(dists)
-        m2 = pairwise_matrix(shuffled)
-        assert m1.chunk_ids == m2.chunk_ids
-        assert np.array_equal(m1.scores, m2.scores)
+    def test_unsorted_ids_rejected(self):
+        with pytest.raises(PreconditionFailed, match="unique and sorted"):
+            matrix([{"x": 1}, {"y": 1}], ["b", "a"])
 
     def test_duplicate_ids_rejected(self):
-        from dramastyle import PreconditionFailed
+        with pytest.raises(PreconditionFailed, match="unique and sorted"):
+            matrix([{"x": 1}, {"y": 1}], ["a", "a"])
 
-        with pytest.raises(PreconditionFailed):
-            pairwise_matrix([dist("a", {"x": 1}), dist("a", {"y": 1})])
+    # one id, count row or total more or fewer than the others
+    @pytest.mark.parametrize("ids, rows, totals", [(3, 2, 2), (2, 3, 3), (2, 2, 3), (3, 3, 2)],
+                             ids=["more_ids", "more_rows", "more_totals", "fewer_totals"])
+    def test_mismatched_lengths_rejected(self, ids, rows, totals):
+        counts, sums = _rows([{"x": 1}, {"y": 2}, {"x": 1, "z": 3}])
+        with pytest.raises(PreconditionFailed, match="one of each per chunk"):
+            matrix_from_counts(["a", "b", "c"][:ids], counts[:rows], sums[:totals])
 
     def test_csv_format(self, tmp_path):
-        m = pairwise_matrix([dist("a", {"a": 2, "b": 2}), dist("b", {"a": 1, "b": 3})])
+        m = matrix([{"a": 2, "b": 2}, {"a": 1, "b": 3}], ["a", "b"])
         path = tmp_path / "m.csv"
         write_matrix_csv(m, path)
         lines = path.read_text().splitlines()
@@ -292,28 +276,28 @@ def bundled_chunks(request):
 
 
 class TestChunkMatrix:
-    """The pipeline's count-matrix path scores what the dict API scores."""
+    """The pipeline's path scores what the reference counts score."""
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.name)
-    def test_matches_pairwise_matrix_of_tokenize(self, bundled_chunks, mode):
-        matrix, sizes = chunk_matrix(bundled_chunks, mode)
-        dists = [tokenize(c.text, mode, c.chunk_id) for c in bundled_chunks]
-        want = pairwise_matrix(dists)
-        assert matrix.chunk_ids == want.chunk_ids
-        assert np.array_equal(matrix.scores, want.scores)
-        assert sizes["vocabulary"] == len(set().union(*(d.counts for d in dists)))
-        assert sizes["support_mean"] == sum(len(d.counts) for d in dists) / len(dists)
-        assert sizes["token_total_min"] == min(d.total for d in dists)
-        assert sizes["token_total_max"] == max(d.total for d in dists)
+    def test_matches_matrix_of_reference_counts(self, bundled_chunks, mode):
+        got, sizes = chunk_matrix(bundled_chunks, mode)
+        ordered = sorted(bundled_chunks, key=lambda c: c.chunk_id)
+        maps = [_ref_tokenize(c.text, mode) for c in ordered]
+        want = matrix(maps, [c.chunk_id for c in ordered])
+        assert got.chunk_ids == want.chunk_ids
+        assert np.array_equal(got.scores, want.scores)
+        assert sizes["vocabulary"] == len(set().union(*maps))
+        assert sizes["support_mean"] == sum(map(len, maps)) / len(maps)
+        assert sizes["token_total_min"] == min(sum(m.values()) for m in maps)
+        assert sizes["token_total_max"] == max(sum(m.values()) for m in maps)
 
-    def test_reaches_neither_the_dict_api_nor_np_unique(self, bundled_chunks, monkeypatch):
+    def test_does_not_reach_np_unique(self, bundled_chunks, monkeypatch):
         # the first np.unique call of a process pages in NumPy code, and over
         # all grams its temporaries would set the peak memory
         def unreachable(*args, **kwargs):
             raise AssertionError("reached")
 
         want = [chunk_matrix(bundled_chunks, mode)[0].scores for mode in ALL_MODES]
-        monkeypatch.setattr(similarity, "_dense", unreachable)
         monkeypatch.setattr(np, "unique", unreachable)
         for mode, scores in zip(ALL_MODES, want):
             assert np.array_equal(chunk_matrix(bundled_chunks, mode)[0].scores, scores)
