@@ -291,6 +291,16 @@ class TestChunkMatrix:
         assert sizes["token_total_min"] == min(sum(m.values()) for m in maps)
         assert sizes["token_total_max"] == max(sum(m.values()) for m in maps)
 
+    def test_input_order_does_not_change_bits(self, bundled_chunks):
+        order = np.random.default_rng(7).permutation(len(bundled_chunks))
+        shuffled = [bundled_chunks[i] for i in order]
+        assert shuffled != sorted(bundled_chunks, key=lambda c: c.chunk_id)
+        for mode in (MODE, TokenizationMode("word_ngram", n=2)):
+            m1, _ = chunk_matrix(bundled_chunks, mode)
+            m2, _ = chunk_matrix(shuffled, mode)
+            assert m1.chunk_ids == m2.chunk_ids
+            assert np.array_equal(m1.scores, m2.scores)
+
     def test_does_not_reach_np_unique(self, bundled_chunks, monkeypatch):
         # the first np.unique call of a process pages in NumPy code, and over
         # all grams its temporaries would set the peak memory

@@ -130,14 +130,28 @@ ALL_MODES = [TokenizationMode(kind, n=n) for kind in tokenization.KINDS for n in
 EXOTIC = "aAbBåÅzßﬁİ𝔄\ud800" + "09" + "'’" + " .,!\n"
 exotic_texts = st.lists(st.sampled_from(EXOTIC), max_size=60).map("".join)
 
+# the alphabets the random texts are drawn from: exotic characters; the letters
+# of the corpus languages with their punctuation; letters sparse among digits
+# and punctuation, so that letter streams are short and most words are digit
+# runs; two letters, so that few distinct grams repeat many times
+ALPHABETS = {
+    "exotic": EXOTIC,
+    "corpus": "abcdefghijklmnopqrstuvwxyzæøåäöüéABCDEFGHIJKLMNOPQRSTUVWXYZÆØÅÄÖÜÉ"
+    + "     .,;:!?-'’\n",
+    "sparse": "aBå" + " .,;:!?-\n0123456789",
+    "binary": "aB  ",
+}
+
 
 class TestCountMatrix:
     """`count_matrix` counts what `_ref_tokenize` counts, in `_rows`'s layout."""
 
+    @pytest.mark.parametrize("alphabet", ALPHABETS)
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: f"{m.kind}:{m.n}")
-    def test_matches_reference(self, mode):
-        rng = random.Random(f"{mode}")
-        texts = ["".join(rng.choice(EXOTIC) for _ in range(rng.randrange(40, 400)))
+    def test_matches_reference(self, mode, alphabet):
+        rng = random.Random(f"{mode}-{alphabet}")
+        chars = ALPHABETS[alphabet]
+        texts = ["".join(rng.choice(chars) for _ in range(rng.randrange(40, 400)))
                  for _ in range(6)]
         assert sum(bool(_ref_tokenize(t, mode)) for t in texts) >= 2
         _assert_matches_reference(texts, mode)
