@@ -26,7 +26,7 @@ from .ingest import (
     play_to_json,
     strip_boilerplate,
 )
-from .segmentation import CategoryLabeling, Chunk, build_chunks, chunk_text, select_eligible
+from .segmentation import Chunk, build_chunks, chunk_text
 from .tokenization import TokenizationMode, count_matrix
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .homogeneity import (

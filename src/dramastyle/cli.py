@@ -22,7 +22,7 @@ from .experiment import (
     check_chunking, chunk_matrix, compare_translations, load_config, prepare_chunks, run_experiment,
 )
 from .ingest import ParseRules, load_document, parse_play, play_from_json, play_to_json, strip_boilerplate
-from .segmentation import CategoryLabeling
+from .segmentation import labeler
 from .similarity import write_matrix_csv
 from .tokenization import TokenizationMode
 
@@ -60,7 +60,7 @@ def _cmd_matrix(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # fail before any file is read
-    CategoryLabeling.for_mode(args.labeling)
+    labeler(args.labeling)
     check_chunking(args.min_size, args.chunk_count, args.chunk_size)
     plays = []
     for path in args.files:

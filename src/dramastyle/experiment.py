@@ -2,17 +2,20 @@
 
 A config JSON names the corpus files, the labeling mode, one or more
 tokenization modes, the chunking budget, and the permutation settings.
-`run_experiment` executes ingest -> extract -> select -> chunk ->
-tokenize -> matrix -> statistics and writes a manifest CSV, one matrix
-CSV per mode, and a report JSON; `compare_translations` writes each
-chunk's nearest foreign category instead. Each is one straight sequence
-of timed stages: `_chunk_corpus` (ingest, then `prepare_chunks`), the
-command's own loop over the modes (`chunk_matrix`, then its statistic),
-the report stage, and `_write_run_meta`. `prepare_chunks` and
-`chunk_matrix` are the front half that every command shares. Everything
-is deterministic given the config and corpus bytes; the wall-clock
-timestamp lives in a sidecar file so the hashed outputs stay
-reproducible.
+`run_experiment` executes ingest -> extract -> select -> chunk and
+label -> tokenize -> matrix -> statistics and writes a manifest CSV, one
+matrix CSV per mode, and a report JSON; `compare_translations` writes
+each chunk's nearest foreign category instead. Each is one straight
+sequence of timed stages: `_chunk_corpus` (ingest, then
+`prepare_chunks`), the command's own loop over the modes
+(`chunk_matrix`, then its statistic), the report stage, and
+`_write_run_meta`. `prepare_chunks` keeps each speaker with at least
+`min_size` characters of dialogue, records each decision in
+run_meta.json only, and has `segmentation.build_chunks` cut and label
+the kept texts; it and `chunk_matrix` are the front half that every
+command shares. Everything is deterministic given the config and
+corpus bytes; the wall-clock timestamp lives in a sidecar file so the
+hashed outputs stay reproducible.
 """
 from __future__ import annotations
 
@@ -39,14 +42,7 @@ from .ingest import (
     parse_play,
     strip_boilerplate,
 )
-from .segmentation import (
-    CategoryLabeling,
-    Chunk,
-    build_chunks,
-    check_labeling,
-    select_eligible,
-    write_manifest,
-)
+from .segmentation import Chunk, build_chunks, labeler, write_manifest
 from .similarity import DissimilarityMatrix, matrix_from_counts, write_matrix_csv
 from .tokenization import TokenizationMode, count_matrix
 
@@ -110,7 +106,7 @@ class ExperimentConfig:
         integers = ("permutations", "min_size", "chunk_count", "chunk_size", "seed")
         _check_types(self, integers, (int,), "an integer")
         _check_types(self, ("significance",), (int, float), "a number")
-        _check_types(self, ("experiment_id", "output_dir"), (str,), "a string")
+        _check_types(self, ("experiment_id", "output_dir", "labeling"), (str,), "a string")
         _check_types(self, ("modes",), (list, tuple), "a list")
         if not self.corpus:
             raise ConfigError("corpus must be non-empty")
@@ -145,7 +141,7 @@ class ExperimentConfig:
             if name in names:
                 raise ConfigError(f"modes {names[name]!r} and {m!r} are both {name}")
             names[name] = m
-        CategoryLabeling.for_mode(self.labeling)
+        labeler(self.labeling)
         for e in self.corpus:
             _parse_rules(e)
             aliases = e.speaker_aliases
@@ -296,7 +292,7 @@ def prepare_chunks(
     timings: dict[str, float] | None = None,
     eligibility: list[dict] | None = None,
 ) -> list[Chunk]:
-    """Extract -> select -> chunk -> check: the front half of every command.
+    """Extract -> select -> chunk and label: the front half of every command.
 
     Each speaker's dialogue is gathered per (play_id, translator), with
     `aliases[(play_id, translator)]` mapping speaker names onto canonical
@@ -319,27 +315,20 @@ def prepare_chunks(
     with _stage("segmentation", timings):
         eligible: dict[tuple[str, str, str], str] = {}
         for (play_id, translator), texts in sorted(by_play.items()):
-            try:
-                kept = select_eligible(texts, min_size)
-            except NoEligibleCharacters:
-                kept = {}  # other plays may still qualify; checked globally below
             for speaker, text in texts.items():
-                if speaker in kept:
+                kept = len(text) >= min_size
+                if kept:
                     eligible[(play_id, translator, speaker)] = text
                 if eligibility is not None:
                     eligibility.append({
                         "play_id": play_id, "translator": translator, "speaker": speaker,
-                        "chars": len(text), "kept": speaker in kept,
+                        "chars": len(text), "kept": kept,
                     })
         if not eligible:
             raise NoEligibleCharacters(
                 f"no character in any play reaches {min_size} characters"
             )
-        chunks = build_chunks(
-            eligible, CategoryLabeling.for_mode(labeling), chunk_count, chunk_size
-        )
-        check_labeling(chunks)
-    return chunks
+        return build_chunks(eligible, labeling, chunk_count, chunk_size)
 
 
 def chunk_matrix(
@@ -357,8 +346,9 @@ def chunk_matrix(
     `token_totals[chunk_id]`, when given.
     """
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
-    counts, totals = count_matrix([c.text for c in ordered], mode)
-    matrix = matrix_from_counts([c.chunk_id for c in ordered], counts, totals)
+    counts = count_matrix([c.text for c in ordered], mode)
+    matrix = matrix_from_counts([c.chunk_id for c in ordered], counts)
+    totals = counts.sum(axis=1)
     if token_totals is not None:
         token_totals.update(zip(matrix.chunk_ids, map(int, totals)))
     n = len(ordered)

@@ -1,35 +1,29 @@
-"""Eligibility filtering and equal-size chunking of character dialogue."""
+"""Equal-size chunking of character dialogue, labelled by category."""
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Mapping
 
-from .errors import ConfigError, DegenerateCategory, InsufficientText, NoEligibleCharacters
+from .errors import ConfigError, DegenerateCategory, InsufficientText
 
-log = logging.getLogger(__name__)
+# labeling mode -> the category of a chunk's (play_id, translator, speaker) source
+LABELINGS: dict[str, Callable[[str, str, str], str]] = {
+    "character": lambda play_id, translator, speaker: speaker,
+    "play": lambda play_id, translator, speaker: play_id,
+    "character_by_translator": lambda play_id, translator, speaker: f"{speaker}@{translator}",
+}
 
-LABELING_MODES = ("character", "play", "character_by_translator")
 
-
-@dataclass(frozen=True)
-class CategoryLabeling:
-    """Maps a chunk's (play_id, translator, speaker) source to a category."""
-
-    mode: str
-    label_of: Callable[[str, str, str], str]
-
-    @classmethod
-    def for_mode(cls, mode: str) -> "CategoryLabeling":
-        if mode == "character":
-            return cls(mode, lambda play_id, translator, speaker: speaker)
-        if mode == "play":
-            return cls(mode, lambda play_id, translator, speaker: play_id)
-        if mode == "character_by_translator":
-            return cls(mode, lambda play_id, translator, speaker: f"{speaker}@{translator}")
-        raise ConfigError(f"unknown labeling mode {mode!r}; expected one of {LABELING_MODES}")
+def labeler(labeling: str) -> Callable[[str, str, str], str]:
+    """The `LABELINGS` function of mode `labeling`; ConfigError for an unknown mode."""
+    try:
+        return LABELINGS[labeling]
+    except KeyError:
+        raise ConfigError(
+            f"unknown labeling mode {labeling!r}; expected one of {tuple(LABELINGS)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -38,29 +32,6 @@ class Chunk:
     category: str
     source: tuple[str, str, str]  # (play_id, translator, speaker)
     text: str
-    size_units: int
-
-
-def select_eligible(char_texts: dict[str, str], min_size: int) -> dict[str, str]:
-    """Keep characters with at least `min_size` characters of dialogue.
-
-    Inclusion/exclusion is logged per speaker so corpus surprises are
-    visible in the run log rather than silently shaping the result.
-    """
-    if min_size <= 0:
-        raise ValueError("min_size must be positive")
-    kept = {}
-    for speaker, text in char_texts.items():
-        if len(text) >= min_size:
-            kept[speaker] = text
-            log.info("eligible: %s (%d chars)", speaker, len(text))
-        else:
-            log.info("excluded: %s (%d chars < %d)", speaker, len(text), min_size)
-    if not kept:
-        raise NoEligibleCharacters(
-            f"no character reaches {min_size} characters of dialogue"
-        )
-    return kept
 
 
 def chunk_text(text: str, chunk_count: int, chunk_size: int) -> list[str]:
@@ -80,53 +51,36 @@ def chunk_text(text: str, chunk_count: int, chunk_size: int) -> list[str]:
 
 
 def build_chunks(
-    char_texts: dict[tuple[str, str, str], str],
-    labeling: CategoryLabeling,
+    char_texts: Mapping[tuple[str, str, str], str],
+    labeling: str,
     chunk_count: int,
     chunk_size: int,
 ) -> list[Chunk]:
-    """Chunk every eligible character and assign category labels.
+    """Chunk each (play_id, translator, speaker) source's text and label
+    the chunks by the `labeling` mode, sorted by chunk_id.
 
     chunk_ids are `category#NN`, numbered per category over sources in
-    sorted order, so identical inputs always yield identical ids.
+    sorted order, so identical inputs always yield identical ids. Each
+    category has at least `chunk_count` >= 2 chunks; fewer than 2
+    categories raise DegenerateCategory.
     """
+    label = labeler(labeling)
     by_category: dict[str, list[Chunk]] = {}
     for source in sorted(char_texts):
-        play_id, translator, speaker = source
-        category = labeling.label_of(play_id, translator, speaker)
-        pieces = chunk_text(char_texts[source], chunk_count, chunk_size)
+        category = label(*source)
         bucket = by_category.setdefault(category, [])
-        for piece in pieces:
-            bucket.append(
-                Chunk(
-                    chunk_id=f"{category}#{len(bucket):02d}",
-                    category=category,
-                    source=source,
-                    text=piece,
-                    size_units=len(piece),
-                )
-            )
-    chunks = [c for bucket in by_category.values() for c in bucket]
-    chunks.sort(key=lambda c: c.chunk_id)
-    return chunks
-
-
-def check_labeling(chunks: Iterable[Chunk]) -> None:
-    """Analysis needs >= 2 categories, each with >= 2 chunks."""
-    sizes: dict[str, int] = {}
-    for c in chunks:
-        sizes[c.category] = sizes.get(c.category, 0) + 1
-    if len(sizes) < 2:
-        raise DegenerateCategory(f"need at least 2 categories, got {sorted(sizes)}")
-    thin = sorted(cat for cat, n in sizes.items() if n < 2)
-    if thin:
-        raise DegenerateCategory(f"categories with fewer than 2 chunks: {thin}")
+        for piece in chunk_text(char_texts[source], chunk_count, chunk_size):
+            bucket.append(Chunk(f"{category}#{len(bucket):02d}", category, source, piece))
+    if len(by_category) < 2:
+        raise DegenerateCategory(f"need at least 2 categories, got {sorted(by_category)}")
+    return sorted((c for bucket in by_category.values() for c in bucket),
+                  key=lambda c: c.chunk_id)
 
 
 def write_manifest(chunks: list[Chunk], path: str | Path) -> None:
-    """Chunk manifest CSV, sorted by chunk_id."""
+    """Chunk manifest CSV, sorted by chunk_id; size_units is the chunk's length."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["chunk_id", "category", "play_id", "translator", "speaker", "size_units"])
         for c in sorted(chunks, key=lambda c: c.chunk_id):
-            writer.writerow([c.chunk_id, c.category, *c.source, c.size_units])
+            writer.writerow([c.chunk_id, c.category, *c.source, len(c.text)])

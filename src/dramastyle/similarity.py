@@ -79,25 +79,25 @@ def _upper_scores(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return scores
 
 
-def matrix_from_counts(
-    chunk_ids: Sequence[str], counts: np.ndarray, totals: np.ndarray
-) -> DissimilarityMatrix:
+def matrix_from_counts(chunk_ids: Sequence[str], counts: np.ndarray) -> DissimilarityMatrix:
     """Symmetric matrix over all pairs of the rows of `counts`.
 
     Row i of the (n, V) `counts` holds chunk `chunk_ids[i]`'s token counts
-    over a vocabulary in code-point order, and `totals[i]` their sum; the
-    ids must be unique and sorted. Each pair is scored once, above the
-    diagonal, and mirrored below it.
+    over a vocabulary in code-point order; the ids must be unique and
+    sorted. A chunk's total is its row sum, exact for integer counts
+    below 2**53. Each pair is scored once, above the diagonal, and
+    mirrored below it.
     """
-    if not len(chunk_ids) == counts.shape[0] == len(totals):
+    if len(chunk_ids) != counts.shape[0]:
         raise PreconditionFailed(
-            f"{len(chunk_ids)} chunk_ids, {counts.shape[0]} count rows and "
-            f"{len(totals)} totals: need one of each per chunk"
+            f"{len(chunk_ids)} chunk_ids and {counts.shape[0]} count rows: "
+            "need one of each per chunk"
         )
     if len(chunk_ids) < 2:
         raise PreconditionFailed("need at least 2 distributions")
     if any(a >= b for a, b in zip(chunk_ids, chunk_ids[1:])):
         raise PreconditionFailed("chunk_ids must be unique and sorted")
+    totals = counts.sum(axis=1)
     for cid, total in zip(chunk_ids, totals):
         if total <= 0:
             raise EmptyDistribution(f"chunk {cid}: no tokens")

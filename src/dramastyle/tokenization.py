@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import PreconditionFailed
+
 KINDS = ("letter_unigram", "word_unigram", "letter_ngram", "word_ngram")
 
 # maximal alphanumeric runs; apostrophes inside a word are kept (don't)
@@ -118,22 +120,23 @@ def _word_codes(texts: Sequence[str], n: int) -> list[np.ndarray]:
     return [rank[np.array(g, np.intp)] for g in grams]
 
 
-def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> tuple[np.ndarray, np.ndarray]:
-    """(n, V) float64 token counts of `texts` under `mode`, and the (n,) totals.
+def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> np.ndarray:
+    """(n, V) float64 token counts of the n >= 1 `texts` under `mode`.
 
     Row i holds the count of each token of the case-folded `texts[i]`:
     letters or their sliding n-grams under a letter mode, words (maximal
     alphanumeric runs, apostrophes inside kept) or their sliding n-grams
     joined by a space under a word mode. Columns are the union vocabulary
     of the texts in code-point order of the tokens. A text without tokens
-    gives a zero row and total.
+    gives a zero row.
     """
+    if not texts:
+        raise PreconditionFailed("count_matrix needs at least one text")
     n = 1 if "unigram" in mode.kind else mode.n
     if mode.kind in ("letter_unigram", "letter_ngram"):
         codes = _letter_codes(texts, n)
     else:
         codes = _word_codes(texts, n)
-    totals = np.array([float(len(c)) for c in codes])
     distinct, runs = [], []
     while codes:  # each text's codes are freed once counted
         c = codes.pop(0)
@@ -143,7 +146,7 @@ def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> tuple[np.ndarr
         distinct.append(c[first])
         runs.append(np.diff(first, append=len(c)))
     vocabulary = _union(distinct)
-    counts = np.zeros((len(totals), len(vocabulary)))
+    counts = np.zeros((len(texts), len(vocabulary)))
     for row, d, r in zip(counts, distinct, runs):
         row[np.searchsorted(vocabulary, d)] = r
-    return counts, totals
+    return counts

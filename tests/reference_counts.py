@@ -23,11 +23,11 @@ def _ref_tokenize(text, mode):
 
 def _rows(maps):
     """(n, V) float64 counts of the token -> count maps over their union
-    vocabulary in code-point order, and the (n,) totals: the layout of
-    `count_matrix` and the input of `matrix_from_counts`."""
+    vocabulary in code-point order: the layout of `count_matrix` and the
+    input of `matrix_from_counts`."""
     vocab = sorted(set().union(*maps))
     column = {t: k for k, t in enumerate(vocab)}
     counts = np.zeros((len(maps), len(vocab)))
     for row, m in zip(counts, maps):
         row[[column[t] for t in m]] = list(m.values())
-    return counts, np.array([float(sum(m.values())) for m in maps])
+    return counts

@@ -30,7 +30,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 def score(ca, cb):
     """The score of one pair of token -> count maps: a 2-row matrix."""
-    return float(matrix_from_counts(["a", "b"], *_rows([ca, cb])).scores[0, 1])
+    return float(matrix_from_counts(["a", "b"], _rows([ca, cb])).scores[0, 1])
 
 
 def oracle_chi_square(counts_a, counts_b):
@@ -135,7 +135,7 @@ def test_null_calibration():
         for i in range(10):
             draws = rng.multinomial(400, probs)
             maps.append({t: int(c) for t, c in zip(tokens, draws) if c > 0})
-        matrix = matrix_from_counts([f"c{i}" for i in range(10)], *_rows(maps))
+        matrix = matrix_from_counts([f"c{i}" for i in range(10)], _rows(maps))
         labels = {f"c{i}": ("a" if i < 5 else "b") for i in range(10)}
         p = permutation_baselines(matrix, labels, orders).rank_sum_p["a"]
         low += p < 0.05
@@ -157,7 +157,7 @@ def test_separation_power():
             draws = rng.multinomial(1500, np.full(8, 1 / 8))
             ids.append(f"{cat}#{i}")
             maps.append({t: int(c) for t, c in zip(tokens, draws) if c})
-    matrix = matrix_from_counts(ids, *_rows(maps))
+    matrix = matrix_from_counts(ids, _rows(maps))
     labels = {cid: cid[0] for cid in ids}
     attribution = attribute_chunks(matrix, labels)
     assert attribution.hits == {"a": 5, "b": 5}

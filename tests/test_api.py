@@ -4,7 +4,6 @@ import dramastyle
 
 # the public Python API: a change to it shows here as a diff
 PUBLIC_NAMES = [
-    "CategoryLabeling",
     "Chunk",
     "ConfigError",
     "CorpusError",
@@ -42,7 +41,6 @@ PUBLIC_NAMES = [
     "play_to_json",
     "rank_pairs",
     "run_experiment",
-    "select_eligible",
     "strip_boilerplate",
 ]
 

@@ -26,6 +26,12 @@ from dramastyle.tokenization import TokenizationMode
 from reference_counts import _ref_tokenize
 
 
+def _play(play_id, speakers):
+    """A play in which each (name, chars) speaker has one turn of `chars` characters."""
+    turns = tuple(SpeechTurn(name, "x" * chars, i) for i, (name, chars) in enumerate(speakers))
+    return PlayScript(play_id, "x", "original", turns)
+
+
 def synthetic_config(configs_dir, tmp_path, **overrides):
     overrides.setdefault("permutations", 300)
     overrides.setdefault("output_dir", str(tmp_path / "out"))
@@ -114,15 +120,10 @@ class TestRunExperiment:
         assert set(report) == {"experiment_id", "config", "modes", "warnings", "settings"}
 
     def test_eligibility_records_excluded_speakers_and_skipped_plays(self):
-        def play(play_id, speakers):
-            turns = tuple(SpeechTurn(name, "x" * chars, i)
-                          for i, (name, chars) in enumerate(speakers))
-            return PlayScript(play_id, "x", "original", turns)
-
         eligibility = []
         prepare_chunks(
-            [play("p", [("ALFA", 300), ("CHARLIE", 199), ("BRAVO", 200)]),
-             play("q", [("DELTA", 50)])],
+            [_play("p", [("ALFA", 300), ("CHARLIE", 199), ("BRAVO", 200)]),
+             _play("q", [("DELTA", 50)])],
             "character", 200, 2, 100, eligibility=eligibility,
         )
         assert eligibility == [
@@ -135,6 +136,27 @@ class TestRunExperiment:
             {"play_id": "q", "translator": "original", "speaker": "DELTA", "chars": 50,
              "kept": False},
         ]
+
+    def test_speaker_at_min_size_is_kept(self):
+        chunks = prepare_chunks([_play("p", [("ALFA", 200), ("BRAVO", 201)])],
+                                "character", 200, 2, 100)
+        assert sorted({c.category for c in chunks}) == ["ALFA", "BRAVO"]
+
+    @pytest.mark.parametrize("plays", [[], [_play("p", [("ALFA", 199), ("BRAVO", 50)])]],
+                             ids=["no_plays", "all_too_short"])
+    def test_no_speaker_reaching_min_size_fails(self, plays):
+        with pytest.raises(PipelineError) as err:
+            prepare_chunks(plays, "character", 200, 2, 100)
+        assert err.value.stage == "segmentation"
+        assert isinstance(err.value.cause, NoEligibleCharacters)
+
+    def test_play_without_eligible_speaker_is_skipped(self):
+        chunks = prepare_chunks(
+            [_play("p", [("ALFA", 200), ("BRAVO", 200)]), _play("q", [("DELTA", 199)])],
+            "character", 200, 2, 100,
+        )
+        assert {c.source for c in chunks} == {("p", "original", "ALFA"),
+                                              ("p", "original", "BRAVO")}
 
     def test_each_shuffle_drawn_once_per_run(self, configs_dir, tmp_path, monkeypatch):
         calls, draw_orders = [], experiment.draw_orders
@@ -300,6 +322,12 @@ class TestRunExperiment:
         golden = data_dir / "golden" / "synthetic_two_category_report.json"
         text = json.dumps(pinned, ensure_ascii=False, indent=2) + "\n"
         assert text == golden.read_text(encoding="utf-8")
+
+    def test_chunk_manifest_matches_golden(self, configs_dir, data_dir, tmp_path):
+        run_experiment(synthetic_config(configs_dir, tmp_path))
+        manifest = tmp_path / "out" / "synthetic_two_category" / "chunk_manifest.csv"
+        golden = data_dir / "golden" / "synthetic_two_category_chunk_manifest.csv"
+        assert manifest.read_bytes() == golden.read_bytes()
 
     def test_letter_ngram_matrix_matches_golden(self, data_dir, tmp_path):
         play = tmp_path / "two.json"
@@ -614,6 +642,8 @@ class TestCliExitCodes:
         ("corpus.play_id", 5),
         ("corpus.translator", ["a"]),
         ("corpus.latin1_fallback", "no"),
+        ("labeling", 5),
+        ("labeling", ["character"]),
     ])
     def test_wrongly_typed_setting_is_2(self, configs_dir, tmp_path, capsys, monkeypatch,
                                         field, value):

@@ -2,31 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dramastyle import (
-    CategoryLabeling,
+    ConfigError,
     DegenerateCategory,
     InsufficientText,
-    NoEligibleCharacters,
+    build_chunks,
     chunk_text,
-    select_eligible,
 )
-from dramastyle.segmentation import build_chunks, check_labeling, write_manifest
-
-
-class TestSelectEligible:
-    def test_length_threshold(self):
-        texts = {"a": "x" * 12000, "b": "y" * 9999}
-        assert set(select_eligible(texts, 10000)) == {"a"}
-
-    def test_exact_boundary_included(self):
-        assert set(select_eligible({"a": "x" * 10000}, 10000)) == {"a"}
-
-    def test_empty_input_raises(self):
-        with pytest.raises(NoEligibleCharacters):
-            select_eligible({}, 10000)
-
-    def test_all_too_short_raises(self):
-        with pytest.raises(NoEligibleCharacters):
-            select_eligible({"a": "short"}, 10000)
+from dramastyle.segmentation import write_manifest
 
 
 class TestChunkText:
@@ -68,50 +50,47 @@ class TestBuildChunks:
     }
 
     def test_character_labeling(self):
-        labeling = CategoryLabeling.for_mode("character")
-        chunks = build_chunks(self.CHAR_TEXTS, labeling, 2, 100)
+        chunks = build_chunks(self.CHAR_TEXTS, "character", 2, 100)
         assert {c.category for c in chunks} == {"nora", "helmer", "hilde"}
         assert len(chunks) == 6
         assert len({c.chunk_id for c in chunks}) == 6
+        assert [c.chunk_id for c in chunks] == sorted(c.chunk_id for c in chunks)
 
     def test_play_labeling_numbers_across_characters(self):
-        labeling = CategoryLabeling.for_mode("play")
-        chunks = build_chunks(self.CHAR_TEXTS, labeling, 2, 100)
+        chunks = build_chunks(self.CHAR_TEXTS, "play", 2, 100)
         p1 = [c for c in chunks if c.category == "p1"]
         assert len(p1) == 4
         assert sorted(c.chunk_id for c in p1) == [f"p1#{i:02d}" for i in range(4)]
 
     def test_translator_qualified_labeling(self):
-        labeling = CategoryLabeling.for_mode("character_by_translator")
-        chunks = build_chunks({("p", "alpha", "ola"): "x" * 200}, labeling, 2, 100)
-        assert {c.category for c in chunks} == {"ola@alpha"}
+        texts = {("p", "alpha", "ola"): "x" * 200, ("p", "beta", "ola"): "y" * 200}
+        chunks = build_chunks(texts, "character_by_translator", 2, 100)
+        assert {c.category for c in chunks} == {"ola@alpha", "ola@beta"}
 
     def test_equal_size_invariant(self):
-        labeling = CategoryLabeling.for_mode("character")
-        chunks = build_chunks(self.CHAR_TEXTS, labeling, 3, 120)
-        assert len({c.size_units for c in chunks}) == 1
+        chunks = build_chunks(self.CHAR_TEXTS, "character", 3, 120)
+        assert {len(c.text) for c in chunks} == {120}
 
     def test_deterministic(self):
-        labeling = CategoryLabeling.for_mode("character")
-        a = build_chunks(self.CHAR_TEXTS, labeling, 2, 100)
-        b = build_chunks(dict(reversed(list(self.CHAR_TEXTS.items()))), labeling, 2, 100)
+        a = build_chunks(self.CHAR_TEXTS, "character", 2, 100)
+        b = build_chunks(dict(reversed(list(self.CHAR_TEXTS.items()))), "character", 2, 100)
         assert a == b
 
-
-class TestCheckLabeling:
     def test_single_category_rejected(self):
-        labeling = CategoryLabeling.for_mode("character")
-        chunks = build_chunks({("p", "t", "solo"): "x" * 200}, labeling, 2, 100)
-        with pytest.raises(DegenerateCategory):
-            check_labeling(chunks)
+        with pytest.raises(DegenerateCategory, match="need at least 2 categories"):
+            build_chunks({("p", "t", "solo"): "x" * 200}, "character", 2, 100)
+
+    def test_unknown_labeling_rejected(self):
+        with pytest.raises(ConfigError, match="unknown labeling mode 'bogus'"):
+            build_chunks(self.CHAR_TEXTS, "bogus", 2, 100)
 
 
 def test_manifest_sorted_by_chunk_id(tmp_path):
-    labeling = CategoryLabeling.for_mode("character")
-    chunks = build_chunks(TestBuildChunks.CHAR_TEXTS, labeling, 2, 100)
+    chunks = build_chunks(TestBuildChunks.CHAR_TEXTS, "character", 2, 100)
     path = tmp_path / "manifest.csv"
-    write_manifest(chunks, path)
+    write_manifest(chunks[::-1], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "chunk_id,category,play_id,translator,speaker,size_units"
     ids = [line.split(",")[0] for line in lines[1:]]
     assert ids == sorted(ids)
+    assert {line.split(",")[-1] for line in lines[1:]} == {"100"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dramastyle import TokenizationMode, count_matrix
+from dramastyle import PreconditionFailed, TokenizationMode, count_matrix
 from dramastyle import tokenization
 from reference_counts import _ref_stream, _ref_tokenize, _rows
 
@@ -19,11 +19,9 @@ texts = st.text(
 
 def _assert_counts(texts, mode, want):
     """`count_matrix(texts, mode)` is the rows of the token -> count maps `want`."""
-    counts, totals = count_matrix(texts, mode)
-    want_counts, want_totals = _rows(want)
-    assert counts.dtype == totals.dtype == np.float64
-    assert np.array_equal(counts, want_counts)
-    assert np.array_equal(totals, want_totals)
+    counts = count_matrix(texts, mode)
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, _rows(want))
 
 
 class TestLetterModes:
@@ -71,7 +69,7 @@ class TestProperties:
         for mode in (LETTERS, WORDS):
             # word tokens may fuse at the boundary; separate with a space
             joined = a + " " + b if mode is WORDS else a + b
-            counts, _ = count_matrix([a, b, joined], mode)
+            counts = count_matrix([a, b, joined], mode)
             assert np.array_equal(counts[0] + counts[1], counts[2])
 
     # alphabets of the corpus languages; exotic scripts with asymmetric
@@ -79,16 +77,14 @@ class TestProperties:
     @given(st.text(alphabet="abczåøæäöüß ABCZÅØÆÄÖÜ.,!123", max_size=80))
     def test_case_folding_invariance(self, text):
         for mode in (LETTERS, WORDS):
-            counts, totals = count_matrix([text.upper(), text], mode)
+            counts = count_matrix([text.upper(), text], mode)
             assert np.array_equal(counts[0], counts[1])
-            assert totals[0] == totals[1]
 
     @given(st.lists(texts, min_size=1, max_size=4))
-    def test_no_unused_columns_and_totals(self, batch):
-        counts, totals = count_matrix(batch, LETTERS)
+    def test_no_unused_columns_and_integer_counts(self, batch):
+        counts = count_matrix(batch, LETTERS)
         assert counts.any(axis=0).all()
         assert (counts >= 0).all() and np.array_equal(counts, np.round(counts))
-        assert np.array_equal(totals, counts.sum(axis=1))
 
 
 def _loop_counts(text: str, mode: TokenizationMode) -> dict[str, int]:
@@ -176,6 +172,11 @@ class TestCountMatrix:
         assert every.casefold() == "".join(c.casefold() for c in every)
 
     def test_text_without_tokens_gives_zero_row(self):
-        counts, totals = count_matrix(["Aab", "... 1 !!", "", "b"], LETTERS)
+        counts = count_matrix(["Aab", "... 1 !!", "", "b"], LETTERS)
         assert counts.tolist() == [[2.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
-        assert totals.tolist() == [3.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("mode", [LETTERS, WORDS, TokenizationMode("letter_ngram", n=3)],
+                             ids=lambda m: m.name)
+    def test_no_texts_rejected(self, mode):
+        with pytest.raises(PreconditionFailed, match="at least one text"):
+            count_matrix([], mode)
