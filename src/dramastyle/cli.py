@@ -6,8 +6,8 @@ Subcommands:
   matrix  interchange JSON files -> dissimilarity matrix CSV
   report  re-render a report JSON as a readable text table
 
-Exit codes: 0 success, 2 config error (or a precondition the config
-does not meet), 3 corpus/parse error, 4 degenerate-statistics error.
+Exit codes: 0 success, 2 config error (or a precondition that is not
+met, in any stage), 3 corpus/parse error, 4 degenerate-statistics error.
 """
 from __future__ import annotations
 
@@ -17,7 +17,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, CorpusError, PipelineError, PreconditionFailed, StatisticsError
+from .errors import (
+    ConfigError, CorpusError, DramastyleError, PipelineError, PreconditionFailed, StatisticsError,
+)
 from .experiment import (
     check_chunking, chunk_matrix, compare_translations, load_config, prepare_chunks, run_experiment,
 )
@@ -122,7 +124,6 @@ def _jobs(value: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dramastyle", description=__doc__)
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a play file to interchange JSON")
@@ -165,28 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except PipelineError as exc:
+    except (DramastyleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, ConfigError):
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        if isinstance(cause, (ConfigError, PreconditionFailed)):
             return 2
         if isinstance(cause, StatisticsError):
             return 4
-        return 3
-    except (ConfigError, PreconditionFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StatisticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (CorpusError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -180,19 +180,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**{**asdict(config), "corpus": resolved})
 
 
-@dataclass
-class ExperimentReport:
-    experiment_id: str
-    config: dict
-    modes: dict
-    warnings: list
-    settings: dict
-
-    def to_json(self) -> str:
-        # vars, not asdict: asdict deep-copies the null distributions
-        return json.dumps(vars(self), ensure_ascii=False, indent=2) + "\n"
-
-
 @contextmanager
 def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]:
     """Re-raise any error of the block as a PipelineError naming the stage.
@@ -377,13 +364,14 @@ def _write_run_meta(out_dir: Path, timings: dict[str, float], sizes: dict, **ext
         )
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the full pipeline and write all artifacts.
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Execute the full pipeline, write all artifacts and return the report.
 
-    Writes chunk_manifest.csv, one matrix_<mode>.csv per mode, report.json
-    and the run_meta.json sidecar. They replace `output_dir/experiment_id`
-    as a whole, and only if the run succeeds. The permutation orders are
-    drawn once, for all modes, as stage `permutation_orders`.
+    Writes chunk_manifest.csv, one matrix_<mode>.csv per mode, the returned
+    report as report.json, and the run_meta.json sidecar. They replace
+    `output_dir/experiment_id` as a whole, and only if the run succeeds.
+    The permutation orders are drawn once, for all modes, as stage
+    `permutation_orders`.
     """
     config.validate()
     timings: dict[str, float] = {}
@@ -402,9 +390,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 matrix, sizes[mode.name] = chunk_matrix(chunks, mode, totals)
                 # the orders permute chunks by matrix position
                 assert matrix.chunk_ids == tuple(labels)
-                attribution = attribute_chunks(matrix, labels)
                 sizes[mode.name]["permutations"] = config.permutations
                 baselines = permutation_baselines(matrix, labels, orders)
+                attribution = baselines.attribution
                 categories = [
                     {
                         "category": category,
@@ -432,18 +420,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             write_manifest(chunks, out_dir / "chunk_manifest.csv")
             for name, matrix in matrices.items():
                 write_matrix_csv(matrix, out_dir / sections[name]["matrix_ref"])
-            report = ExperimentReport(
-                experiment_id=config.experiment_id,
-                config=config.to_dict(),
-                modes=sections,
-                warnings=warnings,
-                settings={
+            report = {
+                "experiment_id": config.experiment_id,
+                "config": config.to_dict(),
+                "modes": sections,
+                "warnings": warnings,
+                "settings": {
                     "permutations": config.permutations,
                     "seed": config.seed,
                     "threshold": config.significance,
                 },
+            }
+            (out_dir / "report.json").write_text(
+                json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
             )
-            (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
         _write_run_meta(out_dir, timings, sizes, **records, token_totals=token_totals)
     return report
 

@@ -10,13 +10,15 @@ each shuffle once per run from a counter-keyed SplitMix64 stream, and
 `permutation_baselines` scores both statistics for every category and every
 mode from the same orders.
 
-A shuffle costs only what its two statistics need. The rank-sum of a
-category sums the ranks of its within-category chunk pairs, listed once per
-call and grouped by category, at the positions the inverse order gives
-them; ranks are multiples of 0.5, so the sum is exact in any order. The
-attribution keeps one batched (n x n) @ (n x K) product per shuffle, divides
-it by the category sizes and corrects only each chunk's own category to
-leave-one-out, which gives the bits of dividing by (sizes - one-hot), as
+The engine scores the shuffles only; each observed statistic is one
+computation. The rank-sum of a category sums the ranks of its
+within-category chunk pairs, listed once per call and grouped by category;
+a shuffle gathers them at the positions its inverse order gives them. Ranks
+are multiples of 0.5, so the sums are exact in any order. The observed hits
+are those of the one attribution that `attribute_chunks` also gives. Each
+shuffle's attribution is one batched (n x n) @ (n x K) product, divided by
+the category sizes and corrected to leave-one-out in each chunk's own
+category only, which gives the bits of dividing by (sizes - one-hot), as
 x / (s - 0.0) == x / s exactly.
 """
 from __future__ import annotations
@@ -49,6 +51,7 @@ class PermutationBaselines:
     rank_sum_null: dict[str, dict]  # observed, permutations, null mean/sd/min/max
     attribution_p: dict[str, float]
     attribution_null: dict  # observed hits, permutations, null mean per category
+    attribution: AttributionResult  # the observed one, whose hits are tested
 
 
 def rank_pairs(matrix: DissimilarityMatrix) -> np.ndarray:
@@ -90,35 +93,38 @@ def attribute_chunks(
     Ties go to the lexicographically smallest category and are logged in
     the result rather than hidden.
     """
-    label_list = [labels[cid] for cid in matrix.chunk_ids]
-    categories, _, onehot = _encode(matrix.chunk_ids, labels)
+    return _attribute(matrix, *_encode(matrix.chunk_ids, labels))
+
+
+def _attribute(
+    matrix: DissimilarityMatrix, categories: list[str], codes: np.ndarray, onehot: np.ndarray
+) -> AttributionResult:
+    """`attribute_chunks` on the labels as `_encode` gives them."""
     # leave-one-out for the chunk's own category: its zero self-distance is excluded
     means = matrix.scores @ onehot / (onehot.sum(axis=0) - onehot)
     best = means.argmin(axis=1)  # first index wins: lexicographic tie-break
+    hit = best == codes
     per_chunk = []
     ties = []
-    hits = {c: 0 for c in categories}
-    totals = {c: 0 for c in categories}
     for i, cid in enumerate(matrix.chunk_ids):
-        true_cat = label_list[i]
-        attributed = categories[best[i]]
         tied = [categories[k] for k in np.flatnonzero(means[i] == means[i, best[i]])]
         if len(tied) > 1:
             ties.append({"chunk_id": cid, "tied_categories": tied})
-        hit = attributed == true_cat
-        totals[true_cat] += 1
-        hits[true_cat] += int(hit)
         per_chunk.append(
             {
                 "chunk_id": cid,
-                "true_category": true_cat,
-                "attributed_category": attributed,
-                "hit": hit,
+                "true_category": categories[codes[i]],
+                "attributed_category": categories[best[i]],
+                "hit": bool(hit[i]),
                 "mean_scores": {c: float(means[i, k]) for k, c in enumerate(categories)},
             }
         )
+    k = len(categories)
     return AttributionResult(
-        per_chunk=tuple(per_chunk), hits=hits, totals=totals, ties=tuple(ties)
+        per_chunk=tuple(per_chunk),
+        hits=dict(zip(categories, np.bincount(codes[hit], minlength=k).tolist())),
+        totals=dict(zip(categories, np.bincount(codes, minlength=k).tolist())),
+        ties=tuple(ties),
     )
 
 
@@ -158,9 +164,10 @@ def permutation_baselines(
     (permutations, n) array over the matrix's chunk order, such as
     `draw_orders(n, permutations, seed)`; every row must be a permutation
     of range(n). Each order scores the rank-sum (small = homogeneous) and
-    the attribution hit count (large = homogeneous) of all categories, and
-    the identity order scores the observed values. p-values use the add-one
-    estimator, so none is below 1/(permutations+1).
+    the attribution hit count (large = homogeneous) of all categories. The
+    observed rank-sums sum the same pair ranks unshuffled, and the observed
+    hits are those of `attribute_chunks`, returned as `attribution`.
+    p-values use the add-one estimator, so none is below 1/(permutations+1).
     """
     rank_matrix = rank_pairs(matrix)
     categories, codes, onehot = _encode(matrix.chunk_ids, labels)
@@ -213,7 +220,8 @@ def permutation_baselines(
         hits = np.bincount((rows * k + own)[hit], minlength=len(block) * k)
         return rank_sums.T, hits.reshape(-1, k).T
 
-    observed_rank_sums, observed_hits = score(np.arange(n)[None])
+    observed_rank_sums = np.add.reduceat(flat_ranks[first * n + second], starts)
+    attribution = _attribute(matrix, categories, codes, onehot)
     rank_null = np.empty((k, permutations))
     hit_null = np.empty((k, permutations))
     for start in range(0, permutations, _BLOCK):
@@ -221,7 +229,7 @@ def permutation_baselines(
         rank_null[:, block], hit_null[:, block] = score(orders[block])
 
     rank_sum_p, rank_sum_null = {}, {}
-    for c, observed, null in zip(categories, observed_rank_sums[:, 0].tolist(), rank_null):
+    for c, observed, null in zip(categories, observed_rank_sums.tolist(), rank_null):
         rank_sum_p[c] = (1 + int((null <= observed).sum())) / (permutations + 1)
         rank_sum_null[c] = {
             "observed": observed,
@@ -231,17 +239,18 @@ def permutation_baselines(
             "null_min": float(null.min()),
             "null_max": float(null.max()),
         }
-    at_least = (hit_null >= observed_hits).sum(axis=1).tolist()
+    at_least = [int((null >= attribution.hits[c]).sum()) for c, null in zip(categories, hit_null)]
     return PermutationBaselines(
         rank_sum_p=rank_sum_p,
         rank_sum_null=rank_sum_null,
         attribution_p={c: (1 + a) / (permutations + 1) for c, a in zip(categories, at_least)},
         attribution_null={
-            "observed": {c: int(h) for c, h in zip(categories, observed_hits[:, 0])},
+            "observed": attribution.hits,
             "permutations": permutations,
             "null_mean": {
                 c: float(total) / permutations
                 for c, total in zip(categories, hit_null.sum(axis=1))
             },
         },
+        attribution=attribution,
     )

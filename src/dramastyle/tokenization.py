@@ -34,8 +34,11 @@ class TokenizationMode:
 
     @classmethod
     def parse(cls, spec: str) -> "TokenizationMode":
-        """Parse CLI notation: 'letter_unigram' or 'letter_ngram:3'."""
-        kind, _, n = spec.partition(":")
+        """Parse CLI notation: 'letter_unigram' or 'letter_ngram:3'; a
+        unigram kind takes no ':n'."""
+        kind, colon, n = spec.partition(":")
+        if colon and kind in ("letter_unigram", "word_unigram"):
+            raise ValueError(f"{kind} takes no ':n', got {spec!r}")
         return cls(kind=kind, n=int(n) if n else 1)
 
     @property

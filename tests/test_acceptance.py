@@ -227,8 +227,8 @@ def test_full_corpus_eleven_characters(tmp_path):
     report = run_experiment(config)
     elapsed = time.perf_counter() - start
     for mode in ("letter_unigram", "word_unigram"):
-        assert mode in report.modes
-        categories = {c["category"] for c in report.modes[mode]["categories"]}
+        assert mode in report["modes"]
+        categories = {c["category"] for c in report["modes"][mode]["categories"]}
         # requires the alias tables in the config to map each language's
         # speaker names onto the canonical character names
         assert len(categories) == 11, sorted(categories)

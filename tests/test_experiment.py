@@ -69,7 +69,7 @@ class TestRunExperiment:
     def test_synthetic_two_category(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path, modes=("letter_unigram",))
         report = run_experiment(config)
-        section = report.modes["letter_unigram"]
+        section = report["modes"]["letter_unigram"]
         cats = {c["category"]: c for c in section["categories"]}
         assert set(cats) == {"alfa", "bravo"}
         for cat in cats.values():
@@ -80,6 +80,16 @@ class TestRunExperiment:
         assert (out / "matrix_letter_unigram.csv").exists()
         assert (out / "report.json").exists()
         assert (out / "run_meta.json").exists()
+
+    @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
+    def test_attribution_hits_are_the_nulls_observed_hits(self, configs_dir, tmp_path, name):
+        config = load_config(configs_dir / f"{name}.json", permutations=300,
+                             output_dir=str(tmp_path / "out"))
+        for section in run_experiment(config)["modes"].values():
+            observed = section["attribution_null"]["observed"]
+            assert list(observed) == [c["category"] for c in section["categories"]]
+            for category in section["categories"]:
+                assert category["attribution_hits"] == observed[category["category"]]
 
     def test_run_meta_records_stage_timings_and_sizes(self, configs_dir, tmp_path):
         run_experiment(synthetic_config(configs_dir, tmp_path))
@@ -169,8 +179,24 @@ class TestRunExperiment:
         config = synthetic_config(configs_dir, tmp_path, permutations=130, seed=5)
         assert config.modes == ("letter_unigram", "word_unigram")
         report = run_experiment(config)
-        n = sum(c["attribution_total"] for c in report.modes["letter_unigram"]["categories"])
+        n = sum(c["attribution_total"] for c in report["modes"]["letter_unigram"]["categories"])
         assert calls == [(n, 130, 5)]
+
+    def test_one_homogeneity_call_per_mode(self, configs_dir, tmp_path, monkeypatch):
+        calls, permutation_baselines = [], experiment.permutation_baselines
+
+        def recording(matrix, labels, orders):
+            calls.append(len(orders))
+            return permutation_baselines(matrix, labels, orders)
+
+        def unused(matrix, labels):
+            raise AssertionError("attribute_chunks called by run_experiment")
+
+        monkeypatch.setattr(experiment, "permutation_baselines", recording)
+        monkeypatch.setattr(experiment, "attribute_chunks", unused)
+        config = synthetic_config(configs_dir, tmp_path, permutations=130)
+        assert len(run_experiment(config)["modes"]) == 2
+        assert calls == [130, 130]
 
     @pytest.mark.parametrize("command, config_name", [
         (run_experiment, "synthetic_two_category"),
@@ -220,7 +246,7 @@ class TestRunExperiment:
                             latin1_fallback=True)
         config = ExperimentConfig(**{**config.to_dict(), "corpus": (entry,)})
         report = run_experiment(config)
-        assert report.warnings == ["synthia/original: latin-1 fallback"]
+        assert report["warnings"] == ["synthia/original: latin-1 fallback"]
 
     def test_no_eligible_characters_reports_segmentation_stage(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path, min_size=10**6,
@@ -561,6 +587,18 @@ class TestCliExitCodes:
         }))
         assert main(["run", "--config", str(cfg)]) == 4
 
+    def test_precondition_failed_in_a_stage_is_2(self, configs_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        def failing(*args):
+            raise PreconditionFailed("no orders")
+
+        monkeypatch.setattr(experiment, "draw_orders", failing)
+        rc = main(["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: [permutation_orders] no orders\n"
+        assert not (tmp_path / "out" / "synthetic_two_category").exists()
+
     def test_matrix_subcommand(self, data_dir, tmp_path):
         interchange = tmp_path / "mini.json"
         main([
@@ -708,7 +746,9 @@ class TestCliExitCodes:
         (["letter_ngram", "letter_ngram:1"], {}),  # both are named letter_ngram1
         (["letter_unigram"], ["x"]),
         (["letter_unigram"], {"kari": 1}),
-    ], ids=["no_modes", "same_mode_name", "aliases_not_mapping", "alias_not_string"])
+        (["letter_unigram:3"], {}),
+    ], ids=["no_modes", "same_mode_name", "aliases_not_mapping", "alias_not_string",
+            "unigram_with_n"])
     def test_bad_modes_or_speaker_aliases_is_2(self, configs_dir, tmp_path, compare,
                                                modes, aliases):
         config = json.loads((configs_dir / "synthetic_translations.json").read_text())
@@ -744,17 +784,32 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == "error: two translators of one play required\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("option", [["--mode", "bogus"], ["--labeling", "bogus"]],
-                             ids=["mode", "labeling"])
-    def test_matrix_bad_mode_or_labeling_is_2(self, data_dir, tmp_path, capsys, option):
+    @pytest.mark.parametrize("option, problem", [
+        (["--mode", "bogus"], "unknown"),
+        (["--labeling", "bogus"], "unknown"),
+        (["--mode", "letter_unigram:3"], "letter_unigram takes no ':n'"),
+    ], ids=["mode", "labeling", "unigram_with_n"])
+    def test_matrix_bad_mode_or_labeling_is_2(self, data_dir, tmp_path, capsys, option,
+                                              problem):
         out = tmp_path / "matrix.csv"
         rc = main(["matrix", str(data_dir / "golden" / "miniature_play.json"), *option,
                    "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "unknown" in err
+        assert problem in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("compare", [[], ["--compare-translations"]],
+                             ids=["run", "compare_translations"])
+    def test_run_unigram_mode_with_n_is_2(self, configs_dir, tmp_path, capsys, compare):
+        rc = main(["run", "--config", str(configs_dir / "synthetic_translations.json"),
+                   "--mode", "letter_unigram:3", "--out", str(tmp_path / "out"), *compare])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: letter_unigram takes no ':n', got 'letter_unigram:3'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("chunking", [
         ["--min-size", "100", "--chunk-count", "1", "--chunk-size", "50"],

@@ -451,6 +451,32 @@ class TestPermutationBaselines:
         result = attribute_chunks(matrix, labels)
         assert [list(r["mean_scores"].values()) for r in result.per_chunk] == means.tolist()
 
+    @pytest.mark.parametrize("instance", range(0, 60, 7))
+    def test_attribution_is_attribute_chunks(self, instance):
+        matrix, labels = random_instance(instance)
+        orders = draw_orders(len(matrix.chunk_ids), 65, seed=instance)
+        attribution = permutation_baselines(matrix, labels, orders).attribution
+        assert attribution == attribute_chunks(matrix, labels)
+
+    @pytest.mark.parametrize("n, ncat, integer_scores", [(255, 40, True), (300, 2, False)])
+    def test_attribution_is_attribute_chunks_wide(self, n, ncat, integer_scores):
+        matrix, labels = wide_instance(n, ncat, integer_scores)
+        orders = draw_orders(n, 65, seed=n + ncat)
+        attribution = permutation_baselines(matrix, labels, orders).attribution
+        assert attribution == attribute_chunks(matrix, labels)
+
+    def test_labels_encoded_once(self, monkeypatch):
+        calls, encode = [], homogeneity._encode
+
+        def recording(chunk_ids, labels):
+            calls.append(len(chunk_ids))
+            return encode(chunk_ids, labels)
+
+        monkeypatch.setattr(homogeneity, "_encode", recording)
+        matrix, labels = random_instance(9)
+        permutation_baselines(matrix, labels, draw_orders(len(matrix.chunk_ids), 130, seed=5))
+        assert calls == [len(matrix.chunk_ids)]
+
     def test_rejects_zero_permutations(self):
         orders = np.zeros((0, 4), dtype=np.uint8)
         with pytest.raises(PreconditionFailed, match="orders have shape"):

@@ -62,6 +62,11 @@ class TestModeValidation:
         assert (mode.kind, mode.n) == ("letter_ngram", 3)
         assert TokenizationMode.parse("word_unigram") == WORDS
 
+    @pytest.mark.parametrize("spec", ["letter_unigram:3", "word_unigram:1", "letter_unigram:"])
+    def test_parse_rejects_n_on_unigrams(self, spec):
+        with pytest.raises(ValueError, match="takes no ':n'"):
+            TokenizationMode.parse(spec)
+
 
 class TestProperties:
     @given(texts, texts)
