@@ -57,10 +57,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    try:
-        mode = TokenizationMode.parse(args.mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    mode = TokenizationMode.parse(args.mode)
     # fail before any file is read
     labeler(args.labeling)
     check_chunking(args.min_size, args.chunk_count, args.chunk_size)
@@ -141,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--permutations", type=int)
     p.add_argument("--mode")
-    p.add_argument("--jobs", type=_jobs, default=1, help="accepted; has no effect")
+    p.add_argument("--jobs", type=_jobs, default=1, help="no effect; perfbench passes it")
     p.add_argument("--out")
     p.add_argument("--compare-translations", action="store_true",
                    help="emit the cross-translation attribution table instead")
@@ -154,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=10000)
     p.add_argument("--chunk-count", type=int, default=5)
     p.add_argument("--chunk-size", type=int, default=2000)
-    p.add_argument("--jobs", type=_jobs, default=1, help="accepted; has no effect")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_matrix)
 

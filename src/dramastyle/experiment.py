@@ -125,22 +125,18 @@ class ExperimentConfig:
         check_chunking(self.min_size, self.chunk_count, self.chunk_size)
         if not 0 < self.significance < 1:
             raise ConfigError("significance must lie strictly between 0 and 1")
-        keys = [(e.play_id, e.language, e.translator) for e in self.corpus]
+        # the pipeline keys each file's speakers, aliases and chunks by this pair
+        keys = [(e.play_id, e.translator) for e in self.corpus]
         if len(set(keys)) != len(keys):
-            raise ConfigError("play_ids must be unique per (language, translator)")
+            raise ConfigError("each (play_id, translator) must name one corpus file")
         if not self.modes:
             raise ConfigError("modes must be non-empty")
-        names: dict[str, str] = {}
         for m in self.modes:
             if type(m) is not str:
                 raise ConfigError(f"modes must be strings, got {m!r}")
-            try:
-                name = TokenizationMode.parse(m).name
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            if name in names:
-                raise ConfigError(f"modes {names[name]!r} and {m!r} are both {name}")
-            names[name] = m
+            TokenizationMode.parse(m)
+        if len(set(self.modes)) != len(self.modes):
+            raise ConfigError(f"modes must list each mode once, got {list(self.modes)}")
         labeler(self.labeling)
         for e in self.corpus:
             _parse_rules(e)
@@ -453,8 +449,8 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
     """
     config = replace(config, labeling="character_by_translator")
     config.validate()
-    translated = {(e.play_id, e.translator) for e in config.corpus}
-    if len(translated) == len({play_id for play_id, _ in translated}):
+    # validate leaves one file per (play_id, translator)
+    if len({e.play_id for e in config.corpus}) == len(config.corpus):
         raise PreconditionFailed("two translators of one play required")
     timings: dict[str, float] = {}
     sizes: dict[str, dict] = {}

@@ -24,11 +24,9 @@ log = logging.getLogger(__name__)
 # title-case speaker name ("Mrs. Linde. Hello." -> speaker "Mrs. Linde").
 _HONORIFICS = {"mr", "mrs", "ms", "dr", "st", "fru", "frk", "hr"}
 
-_WS_RE = re.compile(r"\s+")
-
 # The characters at which `str.splitlines` ends a line; "\r\n" is one break.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_END_RE = re.compile("\r\n?|[\n\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_LINE_END_RE = re.compile(f"\r\n|[{_LINE_BREAKS}]")
 
 
 @dataclass(frozen=True)
@@ -170,8 +168,7 @@ def normalize_speaker(name: str) -> str:
     Internal punctuation survives: "MRS. ALVING" and "MRS ALVING" stay
     distinct and merge only through an explicit alias table.
     """
-    name = _WS_RE.sub(" ", name.strip().casefold())
-    return name.rstrip(".,:;")
+    return " ".join(name.casefold().split()).rstrip(".,:;")
 
 
 def _is_upper_word(word: str) -> bool:

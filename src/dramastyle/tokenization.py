@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionFailed
+from .errors import ConfigError, PreconditionFailed
 
-KINDS = ("letter_unigram", "word_unigram", "letter_ngram", "word_ngram")
+UNITS = ("letter", "word")
 
 # maximal alphanumeric runs; apostrophes inside a word are kept (don't)
 _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
@@ -23,27 +23,39 @@ _WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
 
 @dataclass(frozen=True)
 class TokenizationMode:
-    kind: str
+    """Letters or words, counted singly (n = 1, the unigram) or in sliding n-grams."""
+
+    unit: str
     n: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown tokenization kind {self.kind!r}")
-        if not 1 <= self.n <= 5:
-            raise ValueError("n must be in 1..5")
+        if self.unit not in UNITS or self.n not in range(1, 6):
+            raise ValueError(f"no tokenization mode of unit {self.unit!r} and n {self.n!r}")
 
     @classmethod
     def parse(cls, spec: str) -> "TokenizationMode":
-        """Parse CLI notation: 'letter_unigram' or 'letter_ngram:3'; a
-        unigram kind takes no ':n'."""
-        kind, colon, n = spec.partition(":")
-        if colon and kind in ("letter_unigram", "word_unigram"):
-            raise ValueError(f"{kind} takes no ':n', got {spec!r}")
-        return cls(kind=kind, n=int(n) if n else 1)
+        """The mode spelled `spec`: `letter_unigram`, `word_unigram`,
+        `letter_ngram:N` or `word_ngram:N` with N in 2..5; ConfigError
+        for any other spelling."""
+        try:
+            return _BY_SPEC[spec]
+        except KeyError:
+            raise ConfigError(
+                f"unknown tokenization mode {spec!r}; expected letter_unigram, word_unigram, "
+                "letter_ngram:N or word_ngram:N with N in 2..5"
+            ) from None
+
+    @property
+    def spec(self) -> str:
+        """The one spelling that `parse` reads as this mode."""
+        return f"{self.unit}_unigram" if self.n == 1 else f"{self.unit}_ngram:{self.n}"
 
     @property
     def name(self) -> str:
-        return self.kind if "unigram" in self.kind else f"{self.kind}{self.n}"
+        return self.spec.replace(":", "")
+
+
+_BY_SPEC = {m.spec: m for m in (TokenizationMode(u, n) for u in UNITS for n in range(1, 6))}
 
 
 def _word_stream(text: str) -> list[str]:
@@ -135,11 +147,7 @@ def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> np.ndarray:
     """
     if not texts:
         raise PreconditionFailed("count_matrix needs at least one text")
-    n = 1 if "unigram" in mode.kind else mode.n
-    if mode.kind in ("letter_unigram", "letter_ngram"):
-        codes = _letter_codes(texts, n)
-    else:
-        codes = _word_codes(texts, n)
+    codes = (_letter_codes if mode.unit == "letter" else _word_codes)(texts, mode.n)
     distinct, runs = [], []
     while codes:  # each text's codes are freed once counted
         c = codes.pop(0)

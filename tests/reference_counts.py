@@ -9,7 +9,7 @@ from dramastyle import tokenization
 
 def _ref_stream(text, mode):
     """The case-folded letters or words of `text`, and the joiner of their n-grams."""
-    if mode.kind in ("letter_unigram", "letter_ngram"):
+    if mode.unit == "letter":
         return [c for c in text.casefold() if c.isalpha()], ""
     return tokenization._word_stream(text), " "
 
@@ -17,8 +17,7 @@ def _ref_stream(text, mode):
 def _ref_tokenize(text, mode):
     """Counter of the tokens of `text` under `mode`: its sliding n-grams."""
     stream, joiner = _ref_stream(text, mode)
-    n = 1 if "unigram" in mode.kind else mode.n
-    return Counter(joiner.join(stream[i : i + n]) for i in range(len(stream) - n + 1))
+    return Counter(joiner.join(stream[i : i + mode.n]) for i in range(len(stream) - mode.n + 1))
 
 
 def _rows(maps):

@@ -52,12 +52,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment_id="x", corpus=()).validate()
 
-    def test_duplicate_play_per_translator_rejected(self):
+    # the pipeline keys a file by (play_id, translator), whatever its language
+    @pytest.mark.parametrize("language", ["en", "de"])
+    def test_duplicate_play_per_translator_rejected(self, language):
         entry = CorpusEntry(path="p.txt", play_id="p", language="en", translator="t")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"each \(play_id, translator\) must name one"):
             ExperimentConfig(
-                experiment_id="x", corpus=(entry, entry), min_size=100,
-                chunk_count=2, chunk_size=50,
+                experiment_id="x", corpus=(entry, replace(entry, language=language)),
+                min_size=100, chunk_count=2, chunk_size=50,
             ).validate()
 
     def test_unknown_mode_rejected(self, configs_dir, tmp_path):
@@ -743,12 +745,15 @@ class TestCliExitCodes:
                              ids=["run", "compare_translations"])
     @pytest.mark.parametrize("modes, aliases", [
         ([], {}),
-        (["letter_ngram", "letter_ngram:1"], {}),  # both are named letter_ngram1
+        (["letter_ngram:3", "word_unigram", "letter_ngram:3"], {}),
         (["letter_unigram"], ["x"]),
         (["letter_unigram"], {"kari": 1}),
         (["letter_unigram:3"], {}),
+        (["letter_ngram"], {}),
+        (["letter_ngram:1"], {}),
+        (["letter_ngram:03"], {}),
     ], ids=["no_modes", "same_mode_name", "aliases_not_mapping", "alias_not_string",
-            "unigram_with_n"])
+            "unigram_with_n", "ngram_without_n", "ngram_of_one", "padded_n"])
     def test_bad_modes_or_speaker_aliases_is_2(self, configs_dir, tmp_path, compare,
                                                modes, aliases):
         config = json.loads((configs_dir / "synthetic_translations.json").read_text())
@@ -762,8 +767,8 @@ class TestCliExitCodes:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "matrix"])
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    # matrix takes no --jobs at all
+    @pytest.mark.parametrize("jobs, command", [("0", "run"), ("-1", "run"), ("1", "matrix")])
     def test_jobs_below_one_is_2(self, configs_dir, tmp_path, command, jobs):
         if command == "run":
             args = ["run", "--config", str(configs_dir / "synthetic_two_category.json")]
@@ -787,8 +792,12 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("option, problem", [
         (["--mode", "bogus"], "unknown"),
         (["--labeling", "bogus"], "unknown"),
-        (["--mode", "letter_unigram:3"], "letter_unigram takes no ':n'"),
-    ], ids=["mode", "labeling", "unigram_with_n"])
+        (["--mode", "letter_unigram:3"], "unknown tokenization mode 'letter_unigram:3'"),
+        (["--mode", "letter_ngram"], "unknown tokenization mode 'letter_ngram'"),
+        (["--mode", "letter_ngram:1"], "unknown tokenization mode 'letter_ngram:1'"),
+        (["--mode", "letter_ngram:03"], "unknown tokenization mode 'letter_ngram:03'"),
+    ], ids=["mode", "labeling", "unigram_with_n", "ngram_without_n", "ngram_of_one",
+            "padded_n"])
     def test_matrix_bad_mode_or_labeling_is_2(self, data_dir, tmp_path, capsys, option,
                                               problem):
         out = tmp_path / "matrix.csv"
@@ -802,12 +811,18 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("compare", [[], ["--compare-translations"]],
                              ids=["run", "compare_translations"])
-    def test_run_unigram_mode_with_n_is_2(self, configs_dir, tmp_path, capsys, compare):
+    @pytest.mark.parametrize("spec", [
+        "letter_unigram:3", "letter_ngram", "letter_ngram:1", "word_ngram", "letter_ngram:03",
+    ])
+    def test_run_mode_of_another_spelling_is_2(self, configs_dir, tmp_path, capsys, compare,
+                                               spec):
         rc = main(["run", "--config", str(configs_dir / "synthetic_translations.json"),
-                   "--mode", "letter_unigram:3", "--out", str(tmp_path / "out"), *compare])
+                   "--mode", spec, "--out", str(tmp_path / "out"), *compare])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: letter_unigram takes no ':n', got 'letter_unigram:3'\n"
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: unknown tokenization mode {spec!r}; expected letter_unigram, word_unigram, "
+            "letter_ngram:N or word_ngram:N with N in 2..5\n"
         )
         assert not (tmp_path / "out").exists()
 

@@ -15,9 +15,10 @@ from dramastyle import experiment, load_config, similarity
 from dramastyle.experiment import chunk_matrix
 from dramastyle.segmentation import Chunk
 from dramastyle.similarity import write_matrix_csv
+from dramastyle.tokenization import UNITS
 from reference_counts import _ref_tokenize, _rows
 
-MODE = TokenizationMode("letter_unigram")
+MODE = TokenizationMode("letter")
 
 
 def matrix(maps, ids=None):
@@ -263,9 +264,7 @@ class TestMatrixFromCounts:
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED_CONFIGS = ["synthetic_two_category", "synthetic_translations"]
-ALL_MODES = [TokenizationMode("letter_unigram"), TokenizationMode("word_unigram")] + [
-    TokenizationMode(kind, n=n) for kind in ("letter_ngram", "word_ngram") for n in range(1, 6)
-]
+ALL_MODES = [TokenizationMode(unit, n) for unit in UNITS for n in range(1, 6)]
 
 
 @pytest.fixture(scope="module", params=BUNDLED_CONFIGS)
@@ -294,7 +293,7 @@ class TestChunkMatrix:
         order = np.random.default_rng(7).permutation(len(bundled_chunks))
         shuffled = [bundled_chunks[i] for i in order]
         assert shuffled != sorted(bundled_chunks, key=lambda c: c.chunk_id)
-        for mode in (MODE, TokenizationMode("word_ngram", n=2)):
+        for mode in (MODE, TokenizationMode("word", 2)):
             m1, _ = chunk_matrix(bundled_chunks, mode)
             m2, _ = chunk_matrix(shuffled, mode)
             assert m1.chunk_ids == m2.chunk_ids

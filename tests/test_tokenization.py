@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dramastyle import PreconditionFailed, TokenizationMode, count_matrix
+from dramastyle import ConfigError, PreconditionFailed, TokenizationMode, count_matrix
 from dramastyle import tokenization
 from reference_counts import _ref_stream, _ref_tokenize, _rows
 
-LETTERS = TokenizationMode("letter_unigram")
-WORDS = TokenizationMode("word_unigram")
+LETTERS = TokenizationMode("letter")
+WORDS = TokenizationMode("word")
+# the 10 modes: each unit with n = 1 (the unigram) to 5
+ALL_MODES = [TokenizationMode(unit, n) for unit in tokenization.UNITS for n in range(1, 6)]
 
 texts = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd", "Po", "Zs")),
@@ -29,7 +31,7 @@ class TestLetterModes:
         _assert_counts(["Aab!"], LETTERS, [{"a": 2, "b": 1}])
 
     def test_bigram(self):
-        _assert_counts(["abab"], TokenizationMode("letter_ngram", n=2), [{"ab": 2, "ba": 1}])
+        _assert_counts(["abab"], TokenizationMode("letter", 2), [{"ab": 2, "ba": 1}])
 
     def test_multibyte_letters_counted_once(self):
         _assert_counts(["håp på"], LETTERS, [{"h": 1, "å": 2, "p": 2}])
@@ -43,28 +45,39 @@ class TestWordModes:
         _assert_counts(["Don't don't"], WORDS, [{"don't": 2}])
 
     def test_word_bigrams(self):
-        _assert_counts(["a b a b"], TokenizationMode("word_ngram", n=2), [{"a b": 2, "b a": 1}])
+        _assert_counts(["a b a b"], TokenizationMode("word", 2), [{"a b": 2, "b a": 1}])
 
 
 class TestModeValidation:
     def test_n_bounds(self):
         with pytest.raises(ValueError):
-            TokenizationMode("letter_ngram", n=6)
+            TokenizationMode("letter", 6)
         with pytest.raises(ValueError):
-            TokenizationMode("letter_ngram", n=0)
+            TokenizationMode("letter", 0)
 
-    def test_unknown_kind(self):
+    def test_unknown_unit(self):
         with pytest.raises(ValueError):
-            TokenizationMode("syllables")
+            TokenizationMode("syllable")
 
     def test_parse_notation(self):
-        mode = TokenizationMode.parse("letter_ngram:3")
-        assert (mode.kind, mode.n) == ("letter_ngram", 3)
+        assert TokenizationMode.parse("letter_ngram:3") == TokenizationMode("letter", 3)
         assert TokenizationMode.parse("word_unigram") == WORDS
 
-    @pytest.mark.parametrize("spec", ["letter_unigram:3", "word_unigram:1", "letter_unigram:"])
-    def test_parse_rejects_n_on_unigrams(self, spec):
-        with pytest.raises(ValueError, match="takes no ':n'"):
+    def test_each_mode_has_one_spelling_and_its_name(self):
+        assert len(set(ALL_MODES)) == 10
+        assert [TokenizationMode.parse(m.spec) for m in ALL_MODES] == ALL_MODES
+        assert [m.name for m in ALL_MODES] == [
+            "letter_unigram", "letter_ngram2", "letter_ngram3", "letter_ngram4", "letter_ngram5",
+            "word_unigram", "word_ngram2", "word_ngram3", "word_ngram4", "word_ngram5",
+        ]
+
+    @pytest.mark.parametrize("spec", [
+        "letter_ngram", "letter_ngram:", "letter_ngram:1", "word_ngram", "letter_ngram:03",
+        "letter_ngram: 3", "letter_ngram:6", "letter_unigram:3", "word_unigram:1",
+        "letter_unigram:",
+    ])
+    def test_parse_rejects_other_spellings(self, spec):
+        with pytest.raises(ConfigError, match=f"unknown tokenization mode '{spec}'"):
             TokenizationMode.parse(spec)
 
 
@@ -95,7 +108,7 @@ class TestProperties:
 def _loop_counts(text: str, mode: TokenizationMode) -> dict[str, int]:
     """Reference: a per-token counting loop over the token stream."""
     stream, joiner = _ref_stream(text, mode)
-    n = 1 if "unigram" in mode.kind else mode.n
+    n = mode.n
     counts: dict[str, int] = {}
     for i in range(len(stream) - n + 1):
         token = joiner.join(stream[i : i + n]) if n > 1 else stream[i]
@@ -105,16 +118,11 @@ def _loop_counts(text: str, mode: TokenizationMode) -> dict[str, int]:
 
 class TestCountingMatchesLoop:
     ALPHABET = "abcåøæß ABÅØ.,'’!1\n"
-    MODES = [
-        TokenizationMode(kind, n=n)
-        for kind in ("letter_ngram", "word_ngram")
-        for n in range(1, 6)
-    ] + [LETTERS, WORDS]
 
     # lengths 0-11 give texts whose stream is shorter than n: zero rows
-    @pytest.mark.parametrize("mode", MODES, ids=lambda m: f"{m.kind}:{m.n}")
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.spec)
     def test_counts_match_loop(self, mode):
-        rng = random.Random(f"{mode.kind}:{mode.n}")
+        rng = random.Random(mode.spec)
         texts = ["".join(rng.choice(self.ALPHABET) for _ in range(length))
                  for length in [*range(12), *(rng.randrange(12, 600) for _ in range(40))]]
         _assert_counts(texts, mode, [_loop_counts(t, mode) for t in texts])
@@ -124,8 +132,6 @@ def _assert_matches_reference(texts, mode):
     """`count_matrix` against its reference: `_ref_tokenize` each text, in rows."""
     _assert_counts(texts, mode, [_ref_tokenize(t, mode) for t in texts])
 
-
-ALL_MODES = [TokenizationMode(kind, n=n) for kind in tokenization.KINDS for n in range(1, 6)]
 
 # casefold-expanding (ß, ﬁ, İ), non-BMP (𝔄), a lone surrogate, digits, both apostrophes
 EXOTIC = "aAbBåÅzßﬁİ𝔄\ud800" + "09" + "'’" + " .,!\n"
@@ -148,7 +154,7 @@ class TestCountMatrix:
     """`count_matrix` counts what `_ref_tokenize` counts, in `_rows`'s layout."""
 
     @pytest.mark.parametrize("alphabet", ALPHABETS)
-    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: f"{m.kind}:{m.n}")
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.spec)
     def test_matches_reference(self, mode, alphabet):
         rng = random.Random(f"{mode}-{alphabet}")
         chars = ALPHABETS[alphabet]
@@ -169,7 +175,7 @@ class TestCountMatrix:
         shuffled = rng.sample(alphabet, len(alphabet))
         texts = ["".join(shuffled)]
         texts += ("".join(rng.choices(alphabet[:40], k=1500)) for _ in range(3))
-        _assert_matches_reference(texts, TokenizationMode("letter_ngram", n=5))
+        _assert_matches_reference(texts, TokenizationMode("letter", 5))
 
     def test_case_folding_maps_each_character_on_its_own(self):
         # the alphabet is built from the folded characters, not the folded texts
@@ -180,7 +186,7 @@ class TestCountMatrix:
         counts = count_matrix(["Aab", "... 1 !!", "", "b"], LETTERS)
         assert counts.tolist() == [[2.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
 
-    @pytest.mark.parametrize("mode", [LETTERS, WORDS, TokenizationMode("letter_ngram", n=3)],
+    @pytest.mark.parametrize("mode", [LETTERS, WORDS, TokenizationMode("letter", 3)],
                              ids=lambda m: m.name)
     def test_no_texts_rejected(self, mode):
         with pytest.raises(PreconditionFailed, match="at least one text"):
