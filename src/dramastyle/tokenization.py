@@ -29,7 +29,8 @@ class TokenizationMode:
     n: int = 1
 
     def __post_init__(self):
-        if self.unit not in UNITS or self.n not in range(1, 6):
+        # an n of 2.0 or True equals an int n, but would spell another name
+        if self.unit not in UNITS or type(self.n) is not int or self.n not in range(1, 6):
             raise ValueError(f"no tokenization mode of unit {self.unit!r} and n {self.n!r}")
 
     @classmethod

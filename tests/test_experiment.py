@@ -752,8 +752,10 @@ class TestCliExitCodes:
         (["letter_ngram"], {}),
         (["letter_ngram:1"], {}),
         (["letter_ngram:03"], {}),
+        (["word_ngram"], {}),
     ], ids=["no_modes", "same_mode_name", "aliases_not_mapping", "alias_not_string",
-            "unigram_with_n", "ngram_without_n", "ngram_of_one", "padded_n"])
+            "unigram_with_n", "ngram_without_n", "ngram_of_one", "padded_n",
+            "word_ngram_without_n"])
     def test_bad_modes_or_speaker_aliases_is_2(self, configs_dir, tmp_path, compare,
                                                modes, aliases):
         config = json.loads((configs_dir / "synthetic_translations.json").read_text())
@@ -796,8 +798,9 @@ class TestCliExitCodes:
         (["--mode", "letter_ngram"], "unknown tokenization mode 'letter_ngram'"),
         (["--mode", "letter_ngram:1"], "unknown tokenization mode 'letter_ngram:1'"),
         (["--mode", "letter_ngram:03"], "unknown tokenization mode 'letter_ngram:03'"),
+        (["--mode", "word_ngram"], "unknown tokenization mode 'word_ngram'"),
     ], ids=["mode", "labeling", "unigram_with_n", "ngram_without_n", "ngram_of_one",
-            "padded_n"])
+            "padded_n", "word_ngram_without_n"])
     def test_matrix_bad_mode_or_labeling_is_2(self, data_dir, tmp_path, capsys, option,
                                               problem):
         out = tmp_path / "matrix.csv"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ class TestModeValidation:
         with pytest.raises(ValueError):
             TokenizationMode("letter", 0)
 
+    # each equals an int n, but would spell a name no other mode has (letter_ngram2.0)
+    @pytest.mark.parametrize("n", [True, 2.0, 3.0, np.float64(4.0)], ids=repr)
+    def test_n_is_an_int(self, n):
+        with pytest.raises(ValueError):
+            TokenizationMode("letter", n)
+
     def test_unknown_unit(self):
         with pytest.raises(ValueError):
             TokenizationMode("syllable")
@@ -62,6 +69,23 @@ class TestModeValidation:
     def test_parse_notation(self):
         assert TokenizationMode.parse("letter_ngram:3") == TokenizationMode("letter", 3)
         assert TokenizationMode.parse("word_unigram") == WORDS
+
+    @pytest.mark.parametrize("spec, unit, n, name", [
+        ("letter_unigram", "letter", 1, "letter_unigram"),
+        ("letter_ngram:2", "letter", 2, "letter_ngram2"),
+        ("letter_ngram:3", "letter", 3, "letter_ngram3"),
+        ("letter_ngram:4", "letter", 4, "letter_ngram4"),
+        ("letter_ngram:5", "letter", 5, "letter_ngram5"),
+        ("word_unigram", "word", 1, "word_unigram"),
+        ("word_ngram:2", "word", 2, "word_ngram2"),
+        ("word_ngram:3", "word", 3, "word_ngram3"),
+        ("word_ngram:4", "word", 4, "word_ngram4"),
+        ("word_ngram:5", "word", 5, "word_ngram5"),
+    ])
+    def test_spelling_parses_to_its_mode(self, spec, unit, n, name):
+        mode = TokenizationMode.parse(spec)
+        assert mode == TokenizationMode(unit, n)
+        assert (mode.spec, mode.name) == (spec, name)
 
     def test_each_mode_has_one_spelling_and_its_name(self):
         assert len(set(ALL_MODES)) == 10
@@ -75,9 +99,14 @@ class TestModeValidation:
         "letter_ngram", "letter_ngram:", "letter_ngram:1", "word_ngram", "letter_ngram:03",
         "letter_ngram: 3", "letter_ngram:6", "letter_unigram:3", "word_unigram:1",
         "letter_unigram:",
+        # int() reads each of these N as 3 or 0
+        "letter_ngram:+3", "letter_ngram:3 ", "letter_ngram:\u0663", "letter_ngram:\uff13",
+        "word_ngram:0",
+        # a mode's name, another case, nothing
+        "letter_ngram3", "Letter_Unigram", "",
     ])
     def test_parse_rejects_other_spellings(self, spec):
-        with pytest.raises(ConfigError, match=f"unknown tokenization mode '{spec}'"):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown tokenization mode {spec!r}")):
             TokenizationMode.parse(spec)
 
 
