@@ -21,7 +21,8 @@ from .errors import (
     ConfigError, CorpusError, DramastyleError, PipelineError, PreconditionFailed, StatisticsError,
 )
 from .experiment import (
-    check_chunking, chunk_matrix, compare_translations, load_config, prepare_chunks, run_experiment,
+    ExperimentConfig, check_chunking, chunk_matrix, compare_translations, load_config,
+    prepare_chunks, run_experiment,
 )
 from .ingest import ParseRules, load_document, parse_play, play_from_json, play_to_json, strip_boilerplate
 from .segmentation import labeler
@@ -67,7 +68,7 @@ def _cmd_matrix(args) -> int:
             plays.append(play_from_json(Path(path).read_text(encoding="utf-8")))
         except (CorpusError, UnicodeDecodeError) as exc:
             raise CorpusError(f"{path}: {exc}") from None
-    chunks = prepare_chunks(
+    chunks, _ = prepare_chunks(
         plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size
     )
     write_matrix_csv(chunk_matrix(chunks, mode)[0], args.out)
@@ -146,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="interchange JSON files -> matrix CSV")
     p.add_argument("files", nargs="+")
-    p.add_argument("--mode", default="letter_unigram")
-    p.add_argument("--labeling", default="character")
-    p.add_argument("--min-size", type=int, default=10000)
-    p.add_argument("--chunk-count", type=int, default=5)
-    p.add_argument("--chunk-size", type=int, default=2000)
+    p.add_argument("--mode", default=ExperimentConfig.modes[0])
+    p.add_argument("--labeling", default=ExperimentConfig.labeling)
+    p.add_argument("--min-size", type=int, default=ExperimentConfig.min_size)
+    p.add_argument("--chunk-count", type=int, default=ExperimentConfig.chunk_count)
+    p.add_argument("--chunk-size", type=int, default=ExperimentConfig.chunk_size)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_matrix)
 

@@ -10,12 +10,13 @@ sequence of timed stages: `_chunk_corpus` (ingest, then
 `prepare_chunks`), the command's own loop over the modes
 (`chunk_matrix`, then its statistic), the report stage, and
 `_write_run_meta`. `prepare_chunks` keeps each speaker with at least
-`min_size` characters of dialogue, records each decision in
+`min_size` characters of dialogue, returns each decision for
 run_meta.json only, and has `segmentation.build_chunks` cut and label
 the kept texts; it and `chunk_matrix` are the front half that every
-command shares. Everything is deterministic given the config and
-corpus bytes; the wall-clock timestamp lives in a sidecar file so the
-hashed outputs stay reproducible.
+command shares. A config checks its fields when it is built, so an
+invalid one never reaches a stage. Everything is deterministic given
+the config and corpus bytes; the wall-clock timestamp lives in a
+sidecar file so the hashed outputs stay reproducible.
 """
 from __future__ import annotations
 
@@ -61,6 +62,21 @@ class CorpusEntry:
     speaker_aliases: dict = field(default_factory=dict)
     latin1_fallback: bool = False
 
+    def __post_init__(self) -> None:
+        # JSON gives any type: check them before any value is used
+        fields = ("path", "play_id", "language", "translator")
+        _check_types(self, fields, (str,), "a string", "corpus ")
+        _check_types(self, ("latin1_fallback",), (bool,), "true or false", "corpus ")
+        try:
+            ParseRules(**self.parse_rules)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.play_id}/{self.translator}: parse_rules: {exc}") from None
+        aliases = self.speaker_aliases
+        if not (isinstance(aliases, Mapping)
+                and all(isinstance(s, str) for kv in aliases.items() for s in kv)):
+            raise ConfigError(f"{self.play_id}/{self.translator}: speaker_aliases must map "
+                              "names to names")
+
 
 def check_chunking(min_size: int, chunk_count: int, chunk_size: int) -> None:
     """Raise ConfigError unless every eligible speaker can give the chunks:
@@ -101,7 +117,7 @@ class ExperimentConfig:
     significance: float = DEFAULT_SIGNIFICANCE
     output_dir: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # JSON gives any type: check them before any value is compared or used
         integers = ("permutations", "min_size", "chunk_count", "chunk_size", "seed")
         _check_types(self, integers, (int,), "an integer")
@@ -110,10 +126,6 @@ class ExperimentConfig:
         _check_types(self, ("modes",), (list, tuple), "a list")
         if not self.corpus:
             raise ConfigError("corpus must be non-empty")
-        for e in self.corpus:
-            fields = ("path", "play_id", "language", "translator")
-            _check_types(e, fields, (str,), "a string", "corpus ")
-            _check_types(e, ("latin1_fallback",), (bool,), "true or false", "corpus ")
         name = self.experiment_id
         # it names a directory under output_dir that a run replaces as a whole
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
@@ -138,20 +150,10 @@ class ExperimentConfig:
         if len(set(self.modes)) != len(self.modes):
             raise ConfigError(f"modes must list each mode once, got {list(self.modes)}")
         labeler(self.labeling)
-        for e in self.corpus:
-            _parse_rules(e)
-            aliases = e.speaker_aliases
-            if not (isinstance(aliases, Mapping)
-                    and all(isinstance(s, str) for kv in aliases.items() for s in kv)):
-                raise ConfigError(f"{e.play_id}/{e.translator}: speaker_aliases must map "
-                                  "names to names")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
-    """Load and validate a config JSON; keyword overrides win."""
+    """Load a config JSON, which is checked as it is built; keyword overrides win."""
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -167,13 +169,10 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         config = ExperimentConfig(corpus=corpus, **data)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    config.validate()
     # corpus paths are relative to the config file
-    resolved = tuple(
-        CorpusEntry(**{**asdict(e), "path": str((path.parent / e.path).resolve())})
-        for e in config.corpus
-    )
-    return ExperimentConfig(**{**asdict(config), "corpus": resolved})
+    return replace(config, corpus=tuple(
+        replace(e, path=str((path.parent / e.path).resolve())) for e in config.corpus
+    ))
 
 
 @contextmanager
@@ -216,16 +215,6 @@ def _output_dir(config: ExperimentConfig) -> Iterator[Path]:
     shutil.rmtree(stale, ignore_errors=True)
 
 
-def _parse_rules(entry: CorpusEntry) -> ParseRules:
-    """Build `entry`'s ParseRules; a malformed `parse_rules` is a ConfigError."""
-    try:
-        return ParseRules(**entry.parse_rules)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{entry.play_id}/{entry.translator}: parse_rules: {exc}"
-        ) from None
-
-
 def _ingest_corpus(
     config: ExperimentConfig,
 ) -> tuple[list[PlayScript], list[str], list[str]]:
@@ -239,7 +228,7 @@ def _ingest_corpus(
         if doc.encoding_note != "utf-8":
             fallbacks.append(f"{entry.play_id}/{entry.translator}")
             warnings.append(f"{entry.play_id}/{entry.translator}: {doc.encoding_note}")
-        rules = _parse_rules(entry)
+        rules = ParseRules(**entry.parse_rules)
         doc = strip_boilerplate(doc, rules)
         play = parse_play(doc, rules, entry.play_id, entry.language, entry.translator)
         warnings.extend(f"{entry.play_id}/{entry.translator}: {w}" for w in play.warnings)
@@ -257,10 +246,9 @@ def _chunk_corpus(
     with _stage("ingest", timings):
         plays, warnings, fallbacks = _ingest_corpus(config)
     aliases = {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
-    eligibility: list[dict] = []
-    chunks = prepare_chunks(
+    chunks, eligibility = prepare_chunks(
         plays, config.labeling, config.min_size, config.chunk_count,
-        config.chunk_size, aliases, timings, eligibility,
+        config.chunk_size, aliases, timings,
     )
     return chunks, warnings, {"encoding_fallbacks": fallbacks, "eligibility": eligibility}
 
@@ -273,69 +261,66 @@ def prepare_chunks(
     chunk_size: int,
     aliases: Mapping[tuple[str, str], Mapping[str, str]] | None = None,
     timings: dict[str, float] | None = None,
-    eligibility: list[dict] | None = None,
-) -> list[Chunk]:
+) -> tuple[list[Chunk], list[dict]]:
     """Extract -> select -> chunk and label: the front half of every command.
 
     Each speaker's dialogue is gathered per (play_id, translator), with
     `aliases[(play_id, translator)]` mapping speaker names onto canonical
-    ones; both sides compare and are stored case-folded. A play with no
+    ones; both sides compare and are stored case-folded. Two plays of one
+    (play_id, translator) raise PreconditionFailed. A play with no
     eligible speaker is skipped; only a corpus where no play has one
-    fails. Stage seconds go into `timings`, and one record per speaker
-    (play_id, translator, speaker, chars of dialogue, kept) into
-    `eligibility`.
+    fails. Stage seconds go into `timings`. Returns the chunks and the
+    eligibility records, one per speaker: play_id, translator, speaker,
+    chars of dialogue, and whether it was kept.
     """
     aliases = aliases or {}
     by_play: dict[tuple[str, str], dict[str, str]] = {}
     with _stage("extract", timings):
         for play in plays:
             key = (play.play_id, play.translator)
+            if key in by_play:
+                raise PreconditionFailed(f"each (play_id, translator) must name one play: {key}")
             alias = {k.casefold(): v.casefold() for k, v in aliases.get(key, {}).items()}
-            texts = by_play.setdefault(key, {})
+            texts = by_play[key] = {}
             for speaker, text in extract_character_text(play).items():
                 speaker = alias.get(speaker.casefold(), speaker)
                 texts[speaker] = f"{texts[speaker]} {text}" if speaker in texts else text
     with _stage("segmentation", timings):
         eligible: dict[tuple[str, str, str], str] = {}
+        eligibility = []
         for (play_id, translator), texts in sorted(by_play.items()):
             for speaker, text in texts.items():
                 kept = len(text) >= min_size
                 if kept:
                     eligible[(play_id, translator, speaker)] = text
-                if eligibility is not None:
-                    eligibility.append({
-                        "play_id": play_id, "translator": translator, "speaker": speaker,
-                        "chars": len(text), "kept": kept,
-                    })
+                eligibility.append({
+                    "play_id": play_id, "translator": translator, "speaker": speaker,
+                    "chars": len(text), "kept": kept,
+                })
         if not eligible:
             raise NoEligibleCharacters(
                 f"no character in any play reaches {min_size} characters"
             )
-        return build_chunks(eligible, labeling, chunk_count, chunk_size)
+        return build_chunks(eligible, labeling, chunk_count, chunk_size), eligibility
 
 
 def chunk_matrix(
-    chunks: Sequence[Chunk],
-    mode: TokenizationMode,
-    token_totals: dict[str, int] | None = None,
-) -> tuple[DissimilarityMatrix, dict]:
+    chunks: Sequence[Chunk], mode: TokenizationMode
+) -> tuple[DissimilarityMatrix, dict, dict[str, int]]:
     """Count every chunk's tokens under `mode` and score all pairs.
 
-    Returns the matrix, rows in chunk_id order, and its sizes: the chunks,
+    Returns the matrix, rows in chunk_id order; its sizes: the chunks,
     pairs, union vocabulary, the mean number of distinct tokens per chunk
     (which sets the matrix cost) and the smallest and largest token total:
     the metric assumes equal-size chunks, and token totals can differ
-    between equal-size chunks. Each chunk's token total goes into
-    `token_totals[chunk_id]`, when given.
+    between equal-size chunks; and each chunk's token total by chunk_id.
     """
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
     counts = count_matrix([c.text for c in ordered], mode)
     matrix = matrix_from_counts([c.chunk_id for c in ordered], counts)
     totals = counts.sum(axis=1)
-    if token_totals is not None:
-        token_totals.update(zip(matrix.chunk_ids, map(int, totals)))
     n = len(ordered)
-    return matrix, {
+    sizes = {
         "chunks": n,
         "pairs": n * (n - 1) // 2,
         "vocabulary": counts.shape[1],
@@ -343,21 +328,21 @@ def chunk_matrix(
         "token_total_min": int(totals.min()),
         "token_total_max": int(totals.max()),
     }
+    return matrix, sizes, dict(zip(matrix.chunk_ids, map(int, totals)))
 
 
 def _write_run_meta(out_dir: Path, timings: dict[str, float], sizes: dict, **extra) -> None:
     """Write the run_meta.json sidecar: time written, stage seconds, sizes
     and the `extra` keys. Call it after the report stage, whose time it holds."""
-    with _stage("report"):
-        sidecar = {
-            "written_at": datetime.now(timezone.utc).isoformat(),
-            "timings": {name: round(secs, 6) for name, secs in timings.items()},
-            "sizes": sizes,
-            **extra,
-        }
-        (out_dir / "run_meta.json").write_text(
-            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-        )
+    sidecar = {
+        "written_at": datetime.now(timezone.utc).isoformat(),
+        "timings": {name: round(secs, 6) for name, secs in timings.items()},
+        "sizes": sizes,
+        **extra,
+    }
+    (out_dir / "run_meta.json").write_text(
+        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -369,7 +354,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     The permutation orders are drawn once, for all modes, as stage
     `permutation_orders`.
     """
-    config.validate()
     timings: dict[str, float] = {}
     sizes: dict[str, dict] = {}
     token_totals: dict[str, dict[str, int]] = {}
@@ -382,8 +366,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
             with _stage(f"analysis:{mode.name}", timings):
-                totals = token_totals[mode.name] = {}
-                matrix, sizes[mode.name] = chunk_matrix(chunks, mode, totals)
+                matrix, sizes[mode.name], token_totals[mode.name] = chunk_matrix(chunks, mode)
                 # the orders permute chunks by matrix position
                 assert matrix.chunk_ids == tuple(labels)
                 sizes[mode.name]["permutations"] = config.permutations
@@ -418,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 write_matrix_csv(matrix, out_dir / sections[name]["matrix_ref"])
             report = {
                 "experiment_id": config.experiment_id,
-                "config": config.to_dict(),
+                "config": asdict(config),
                 "modes": sections,
                 "warnings": warnings,
                 "settings": {
@@ -448,8 +431,7 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
     the run_meta.json sidecar.
     """
     config = replace(config, labeling="character_by_translator")
-    config.validate()
-    # validate leaves one file per (play_id, translator)
+    # a config holds one file per (play_id, translator)
     if len({e.play_id for e in config.corpus}) == len(config.corpus):
         raise PreconditionFailed("two translators of one play required")
     timings: dict[str, float] = {}
@@ -462,8 +444,7 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
             with _stage(f"cross:{mode.name}", timings):
-                totals = token_totals[mode.name] = {}
-                matrix, sizes[mode.name] = chunk_matrix(chunks, mode, totals)
+                matrix, sizes[mode.name], token_totals[mode.name] = chunk_matrix(chunks, mode)
                 # the attribution lists chunks by matrix position
                 assert matrix.chunk_ids == tuple(labels)
                 attribution = attribute_chunks(matrix, labels)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .errors import ConfigError, DegenerateCategory, InsufficientText
+from .errors import ConfigError, DegenerateCategory, InsufficientText, PreconditionFailed
 
 # labeling mode -> the category of a chunk's (play_id, translator, speaker) source
 LABELINGS: dict[str, Callable[[str, str, str], str]] = {
@@ -38,10 +38,13 @@ def chunk_text(text: str, chunk_count: int, chunk_size: int) -> list[str]:
     """Cut the text prefix into `chunk_count` slices of `chunk_size` chars.
 
     Anything beyond chunk_count * chunk_size is discarded (truncate-tail
-    policy); boundaries may split words.
+    policy); boundaries may split words. Fewer than 2 chunks, or chunks
+    of fewer than 1 char, raise PreconditionFailed.
     """
     if chunk_count < 2:
-        raise ValueError("chunk_count must be at least 2")
+        raise PreconditionFailed("chunk_count must be at least 2")
+    if chunk_size < 1:
+        raise PreconditionFailed("chunk_size must be at least 1")
     needed = chunk_count * chunk_size
     if len(text) < needed:
         raise InsufficientText(

@@ -18,11 +18,11 @@ from dramastyle import (
     run_experiment,
 )
 from dramastyle import experiment
-from dramastyle.cli import main
+from dramastyle.cli import build_parser, main
 from dramastyle.errors import NoEligibleCharacters
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
 from dramastyle.ingest import PlayScript, SpeechTurn
-from dramastyle.tokenization import TokenizationMode
+from dramastyle.tokenization import TokenizationMode, count_matrix
 from reference_counts import _ref_tokenize
 
 
@@ -50,7 +50,7 @@ class TestConfigValidation:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment_id="x", corpus=()).validate()
+            ExperimentConfig(experiment_id="x", corpus=())
 
     # the pipeline keys a file by (play_id, translator), whatever its language
     @pytest.mark.parametrize("language", ["en", "de"])
@@ -60,11 +60,42 @@ class TestConfigValidation:
             ExperimentConfig(
                 experiment_id="x", corpus=(entry, replace(entry, language=language)),
                 min_size=100, chunk_count=2, chunk_size=50,
-            ).validate()
+            )
 
     def test_unknown_mode_rejected(self, configs_dir, tmp_path):
         with pytest.raises(ConfigError):
             synthetic_config(configs_dir, tmp_path, modes=("syllable_trigram",))
+
+    # a config checks its fields when it is built, and replace builds one too
+    @pytest.mark.parametrize("field, value", [
+        ("permutations", 0), ("permutations", 1.5), ("permutations", True),
+        ("chunk_count", 1), ("chunk_size", 0), ("min_size", 100), ("min_size", "10000"),
+        ("significance", 0.0), ("significance", 1.0), ("significance", True),
+        ("seed", -1), ("seed", 2**64), ("seed", "42"),
+        ("experiment_id", ".."), ("experiment_id", 5), ("output_dir", 5),
+        ("modes", ()), ("modes", "letter_unigram"), ("modes", (5,)),
+        ("modes", ("letter_ngram:3", "letter_ngram:3")), ("modes", ("letter_ngram",)),
+        ("labeling", "x"), ("labeling", 5),
+    ])
+    def test_config_is_checked_when_built(self, configs_dir, tmp_path, field, value):
+        config = synthetic_config(configs_dir, tmp_path)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{"experiment_id": "x", "corpus": config.corpus, "min_size": 3000,
+                                "chunk_count": 5, "chunk_size": 600, field: value})
+        with pytest.raises(ConfigError):
+            replace(config, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("path", 5), ("play_id", 5), ("language", None), ("translator", ["a"]),
+        ("latin1_fallback", "no"), ("speaker_aliases", ["x"]), ("speaker_aliases", {"kari": 1}),
+        ("parse_rules", {"delimiters": []}), ("parse_rules", {"max_heading_words": 0}),
+        ("parse_rules", ["x"]),
+    ])
+    def test_corpus_entry_is_checked_when_built(self, field, value):
+        with pytest.raises(ConfigError):
+            CorpusEntry(**{"path": "p.txt", "play_id": "p", "language": "en", field: value})
+        with pytest.raises(ConfigError):
+            replace(CorpusEntry(path="p.txt", play_id="p", language="en"), **{field: value})
 
 
 class TestRunExperiment:
@@ -132,11 +163,10 @@ class TestRunExperiment:
         assert set(report) == {"experiment_id", "config", "modes", "warnings", "settings"}
 
     def test_eligibility_records_excluded_speakers_and_skipped_plays(self):
-        eligibility = []
-        prepare_chunks(
+        _, eligibility = prepare_chunks(
             [_play("p", [("ALFA", 300), ("CHARLIE", 199), ("BRAVO", 200)]),
              _play("q", [("DELTA", 50)])],
-            "character", 200, 2, 100, eligibility=eligibility,
+            "character", 200, 2, 100,
         )
         assert eligibility == [
             {"play_id": "p", "translator": "original", "speaker": "ALFA", "chars": 300,
@@ -150,8 +180,8 @@ class TestRunExperiment:
         ]
 
     def test_speaker_at_min_size_is_kept(self):
-        chunks = prepare_chunks([_play("p", [("ALFA", 200), ("BRAVO", 201)])],
-                                "character", 200, 2, 100)
+        chunks, _ = prepare_chunks([_play("p", [("ALFA", 200), ("BRAVO", 201)])],
+                                   "character", 200, 2, 100)
         assert sorted({c.category for c in chunks}) == ["ALFA", "BRAVO"]
 
     @pytest.mark.parametrize("plays", [[], [_play("p", [("ALFA", 199), ("BRAVO", 50)])]],
@@ -163,7 +193,7 @@ class TestRunExperiment:
         assert isinstance(err.value.cause, NoEligibleCharacters)
 
     def test_play_without_eligible_speaker_is_skipped(self):
-        chunks = prepare_chunks(
+        chunks, _ = prepare_chunks(
             [_play("p", [("ALFA", 200), ("BRAVO", 200)]), _play("q", [("DELTA", 199)])],
             "character", 200, 2, 100,
         )
@@ -207,10 +237,11 @@ class TestRunExperiment:
     def test_stages_are_never_nested_or_timed_twice(self, configs_dir, tmp_path, monkeypatch,
                                                     command, config_name):
         # a stage's seconds are its own and written once only if this holds
-        stage, open_stages, nested, timed = experiment._stage, [], [], []
+        stage, open_stages, nested, timed, opened = experiment._stage, [], [], [], []
 
         @contextmanager
         def recording(name, timings=None):
+            opened.append(name)
             if open_stages:
                 nested.append((open_stages[-1], name))
             if timings is not None:
@@ -228,6 +259,7 @@ class TestRunExperiment:
         meta = json.loads((tmp_path / "out" / config_name / "run_meta.json").read_text())
         assert nested == []
         assert timed == list(meta["timings"])
+        assert len(set(opened)) == len(opened), opened
 
     def test_speaker_aliases_match_case_folded_names(self):
         # raw names, as parse_play leaves them with name_normalization off
@@ -236,7 +268,7 @@ class TestRunExperiment:
         ]))
         play = PlayScript("p", "x", "original", turns)
         aliases = {("p", "original"): {"alfa.": "strasse", "STRASSE.": "Straße"}}
-        chunks = prepare_chunks([play], "character", 200, 2, 100, aliases)
+        chunks, _ = prepare_chunks([play], "character", 200, 2, 100, aliases)
         assert sorted({c.source[2] for c in chunks}) == ["BRAVO.", "strasse"]
 
     def test_latin1_fallback_is_reported(self, configs_dir, data_dir, tmp_path):
@@ -246,7 +278,7 @@ class TestRunExperiment:
         config = synthetic_config(configs_dir, tmp_path, permutations=10)
         entry = CorpusEntry(path=str(play), play_id="synthia", language="synthetic",
                             latin1_fallback=True)
-        config = ExperimentConfig(**{**config.to_dict(), "corpus": (entry,)})
+        config = replace(config, corpus=(entry,))
         report = run_experiment(config)
         assert report["warnings"] == ["synthia/original: latin-1 fallback"]
 
@@ -433,6 +465,27 @@ class TestRunMetaRecords:
         )
         assert meta["encoding_fallbacks"] == []
 
+    @pytest.mark.parametrize("command, config_name", [
+        (run_experiment, "synthetic_two_category"),
+        (compare_translations, "synthetic_translations"),
+    ], ids=["run", "compare_translations"])
+    def test_token_totals_are_chunk_matrix_row_sums(self, configs_dir, tmp_path, command,
+                                                    config_name):
+        config = load_config(configs_dir / f"{config_name}.json", permutations=20,
+                             output_dir=str(tmp_path / "out"))
+        command(config)
+        meta = json.loads(
+            (tmp_path / "out" / config_name / "run_meta.json").read_text(encoding="utf-8")
+        )
+        chunks = sorted(experiment._chunk_corpus(config, {})[0], key=lambda c: c.chunk_id)
+        for spec in config.modes:
+            mode = TokenizationMode.parse(spec)
+            matrix, _, totals = experiment.chunk_matrix(chunks, mode)
+            rows = count_matrix([c.text for c in chunks], mode).sum(axis=1)
+            assert totals == dict(zip(matrix.chunk_ids, rows.tolist()))
+            assert all(type(total) is int for total in totals.values())
+            assert totals == meta["token_totals"][mode.name]
+
 
 class TestCompareTranslations:
     def test_requires_two_translators(self, configs_dir, tmp_path):
@@ -467,7 +520,7 @@ class TestCompareTranslations:
             replace(e, path=str(beta), latin1_fallback=True) if e.translator == "beta" else e
             for e in config.corpus
         )
-        compare_translations(ExperimentConfig(**{**config.to_dict(), "corpus": corpus}))
+        compare_translations(replace(config, corpus=corpus))
         out = tmp_path / "out" / "synthetic_translations"
         assert (out / "cross_attribution.csv").exists()
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
@@ -616,6 +669,33 @@ class TestCliExitCodes:
         assert rc == 0
         header = out.read_text().splitlines()[0]
         assert header.startswith("chunk_id,")
+
+    def test_matrix_repeated_play_and_translator_is_2(self, data_dir, tmp_path, capsys):
+        # a run's config rejects such files; matrix learns the keys by reading them
+        plays = []
+        for name, language in (("translation_a", "en"), ("translation_b", "de")):
+            play = tmp_path / f"{name}.json"
+            assert main(["parse", str(data_dir / "synthetic" / f"{name}.txt"),
+                         "--play-id", "synthia", "--language", language, "--translator", "t",
+                         "--out", str(play)]) == 0
+            plays.append(str(play))
+        capsys.readouterr()
+        out = tmp_path / "matrix.csv"
+        rc = main(["matrix", *plays, "--min-size", "3000", "--chunk-count", "5",
+                   "--chunk-size", "600", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: [extract] each (play_id, translator) must name one play: ('synthia', 't')\n"
+        )
+        assert not out.exists()
+
+    def test_matrix_defaults_are_the_configs(self):
+        args = build_parser().parse_args(["matrix", "f.json", "--out", "o"])
+        assert args.mode == ExperimentConfig.modes[0]
+        assert args.labeling == ExperimentConfig.labeling
+        assert args.min_size == ExperimentConfig.min_size
+        assert args.chunk_count == ExperimentConfig.chunk_count
+        assert args.chunk_size == ExperimentConfig.chunk_size
 
     def test_matrix_skips_play_without_eligible_speaker(self, data_dir, tmp_path):
         interchange = tmp_path / "synthia.json"

@@ -5,6 +5,7 @@ from dramastyle import (
     ConfigError,
     DegenerateCategory,
     InsufficientText,
+    PreconditionFailed,
     build_chunks,
     chunk_text,
 )
@@ -26,6 +27,16 @@ class TestChunkText:
     def test_insufficient_text(self):
         with pytest.raises(InsufficientText):
             chunk_text("x" * 9999, 5, 2000)
+
+    @pytest.mark.parametrize("count, size, problem", [
+        (1, 10, "chunk_count must be at least 2"),
+        (0, 10, "chunk_count must be at least 2"),
+        (2, 0, "chunk_size must be at least 1"),
+        (2, -1, "chunk_size must be at least 1"),
+    ])
+    def test_bad_chunking_is_precondition_failed(self, count, size, problem):
+        with pytest.raises(PreconditionFailed, match=problem):
+            chunk_text("x" * 100, count, size)
 
     @given(
         st.text(min_size=0, max_size=200),

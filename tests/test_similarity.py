@@ -278,7 +278,7 @@ class TestChunkMatrix:
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.name)
     def test_matches_matrix_of_reference_counts(self, bundled_chunks, mode):
-        got, sizes = chunk_matrix(bundled_chunks, mode)
+        got, sizes, _ = chunk_matrix(bundled_chunks, mode)
         ordered = sorted(bundled_chunks, key=lambda c: c.chunk_id)
         maps = [_ref_tokenize(c.text, mode) for c in ordered]
         want = matrix(maps, [c.chunk_id for c in ordered])
@@ -294,8 +294,8 @@ class TestChunkMatrix:
         shuffled = [bundled_chunks[i] for i in order]
         assert shuffled != sorted(bundled_chunks, key=lambda c: c.chunk_id)
         for mode in (MODE, TokenizationMode("word", 2)):
-            m1, _ = chunk_matrix(bundled_chunks, mode)
-            m2, _ = chunk_matrix(shuffled, mode)
+            m1, _, _ = chunk_matrix(bundled_chunks, mode)
+            m2, _, _ = chunk_matrix(shuffled, mode)
             assert m1.chunk_ids == m2.chunk_ids
             assert np.array_equal(m1.scores, m2.scores)
 
