@@ -106,7 +106,7 @@ def _cmd_report(args) -> int:
     # render in full before printing, so a malformed report prints nothing
     try:
         lines = _render_report(json.loads(Path(args.report).read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # ValueError: bad JSON or UTF-8
         raise CorpusError(f"{args.report}: not a report: {type(exc).__name__}: {exc}") from None
     for line in lines:
         print(line)

@@ -15,8 +15,8 @@ run_meta.json only, and has `segmentation.build_chunks` cut and label
 the kept texts; it and `chunk_matrix` are the front half that every
 command shares. A config checks its fields when it is built, so an
 invalid one never reaches a stage. Everything is deterministic given
-the config and corpus bytes; the wall-clock timestamp lives in a
-sidecar file so the hashed outputs stay reproducible.
+the config and corpus bytes; the wall-clock timestamp and the file
+locations live in a sidecar file so the hashed outputs stay reproducible.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class CorpusEntry:
     play_id: str
     language: str
     translator: str = "original"
-    parse_rules: dict = field(default_factory=dict)
+    parse_rules: ParseRules = ParseRules()
     speaker_aliases: dict = field(default_factory=dict)
     latin1_fallback: bool = False
 
@@ -67,10 +67,11 @@ class CorpusEntry:
         fields = ("path", "play_id", "language", "translator")
         _check_types(self, fields, (str,), "a string", "corpus ")
         _check_types(self, ("latin1_fallback",), (bool,), "true or false", "corpus ")
-        try:
-            ParseRules(**self.parse_rules)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.play_id}/{self.translator}: parse_rules: {exc}") from None
+        if not isinstance(self.parse_rules, ParseRules):
+            try:
+                object.__setattr__(self, "parse_rules", ParseRules(**self.parse_rules))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{self.play_id}/{self.translator}: parse_rules: {exc}") from None
         aliases = self.speaker_aliases
         if not (isinstance(aliases, Mapping)
                 and all(isinstance(s, str) for kv in aliases.items() for s in kv)):
@@ -228,9 +229,8 @@ def _ingest_corpus(
         if doc.encoding_note != "utf-8":
             fallbacks.append(f"{entry.play_id}/{entry.translator}")
             warnings.append(f"{entry.play_id}/{entry.translator}: {doc.encoding_note}")
-        rules = ParseRules(**entry.parse_rules)
-        doc = strip_boilerplate(doc, rules)
-        play = parse_play(doc, rules, entry.play_id, entry.language, entry.translator)
+        doc = strip_boilerplate(doc, entry.parse_rules)
+        play = parse_play(doc, entry.parse_rules, entry.play_id, entry.language, entry.translator)
         warnings.extend(f"{entry.play_id}/{entry.translator}: {w}" for w in play.warnings)
         plays.append(play)
     return plays, warnings, fallbacks
@@ -241,7 +241,7 @@ def _chunk_corpus(
 ) -> tuple[list[Chunk], list[str], dict[str, list]]:
     """Ingest the corpus and chunk it with `prepare_chunks`; return the
     chunks, the encoding and parse warnings, and the run_meta.json records
-    `encoding_fallbacks` and `eligibility` (the eligibility decisions)."""
+    `corpus_paths`, `encoding_fallbacks` and `eligibility`."""
     # ingest in a frame of its own, so that its last document is freed before chunking
     with _stage("ingest", timings):
         plays, warnings, fallbacks = _ingest_corpus(config)
@@ -250,7 +250,8 @@ def _chunk_corpus(
         plays, config.labeling, config.min_size, config.chunk_count,
         config.chunk_size, aliases, timings,
     )
-    return chunks, warnings, {"encoding_fallbacks": fallbacks, "eligibility": eligibility}
+    return chunks, warnings, {"corpus_paths": [e.path for e in config.corpus],
+                              "encoding_fallbacks": fallbacks, "eligibility": eligibility}
 
 
 def prepare_chunks(
@@ -399,9 +400,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
             write_manifest(chunks, out_dir / "chunk_manifest.csv")
             for name, matrix in matrices.items():
                 write_matrix_csv(matrix, out_dir / sections[name]["matrix_ref"])
+            echo = asdict(config)
+            del echo["output_dir"]  # locations go to run_meta.json: the report echoes content
+            for entry in echo["corpus"]:
+                del entry["path"]
             report = {
                 "experiment_id": config.experiment_id,
-                "config": asdict(config),
+                "config": echo,
                 "modes": sections,
                 "warnings": warnings,
                 "settings": {

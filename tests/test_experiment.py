@@ -21,7 +21,7 @@ from dramastyle import experiment
 from dramastyle.cli import build_parser, main
 from dramastyle.errors import NoEligibleCharacters
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
-from dramastyle.ingest import PlayScript, SpeechTurn
+from dramastyle.ingest import ParseRules, PlayScript, SpeechTurn
 from dramastyle.tokenization import TokenizationMode, count_matrix
 from reference_counts import _ref_tokenize
 
@@ -124,14 +124,16 @@ class TestRunExperiment:
             for category in section["categories"]:
                 assert category["attribution_hits"] == observed[category["category"]]
 
-    def test_run_meta_records_stage_timings_and_sizes(self, configs_dir, tmp_path):
+    def test_run_meta_records_stage_timings_and_sizes(self, configs_dir, data_dir, tmp_path):
         run_experiment(synthetic_config(configs_dir, tmp_path))
         out = tmp_path / "out" / "synthetic_two_category"
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         # the warnings live in report.json only
         assert set(meta) == {
-            "written_at", "timings", "sizes", "encoding_fallbacks", "eligibility", "token_totals",
+            "written_at", "timings", "sizes", "corpus_paths", "encoding_fallbacks", "eligibility",
+            "token_totals",
         }
+        assert meta["corpus_paths"] == [str(data_dir / "synthetic" / "two_category.txt")]
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation", "permutation_orders",
             "analysis:letter_unigram", "analysis:word_unigram", "report",
@@ -339,23 +341,34 @@ class TestRunExperiment:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert [p.name for p in (tmp_path / "out").iterdir()] == [out.name]
 
-    def test_jobs_do_not_change_output_bytes(self, configs_dir, tmp_path):
+    def test_rerun_into_another_directory_gives_same_bytes(self, configs_dir, tmp_path):
         files = {}
-        for jobs in (1, 8):
-            config = synthetic_config(
-                configs_dir, tmp_path, output_dir=str(tmp_path / f"out{jobs}")
-            )
-            run_experiment(config)
-            out = tmp_path / f"out{jobs}" / "synthetic_two_category"
-            files[jobs] = {
+        for name in ("out1", "out2"):
+            run_experiment(synthetic_config(configs_dir, tmp_path,
+                                            output_dir=str(tmp_path / name)))
+            out = tmp_path / name / "synthetic_two_category"
+            files[name] = {
                 p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_meta.json"
             }
-        # the config echo records the differing output_dir; outputs must
-        # otherwise be byte-identical
-        for name in files[1]:
-            a = files[1][name].replace(b"out1", b"out#")
-            b = files[8][name].replace(b"out8", b"out#")
-            assert a == b, name
+        assert files["out1"] == files["out2"]
+
+    def test_report_is_the_same_from_two_checkouts(self, configs_dir, data_dir, tmp_path):
+        config = configs_dir / "synthetic_two_category.json"
+        play = data_dir / "synthetic" / "two_category.txt"
+        reports = []
+        for root, out in (("a", "out"), ("b", "out/nested")):
+            for source in (config, play):
+                copy = tmp_path / root / source.relative_to(configs_dir.parent)
+                copy.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(source, copy)
+            assert main([
+                "run", "--config", str(tmp_path / root / "configs" / config.name),
+                "--permutations", "200", "--out", str(tmp_path / root / out),
+            ]) == 0
+            reports.append(
+                (tmp_path / root / out / "synthetic_two_category" / "report.json").read_bytes()
+            )
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("mode", ["letter_unigram", "word_unigram"])
     def test_matrix_matches_golden(self, configs_dir, data_dir, tmp_path, mode):
@@ -374,14 +387,9 @@ class TestRunExperiment:
             "--out", str(tmp_path / "out"),
         ])
         assert rc == 0
-        report = json.loads(
-            (tmp_path / "out" / "synthetic_two_category" / "report.json").read_text("utf-8")
-        )
-        # `config` is left out: it echoes absolute paths
-        pinned = {key: report[key] for key in ("modes", "warnings", "settings")}
+        report = tmp_path / "out" / "synthetic_two_category" / "report.json"
         golden = data_dir / "golden" / "synthetic_two_category_report.json"
-        text = json.dumps(pinned, ensure_ascii=False, indent=2) + "\n"
-        assert text == golden.read_text(encoding="utf-8")
+        assert report.read_bytes() == golden.read_bytes()
 
     def test_chunk_manifest_matches_golden(self, configs_dir, data_dir, tmp_path):
         run_experiment(synthetic_config(configs_dir, tmp_path))
@@ -408,14 +416,28 @@ class TestRunExperiment:
         run_experiment(config)
         out = tmp_path / "out" / "synthetic_two_category"
         echoed = json.loads((out / "report.json").read_text())["config"]
+        paths = json.loads((out / "run_meta.json").read_text())["corpus_paths"]
         first = (out / "report.json").read_bytes()
-        shutil.rmtree(out)
-        rerun = ExperimentConfig(
-            **{**echoed, "corpus": tuple(CorpusEntry(**e) for e in echoed["corpus"]),
-               "modes": tuple(echoed["modes"])}
-        )
+        rerun = ExperimentConfig(**{
+            **echoed, "output_dir": str(tmp_path / "rerun"), "modes": tuple(echoed["modes"]),
+            "corpus": tuple(CorpusEntry(path=p, **e) for p, e in zip(paths, echoed["corpus"])),
+        })
+        assert rerun == replace(config, output_dir=str(tmp_path / "rerun"))
         run_experiment(rerun)
-        assert (out / "report.json").read_bytes() == first
+        assert (tmp_path / "rerun" / out.name / "report.json").read_bytes() == first
+
+    def test_corpus_entry_keeps_its_parse_rules(self, configs_dir, tmp_path):
+        entry = synthetic_config(configs_dir, tmp_path).corpus[0]
+        assert entry.parse_rules == ParseRules()
+        moved = replace(entry, path="elsewhere.txt")
+        assert moved.parse_rules is entry.parse_rules
+        built = CorpusEntry(path="p.txt", play_id="p", language="en",
+                            parse_rules={"delimiters": [":"], "max_heading_words": 2})
+        assert built.parse_rules == ParseRules(delimiters=(":",), max_heading_words=2)
+        assert replace(built, play_id="q").parse_rules == built.parse_rules
+        # built and frozen: no later change can reach a stage unchecked
+        with pytest.raises(TypeError):
+            entry.parse_rules["delimiters"] = []
 
 
 class TestRunMetaRecords:
@@ -524,6 +546,11 @@ class TestCompareTranslations:
         out = tmp_path / "out" / "synthetic_translations"
         assert (out / "cross_attribution.csv").exists()
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
+        assert set(meta) == {
+            "written_at", "timings", "sizes", "warnings", "corpus_paths", "encoding_fallbacks",
+            "eligibility", "token_totals",
+        }
+        assert meta["corpus_paths"] == [e.path for e in corpus]
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation", "cross:letter_unigram", "report",
         }
@@ -979,9 +1006,12 @@ class TestCliExitCodes:
         assert "alfa" in shown and "bravo" in shown
 
 
-    @pytest.mark.parametrize("content", ['{"experiment_id": "x", "settings"',
-                                         '{"experiment_id": "x", "modes": {}}'],
-                             ids=["invalid_json", "missing_settings"])
+    @pytest.mark.parametrize("content", [
+        '{"experiment_id": "x", "settings"',
+        '{"experiment_id": "x", "modes": {}}',
+        '{"experiment_id": "x", "settings": {"threshold": 0.05, "permutations": 1, "seed": 1}, '
+        '"modes": [], "warnings": []}',
+    ], ids=["invalid_json", "missing_settings", "modes_not_an_object"])
     def test_report_of_non_report_is_3(self, tmp_path, capsys, content):
         report = tmp_path / "report.json"
         report.write_text(content)
