@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 from pathlib import Path
 
@@ -36,6 +35,9 @@ def _cmd_parse(args) -> int:
     if not args.no_strip:
         doc = strip_boilerplate(doc, rules)
     play = parse_play(doc, rules, args.play_id, args.language, args.translator)
+    notes = () if doc.encoding_note == "utf-8" else (doc.encoding_note,)
+    for note in (*notes, *play.warnings):  # interchange JSON has no place for warnings
+        print(f"warning: {doc.source_id}: {note}", file=sys.stderr)
     payload = play_to_json(play)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8", newline="\n")
@@ -163,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (DramastyleError, OSError) as exc:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import csv
 import json
-import secrets
+import os
 import shutil
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -59,7 +59,8 @@ class CorpusEntry:
     language: str
     translator: str = "original"
     parse_rules: ParseRules = ParseRules()
-    speaker_aliases: dict = field(default_factory=dict)
+    # read-only (name, canonical) pairs; a JSON object or other mapping is turned into them
+    speaker_aliases: tuple[tuple[str, str], ...] = ()
     latin1_fallback: bool = False
 
     def __post_init__(self) -> None:
@@ -72,11 +73,14 @@ class CorpusEntry:
                 object.__setattr__(self, "parse_rules", ParseRules(**self.parse_rules))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{self.play_id}/{self.translator}: parse_rules: {exc}") from None
-        aliases = self.speaker_aliases
-        if not (isinstance(aliases, Mapping)
-                and all(isinstance(s, str) for kv in aliases.items() for s in kv)):
+        pairs = self.speaker_aliases
+        pairs = tuple(pairs.items()) if isinstance(pairs, Mapping) else pairs
+        if not (isinstance(pairs, tuple) and all(
+                isinstance(kv, tuple) and len(kv) == 2 and all(isinstance(s, str) for s in kv)
+                for kv in pairs)):
             raise ConfigError(f"{self.play_id}/{self.translator}: speaker_aliases must map "
                               "names to names")
+        object.__setattr__(self, "speaker_aliases", pairs)
 
 
 def check_chunking(min_size: int, chunk_count: int, chunk_size: int) -> None:
@@ -124,9 +128,14 @@ class ExperimentConfig:
         _check_types(self, integers, (int,), "an integer")
         _check_types(self, ("significance",), (int, float), "a number")
         _check_types(self, ("experiment_id", "output_dir", "labeling"), (str,), "a string")
-        _check_types(self, ("modes",), (list, tuple), "a list")
+        _check_types(self, ("modes", "corpus"), (list, tuple), "a list")
+        # stored as tuples, so a checked config cannot change afterwards
+        object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "corpus", tuple(self.corpus))
         if not self.corpus:
             raise ConfigError("corpus must be non-empty")
+        if not all(isinstance(entry, CorpusEntry) for entry in self.corpus):
+            raise ConfigError(f"corpus items must be CorpusEntry, got {list(self.corpus)!r}")
         name = self.experiment_id
         # it names a directory under output_dir that a run replaces as a whole
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
@@ -165,8 +174,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
         corpus = tuple(CorpusEntry(**e) for e in data.pop("corpus"))
-        if isinstance(data.get("modes"), list):
-            data["modes"] = tuple(data["modes"])
         config = ExperimentConfig(corpus=corpus, **data)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -202,14 +209,14 @@ def _output_dir(config: ExperimentConfig) -> Iterator[Path]:
     """
     final = Path(config.output_dir) / config.experiment_id
     final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = final.with_name(f".{final.name}.{secrets.token_hex(8)}.tmp")
+    tmp = final.with_name(f".{final.name}.{os.urandom(8).hex()}.tmp")
     tmp.mkdir()
     try:
         yield tmp
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    stale = final.with_name(f".{final.name}.{secrets.token_hex(8)}.old")
+    stale = final.with_name(f".{final.name}.{os.urandom(8).hex()}.old")
     if final.exists():
         final.rename(stale)
     tmp.rename(final)
@@ -245,7 +252,7 @@ def _chunk_corpus(
     # ingest in a frame of its own, so that its last document is freed before chunking
     with _stage("ingest", timings):
         plays, warnings, fallbacks = _ingest_corpus(config)
-    aliases = {(e.play_id, e.translator): e.speaker_aliases for e in config.corpus}
+    aliases = {(e.play_id, e.translator): dict(e.speaker_aliases) for e in config.corpus}
     chunks, eligibility = prepare_chunks(
         plays, config.labeling, config.min_size, config.chunk_count,
         config.chunk_size, aliases, timings,
@@ -404,6 +411,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             del echo["output_dir"]  # locations go to run_meta.json: the report echoes content
             for entry in echo["corpus"]:
                 del entry["path"]
+                entry["speaker_aliases"] = dict(entry["speaker_aliases"])
             report = {
                 "experiment_id": config.experiment_id,
                 "config": echo,

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CorpusError, NoTurnsFound, UnbalancedBoilerplateMarkers
-
-log = logging.getLogger(__name__)
 
 # Honorific abbreviations that may carry a trailing period inside a
 # title-case speaker name ("Mrs. Linde. Hello." -> speaker "Mrs. Linde").
@@ -298,8 +295,6 @@ def parse_play(
         if speaker is None:
             speaker = speakers[name] = normalize_speaker(name) if rules.name_normalization else name
         turns.append(SpeechTurn(speaker, " ".join(body.split()), len(turns)))
-    for w in warnings:
-        log.warning("%s: %s", doc.source_id, w)
     return PlayScript(
         play_id=play_id,
         language=language,

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -75,7 +77,7 @@ class TestConfigValidation:
         ("experiment_id", ".."), ("experiment_id", 5), ("output_dir", 5),
         ("modes", ()), ("modes", "letter_unigram"), ("modes", (5,)),
         ("modes", ("letter_ngram:3", "letter_ngram:3")), ("modes", ("letter_ngram",)),
-        ("labeling", "x"), ("labeling", 5),
+        ("labeling", "x"), ("labeling", 5), ("corpus", ({"path": "a"},)),
     ])
     def test_config_is_checked_when_built(self, configs_dir, tmp_path, field, value):
         config = synthetic_config(configs_dir, tmp_path)
@@ -88,6 +90,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("path", 5), ("play_id", 5), ("language", None), ("translator", ["a"]),
         ("latin1_fallback", "no"), ("speaker_aliases", ["x"]), ("speaker_aliases", {"kari": 1}),
+        ("speaker_aliases", (("kari",),)), ("speaker_aliases", [("kari", "k")]),
         ("parse_rules", {"delimiters": []}), ("parse_rules", {"max_heading_words": 0}),
         ("parse_rules", ["x"]),
     ])
@@ -96,6 +99,25 @@ class TestConfigValidation:
             CorpusEntry(**{"path": "p.txt", "play_id": "p", "language": "en", field: value})
         with pytest.raises(ConfigError):
             replace(CorpusEntry(path="p.txt", play_id="p", language="en"), **{field: value})
+
+    # each of the next two reached a stage unchecked when fields were mutable
+    def test_speaker_aliases_are_read_only(self, configs_dir, tmp_path):
+        config = synthetic_config(configs_dir, tmp_path)
+        with pytest.raises(TypeError):
+            config.corpus[0].speaker_aliases["alfa"] = 5
+        entry = CorpusEntry(path="p.txt", play_id="p", language="en",
+                            speaker_aliases={"Kari": "kari", "a": "b"})
+        assert entry.speaker_aliases == (("Kari", "kari"), ("a", "b"))
+        assert replace(entry, path="q.txt").speaker_aliases == entry.speaker_aliases
+        assert copy.deepcopy(entry) == pickle.loads(pickle.dumps(entry)) == entry
+
+    def test_replaced_modes_and_corpus_are_tuples(self, configs_dir, tmp_path):
+        config = synthetic_config(configs_dir, tmp_path)
+        config = replace(config, modes=["letter_unigram"], corpus=list(config.corpus))
+        assert config.modes == ("letter_unigram",)
+        assert type(config.corpus) is tuple
+        with pytest.raises(AttributeError):
+            config.modes.append("letter_unigram")
 
 
 class TestRunExperiment:
@@ -631,6 +653,32 @@ class TestGoldenParse:
             assert list(t) == ["speaker", "text", "ordinal"]
             assert "[" not in t["text"] and "(" not in t["text"]
 
+    def test_latin1_flag_decodes_and_warns(self, data_dir, tmp_path, capsys):
+        text = (data_dir / "miniature_play.txt").read_text(encoding="utf-8")
+        text = text.replace("coffee", "café")
+        utf8, latin1 = tmp_path / "utf8.txt", tmp_path / "latin1.txt"
+        utf8.write_text(text, encoding="utf-8")
+        latin1.write_bytes(text.encode("latin-1"))
+        args = ["--play-id", "miniature", "--language", "english"]
+        assert main(["parse", str(utf8), *args, "--out", str(tmp_path / "utf8.json")]) == 0
+        assert main(["parse", str(latin1), *args, "--out", str(tmp_path / "no.json")]) == 3
+        capsys.readouterr()
+        out = tmp_path / "latin1.json"
+        assert main(["parse", str(latin1), *args, "--latin1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: latin1.txt: latin-1 fallback\n"
+        assert out.read_bytes() == (tmp_path / "utf8.json").read_bytes()
+        assert "café" in out.read_text(encoding="utf-8")
+
+    def test_no_strip_flag_keeps_a_lone_start_marker(self, tmp_path):
+        play = tmp_path / "truncated.txt"
+        play.write_text("*** START OF THE PLAY ***\n\nNORA. Good morning.\n", encoding="utf-8")
+        args = ["parse", str(play), "--play-id", "p", "--language", "english"]
+        assert main([*args, "--out", str(tmp_path / "strip.json")]) == 3
+        out = tmp_path / "kept.json"
+        assert main([*args, "--no-strip", "--out", str(out)]) == 0
+        turns = json.loads(out.read_text(encoding="utf-8"))["turns"]
+        assert turns == [{"speaker": "nora", "text": "Good morning.", "ordinal": 0}]
+
 
 class TestCliExitCodes:
     def test_success(self, configs_dir, tmp_path):
@@ -1036,15 +1084,24 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_run_loads_no_numpy_random(configs_dir, tmp_path):
-    """The shuffle is plain NumPy integer arithmetic: a run never imports
-    `numpy.random`, whose import alone costs megabytes of resident memory."""
-    config = configs_dir / "synthetic_two_category.json"
+@pytest.mark.parametrize("command", ["run", "compare", "parse"])
+def test_run_loads_no_numpy_random(configs_dir, data_dir, tmp_path, command):
+    """The shuffle is plain NumPy integer arithmetic: no command imports
+    `numpy.random`, whose import alone costs megabytes of resident memory.
+    Nor `logging` (warnings are data) or `secrets` and its hash modules
+    (temporary directories are named from `os.urandom`)."""
+    argv = {
+        "run": ["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                "--permutations", "20", "--out", str(tmp_path / "out")],
+        "compare": ["run", "--config", str(configs_dir / "synthetic_translations.json"),
+                    "--compare-translations", "--out", str(tmp_path / "out")],
+        "parse": ["parse", str(data_dir / "ingest_edge_cases.txt"), "--play-id", "e",
+                  "--language", "english", "--out", str(tmp_path / "e.json")],
+    }[command]
+    banned = ("numpy.random", "logging", "secrets", "hmac", "hashlib", "_hashlib")
     probe = (
-        "import sys; from dramastyle.cli import main; "
-        f"rc = main(['run', '--config', {str(config)!r}, '--permutations', '20', "
-        f"'--out', {str(tmp_path / 'out')!r}]); "
-        "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        f"import sys; from dramastyle.cli import main; rc = main({argv!r}); "
+        f"print(rc, sorted(m for m in sys.modules if m.startswith({banned!r})))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run(

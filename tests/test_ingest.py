@@ -374,7 +374,7 @@ def test_regex_whitespace_is_str_isspace():
     assert disagree == []
 
 
-def test_edge_case_fixture_matches_golden(data_dir, tmp_path, caplog):
+def test_edge_case_fixture_matches_golden(data_dir, tmp_path, capsys):
     """Boilerplate markers next to U+2028 and form-feed breaks, both heading
     styles, nested and unmatched stage directions, a heading after a
     form feed and capitalised continuation lines, parsed byte for byte."""
@@ -386,11 +386,12 @@ def test_edge_case_fixture_matches_golden(data_dir, tmp_path, caplog):
         "--language", "english", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == (data_dir / "golden" / "ingest_edge_cases.json").read_bytes()
-    assert [r.getMessage() for r in caplog.records] == [
-        "ingest_edge_cases.txt: unmatched '[' kept verbatim near: '[Aside. She never listens.'",
-        "ingest_edge_cases.txt: unmatched ']' kept verbatim near: "
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: ingest_edge_cases.txt: unmatched '[' kept verbatim near: "
+        "'[Aside. She never listens.'",
+        "warning: ingest_edge_cases.txt: unmatched ']' kept verbatim near: "
         "'] to the water. Wait for me, Osvald.'",
-        "ingest_edge_cases.txt: unmatched '(' kept verbatim near: "
+        "warning: ingest_edge_cases.txt: unmatched '(' kept verbatim near: "
         "'( in the garden. I set it under the ches'",
     ]
 
