@@ -21,11 +21,10 @@ from .errors import (
 )
 from .experiment import (
     ExperimentConfig, check_chunking, chunk_matrix, compare_translations, load_config,
-    prepare_chunks, run_experiment,
+    prepare_chunks, run_experiment, write_matrix_csv,
 )
 from .ingest import ParseRules, load_document, parse_play, play_from_json, play_to_json, strip_boilerplate
 from .segmentation import labeler
-from .similarity import write_matrix_csv
 from .tokenization import TokenizationMode
 
 

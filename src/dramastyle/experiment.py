@@ -9,14 +9,17 @@ each chunk's nearest foreign category instead. Each is one straight
 sequence of timed stages: `_chunk_corpus` (ingest, then
 `prepare_chunks`), the command's own loop over the modes
 (`chunk_matrix`, then its statistic), the report stage, and
-`_write_run_meta`. `prepare_chunks` keeps each speaker with at least
-`min_size` characters of dialogue, returns each decision for
-run_meta.json only, and has `segmentation.build_chunks` cut and label
-the kept texts; it and `chunk_matrix` are the front half that every
-command shares. A config checks its fields when it is built, so an
-invalid one never reaches a stage. Everything is deterministic given
-the config and corpus bytes; the wall-clock timestamp and the file
-locations live in a sidecar file so the hashed outputs stay reproducible.
+`_write_run_meta`. This module alone knows the output formats:
+`_mode_section` lays out a mode's report.json section from the arrays of
+`permutation_baselines`, and `_write_csv` writes every CSV.
+`prepare_chunks` keeps each speaker with at least `min_size` characters
+of dialogue, returns each decision for run_meta.json only, and has
+`segmentation.build_chunks` cut and label the kept texts; it and
+`chunk_matrix` are the front half that every command shares. A config
+checks its fields when it is built, so an invalid one never reaches a
+stage. Everything is deterministic given the config and corpus bytes;
+the wall-clock timestamp and the file locations live in a sidecar file
+so the hashed outputs stay reproducible.
 """
 from __future__ import annotations
 
@@ -29,12 +32,12 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NoEligibleCharacters, PipelineError, PreconditionFailed
-from .homogeneity import attribute_chunks, draw_orders, permutation_baselines
+from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, permutation_baselines
 from .ingest import (
     ParseRules,
     PlayScript,
@@ -43,8 +46,8 @@ from .ingest import (
     parse_play,
     strip_boilerplate,
 )
-from .segmentation import Chunk, build_chunks, labeler, write_manifest
-from .similarity import DissimilarityMatrix, matrix_from_counts, write_matrix_csv
+from .segmentation import Chunk, build_chunks, labeler
+from .similarity import DissimilarityMatrix, matrix_from_counts
 from .tokenization import TokenizationMode, count_matrix
 
 DEFAULT_SIGNIFICANCE = 0.05
@@ -339,6 +342,64 @@ def chunk_matrix(
     return matrix, sizes, dict(zip(matrix.chunk_ids, map(int, totals)))
 
 
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV with LF line ends: the header, then the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
+    """Matrix CSV: header of chunk_ids, one labeled row per chunk, 6 decimals."""
+    _write_csv(path, ["chunk_id", *matrix.chunk_ids], (
+        [cid, *(format(v, ".6f") for v in row)] for cid, row in zip(matrix.chunk_ids, matrix.scores)
+    ))
+
+
+def _mode_section(
+    mode: str, chunk_ids: Sequence[str], baselines: PermutationBaselines, seed: int
+) -> dict:
+    """One mode's section of report.json, laid out from the engine's arrays:
+    a record per category and per chunk (in matrix order), the attribution
+    null and the chunks whose nearest categories tie."""
+    result, null = baselines.attribution, baselines.rank_sum_null
+    names, permutations = result.categories, null.shape[1]
+    best = result.means.argmin(axis=1)  # first index wins: lexicographic tie-break
+    tied = result.means == result.means[np.arange(len(best)), best][:, None]
+    hit_means = baselines.hit_null.sum(axis=1) / permutations
+    # row by row: std(axis=1) would allocate a temporary of the null's size
+    summaries = [(float(r.mean()), float(r.std()), float(r.min()), float(r.max())) for r in null]
+    categories = [
+        {"category": name, "rank_sum": rank_sum, "rank_sum_p": rank_sum_p,
+         "attribution_hits": hits, "attribution_total": total, "attribution_p": attribution_p,
+         "permutations": permutations, "seed": seed,
+         "rank_sum_null": {"observed": rank_sum, "permutations": permutations, "null_mean": mean,
+                           "null_sd": sd, "null_min": low, "null_max": high}}
+        for name, rank_sum, rank_sum_p, hits, total, attribution_p, (mean, sd, low, high) in zip(
+            names, baselines.rank_sums.tolist(), baselines.rank_sum_p.tolist(),
+            baselines.hits.tolist(), np.bincount(result.codes).tolist(),
+            baselines.attribution_p.tolist(), summaries)
+    ]
+    attribution = [
+        {"chunk_id": chunk_id, "true_category": names[own], "attributed_category": names[k],
+         "hit": own == k, "mean_scores": dict(zip(names, row))}
+        for chunk_id, own, k, row
+        in zip(chunk_ids, result.codes.tolist(), best.tolist(), result.means.tolist())
+    ]
+    return {
+        "chunk_manifest_ref": "chunk_manifest.csv", "matrix_ref": f"matrix_{mode}.csv",
+        "categories": categories, "attribution": attribution,
+        "attribution_null": {"observed": dict(zip(names, baselines.hits.tolist())),
+                             "permutations": permutations,
+                             "null_mean": dict(zip(names, hit_means.tolist()))},
+        "ties_logged": [
+            {"chunk_id": chunk_id, "tied_categories": [names[k] for k in np.flatnonzero(row)]}
+            for chunk_id, row in zip(chunk_ids, tied) if row.sum() > 1
+        ],
+    }
+
+
 def _write_run_meta(out_dir: Path, timings: dict[str, float], sizes: dict, **extra) -> None:
     """Write the run_meta.json sidecar: time written, stage seconds, sizes
     and the `extra` keys. Call it after the report stage, whose time it holds."""
@@ -378,33 +439,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 # the orders permute chunks by matrix position
                 assert matrix.chunk_ids == tuple(labels)
                 sizes[mode.name]["permutations"] = config.permutations
-                baselines = permutation_baselines(matrix, labels, orders)
-                attribution = baselines.attribution
-                categories = [
-                    {
-                        "category": category,
-                        "rank_sum": rank_sum_null["observed"],
-                        "rank_sum_p": baselines.rank_sum_p[category],
-                        "attribution_hits": attribution.hits[category],
-                        "attribution_total": attribution.totals[category],
-                        "attribution_p": baselines.attribution_p[category],
-                        "permutations": config.permutations,
-                        "seed": config.seed,
-                        "rank_sum_null": rank_sum_null,
-                    }
-                    for category, rank_sum_null in baselines.rank_sum_null.items()
-                ]
                 matrices[mode.name] = matrix
-                sections[mode.name] = {
-                    "chunk_manifest_ref": "chunk_manifest.csv",
-                    "matrix_ref": f"matrix_{mode.name}.csv",
-                    "categories": categories,
-                    "attribution": list(attribution.per_chunk),
-                    "attribution_null": baselines.attribution_null,
-                    "ties_logged": list(attribution.ties),
-                }
+                # no name holds the engine's result: its nulls are freed with the mode
+                sections[mode.name] = _mode_section(
+                    mode.name, matrix.chunk_ids, permutation_baselines(matrix, labels, orders),
+                    config.seed,
+                )
         with _stage("report", timings):
-            write_manifest(chunks, out_dir / "chunk_manifest.csv")
+            # chunks come sorted by chunk_id, as the matrices' rows
+            _write_csv(out_dir / "chunk_manifest.csv", (
+                "chunk_id", "category", "play_id", "translator", "speaker", "size_units",
+            ), ([c.chunk_id, c.category, *c.source, len(c.text)] for c in chunks))
             for name, matrix in matrices.items():
                 write_matrix_csv(matrix, out_dir / sections[name]["matrix_ref"])
             echo = asdict(config)
@@ -461,21 +506,20 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
                 # the attribution lists chunks by matrix position
                 assert matrix.chunk_ids == tuple(labels)
                 attribution = attribute_chunks(matrix, labels)
-                for chunk, record in zip(chunks, attribution.per_chunk):
-                    own = record["true_category"]
-                    foreign = {c: s for c, s in record["mean_scores"].items() if c != own}
-                    nearest = min(foreign, key=lambda c: (foreign[c], c))
+                names, own, at = attribution.categories, attribution.codes, np.arange(len(chunks))
+                foreign = attribution.means.copy()
+                foreign[at, own] = np.inf
+                nearest = foreign.argmin(axis=1)  # first index wins: lexicographic tie-break
+                scores = foreign[at, nearest].tolist()
+                for chunk, k, j, score in zip(chunks, own.tolist(), nearest.tolist(), scores):
                     rows.append(dict(zip(_CROSS_COLUMNS, (
-                        mode.name, chunk.chunk_id, *chunk.source, own, nearest, foreign[nearest],
+                        mode.name, chunk.chunk_id, *chunk.source, names[k], names[j], score,
                     ))))
         with _stage("report", timings):
-            with open(out_dir / "cross_attribution.csv", "w", newline="",
-                      encoding="utf-8") as f:
-                writer = csv.DictWriter(f, fieldnames=_CROSS_COLUMNS, lineterminator="\n")
-                writer.writeheader()
-                for row in rows:
-                    score = format(row["nearest_foreign_score"], ".6f")
-                    writer.writerow({**row, "nearest_foreign_score": score})
+            _write_csv(out_dir / "cross_attribution.csv", _CROSS_COLUMNS, (
+                (*list(row.values())[:-1], format(row["nearest_foreign_score"], ".6f"))
+                for row in rows
+            ))
         # no report.json here, so the sidecar is the record of the warnings
         _write_run_meta(out_dir, timings, sizes, warnings=warnings, **records,
                         token_totals=token_totals)

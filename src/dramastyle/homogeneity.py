@@ -37,21 +37,27 @@ _DRAW_WORDS = 1 << 16  # SplitMix64 outputs per block of rows in draw_orders; bo
 
 @dataclass(frozen=True)
 class AttributionResult:
-    per_chunk: tuple[dict, ...]  # chunk_id, true/attributed category, hit
-    hits: dict[str, int]
-    totals: dict[str, int]
-    ties: tuple[dict, ...]
+    """Each chunk's mean score to every category, rows in the matrix's chunk
+    order; its nearest category is the argmin of its row, and on a tie the
+    first index, the lexicographically smallest category, wins."""
+
+    categories: tuple[str, ...]  # sorted
+    codes: np.ndarray  # (n,) each chunk's own category index
+    means: np.ndarray  # (n, K), leave-one-out in the chunk's own category
 
 
 @dataclass(frozen=True)
 class PermutationBaselines:
-    """Per-category p-values and null summaries, keyed as in report.json."""
+    """Observed statistics, add-one p-values and nulls, aligned with
+    `attribution.categories`; null column p is permutation p."""
 
-    rank_sum_p: dict[str, float]
-    rank_sum_null: dict[str, dict]  # observed, permutations, null mean/sd/min/max
-    attribution_p: dict[str, float]
-    attribution_null: dict  # observed hits, permutations, null mean per category
     attribution: AttributionResult  # the observed one, whose hits are tested
+    rank_sums: np.ndarray  # (K,)
+    rank_sum_p: np.ndarray  # (K,)
+    hits: np.ndarray  # (K,)
+    attribution_p: np.ndarray  # (K,)
+    rank_sum_null: np.ndarray  # (K, permutations)
+    hit_null: np.ndarray  # (K, permutations), int32
 
 
 def rank_pairs(matrix: DissimilarityMatrix) -> np.ndarray:
@@ -71,61 +77,25 @@ def rank_pairs(matrix: DissimilarityMatrix) -> np.ndarray:
     return rank_matrix + rank_matrix.T
 
 
-def _encode(
-    chunk_ids: Sequence[str], labels: Mapping[str, str]
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Sorted categories, each chunk's category index and the (n, K) one-hot
-    matrix of the chunks' labels; every category needs at least two chunks."""
-    names, codes = np.unique([labels[cid] for cid in chunk_ids], return_inverse=True)
-    categories = names.tolist()
-    onehot = (codes[:, None] == np.arange(len(categories))).astype(float)
-    for c, size in zip(categories, onehot.sum(axis=0)):
-        if size < 2:
-            raise DegenerateCategory(f"category {c!r} has {int(size)} chunk(s)")
-    return categories, codes, onehot
+def _encode(ids: Sequence[str], labels: Mapping[str, str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted categories and the category index of each of the chunks `ids`;
+    every category needs at least two chunks."""
+    names, codes = np.unique(list(map(labels.__getitem__, ids)), return_inverse=True)
+    small = np.flatnonzero(np.bincount(codes) < 2)
+    if small.size:
+        raise DegenerateCategory(f"category {str(names[small[0]])!r} has 1 chunk(s)")
+    return tuple(names.tolist()), codes
 
 
 def attribute_chunks(
     matrix: DissimilarityMatrix, labels: Mapping[str, str]
 ) -> AttributionResult:
-    """Assign each chunk to its nearest category by leave-one-out mean.
-
-    Ties go to the lexicographically smallest category and are logged in
-    the result rather than hidden.
-    """
-    return _attribute(matrix, *_encode(matrix.chunk_ids, labels))
-
-
-def _attribute(
-    matrix: DissimilarityMatrix, categories: list[str], codes: np.ndarray, onehot: np.ndarray
-) -> AttributionResult:
-    """`attribute_chunks` on the labels as `_encode` gives them."""
+    """Mean score from each chunk to each category, leave-one-out in its own."""
+    categories, codes = _encode(matrix.chunk_ids, labels)
+    onehot = np.eye(len(categories))[codes]
     # leave-one-out for the chunk's own category: its zero self-distance is excluded
     means = matrix.scores @ onehot / (onehot.sum(axis=0) - onehot)
-    best = means.argmin(axis=1)  # first index wins: lexicographic tie-break
-    hit = best == codes
-    per_chunk = []
-    ties = []
-    for i, cid in enumerate(matrix.chunk_ids):
-        tied = [categories[k] for k in np.flatnonzero(means[i] == means[i, best[i]])]
-        if len(tied) > 1:
-            ties.append({"chunk_id": cid, "tied_categories": tied})
-        per_chunk.append(
-            {
-                "chunk_id": cid,
-                "true_category": categories[codes[i]],
-                "attributed_category": categories[best[i]],
-                "hit": bool(hit[i]),
-                "mean_scores": {c: float(means[i, k]) for k, c in enumerate(categories)},
-            }
-        )
-    k = len(categories)
-    return AttributionResult(
-        per_chunk=tuple(per_chunk),
-        hits=dict(zip(categories, np.bincount(codes[hit], minlength=k).tolist())),
-        totals=dict(zip(categories, np.bincount(codes, minlength=k).tolist())),
-        ties=tuple(ties),
-    )
+    return AttributionResult(categories, codes, means)
 
 
 def draw_orders(n: int, permutations: int, seed: int) -> np.ndarray:
@@ -168,10 +138,14 @@ def permutation_baselines(
     observed rank-sums sum the same pair ranks unshuffled, and the observed
     hits are those of `attribute_chunks`, returned as `attribution`.
     p-values use the add-one estimator, so none is below 1/(permutations+1).
+    Every result is an array over the sorted categories; `experiment` lays
+    them out as report records.
     """
     rank_matrix = rank_pairs(matrix)
-    categories, codes, onehot = _encode(matrix.chunk_ids, labels)
-    n, k = onehot.shape
+    attribution = attribute_chunks(matrix, labels)
+    codes = attribution.codes
+    n, k = attribution.means.shape
+    onehot = np.eye(k)[codes]
     if orders.ndim != 2 or len(orders) < 1 or orders.shape[1] != n:
         raise PreconditionFailed(
             f"orders have shape {orders.shape}, need (permutations >= 1, {n})"
@@ -220,37 +194,19 @@ def permutation_baselines(
         hits = np.bincount((rows * k + own)[hit], minlength=len(block) * k)
         return rank_sums.T, hits.reshape(-1, k).T
 
-    observed_rank_sums = np.add.reduceat(flat_ranks[first * n + second], starts)
-    attribution = _attribute(matrix, categories, codes, onehot)
     rank_null = np.empty((k, permutations))
-    hit_null = np.empty((k, permutations))
+    hit_null = np.empty((k, permutations), dtype=np.int32)  # counts, in half of float64's space
     for start in range(0, permutations, _BLOCK):
         block = slice(start, start + _BLOCK)
         rank_null[:, block], hit_null[:, block] = score(orders[block])
-
-    rank_sum_p, rank_sum_null = {}, {}
-    for c, observed, null in zip(categories, observed_rank_sums.tolist(), rank_null):
-        rank_sum_p[c] = (1 + int((null <= observed).sum())) / (permutations + 1)
-        rank_sum_null[c] = {
-            "observed": observed,
-            "permutations": permutations,
-            "null_mean": float(null.mean()),
-            "null_sd": float(null.std()),
-            "null_min": float(null.min()),
-            "null_max": float(null.max()),
-        }
-    at_least = [int((null >= attribution.hits[c]).sum()) for c, null in zip(categories, hit_null)]
+    rank_sums = np.add.reduceat(flat_ranks[first * n + second], starts)
+    hits = np.bincount(codes[attribution.means.argmin(axis=1) == codes], minlength=k)
     return PermutationBaselines(
-        rank_sum_p=rank_sum_p,
-        rank_sum_null=rank_sum_null,
-        attribution_p={c: (1 + a) / (permutations + 1) for c, a in zip(categories, at_least)},
-        attribution_null={
-            "observed": attribution.hits,
-            "permutations": permutations,
-            "null_mean": {
-                c: float(total) / permutations
-                for c, total in zip(categories, hit_null.sum(axis=1))
-            },
-        },
         attribution=attribution,
+        rank_sums=rank_sums,
+        rank_sum_p=(1 + (rank_null <= rank_sums[:, None]).sum(axis=1)) / (permutations + 1),
+        hits=hits,
+        attribution_p=(1 + (hit_null >= hits[:, None]).sum(axis=1)) / (permutations + 1),
+        rank_sum_null=rank_null,
+        hit_null=hit_null,
     )

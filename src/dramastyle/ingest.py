@@ -60,12 +60,13 @@ class ParseRules:
     max_heading_words: int = 4
 
     def __post_init__(self):
+        pairs = tuple(self.stage_direction_brackets)
+        # tuple() would split a string into its characters
+        if isinstance(self.delimiters, str) or any(isinstance(pair, str) for pair in pairs):
+            raise ValueError("delimiters and each bracket pair must be lists, not strings")
         # lists (as read from JSON) become tuples, so the rules stay hashable
         object.__setattr__(self, "delimiters", tuple(self.delimiters))
-        object.__setattr__(
-            self, "stage_direction_brackets",
-            tuple(tuple(pair) for pair in self.stage_direction_brackets),
-        )
+        object.__setattr__(self, "stage_direction_brackets", tuple(tuple(p) for p in pairs))
         if not self.delimiters or not all(isinstance(d, str) and d for d in self.delimiters):
             raise ValueError("delimiters must be a non-empty list of non-empty strings")
         flat = [b for pair in self.stage_direction_brackets for b in pair]
@@ -329,21 +330,25 @@ def play_to_json(play: PlayScript) -> str:
 
 
 def play_from_json(text: str) -> PlayScript:
-    """Read the interchange format; anything else is a CorpusError."""
+    """Read the interchange format; anything else is a CorpusError, raised
+    before any stage: the ids, and each turn's speaker and text, must be
+    strings, each ordinal an int, and `turns` a list of objects."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"invalid interchange JSON: {exc}") from None
     try:
-        return PlayScript(
-            play_id=data["play_id"],
-            language=data["language"],
-            translator=data["translator"],
-            turns=tuple(
-                SpeechTurn(t["speaker"], t["text"], t["ordinal"]) for t in data["turns"]
-            ),
-        )
+        ids = [data[key] for key in ("play_id", "language", "translator")]
+        if type(data["turns"]) is not list or any(type(t) is not dict for t in data["turns"]):
+            raise TypeError("turns must be a list of objects")
+        turns = [(t["speaker"], t["text"], t["ordinal"]) for t in data["turns"]]
     except KeyError as exc:
         raise CorpusError(f"interchange JSON lacks key {exc}") from None
     except TypeError as exc:
         raise CorpusError(f"malformed interchange JSON: {exc}") from None
+    # exact types: an ordinal of true or 1.0 is not an int
+    if (any(type(s) is not str for s in ids)
+            or any(tuple(map(type, t)) != (str, str, int) for t in turns)):
+        raise CorpusError("malformed interchange JSON: ids, speakers and texts must be "
+                          "strings and ordinals integers")
+    return PlayScript(*ids, turns=tuple(SpeechTurn(*t) for t in turns))

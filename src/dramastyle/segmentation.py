@@ -1,9 +1,7 @@
 """Equal-size chunking of character dialogue, labelled by category."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping
 
 from .errors import ConfigError, DegenerateCategory, InsufficientText, PreconditionFailed
@@ -79,11 +77,3 @@ def build_chunks(
     return sorted((c for bucket in by_category.values() for c in bucket),
                   key=lambda c: c.chunk_id)
 
-
-def write_manifest(chunks: list[Chunk], path: str | Path) -> None:
-    """Chunk manifest CSV, sorted by chunk_id; size_units is the chunk's length."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["chunk_id", "category", "play_id", "translator", "speaker", "size_units"])
-        for c in sorted(chunks, key=lambda c: c.chunk_id):
-            writer.writerow([c.chunk_id, c.category, *c.source, len(c.text)])

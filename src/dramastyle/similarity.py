@@ -19,9 +19,7 @@ counts straight into the matrix it scores.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -104,11 +102,3 @@ def matrix_from_counts(chunk_ids: Sequence[str], counts: np.ndarray) -> Dissimil
     scores = _upper_scores(counts, totals)
     return DissimilarityMatrix(chunk_ids=tuple(chunk_ids), scores=scores + scores.T)
 
-
-def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
-    """Matrix CSV: header of chunk_ids, one labeled row per chunk, 6 decimals."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["chunk_id", *matrix.chunk_ids])
-        for cid, row in zip(matrix.chunk_ids, matrix.scores):
-            writer.writerow([cid, *(format(v, ".6f") for v in row)])

@@ -17,7 +17,6 @@ from dramastyle import (
     chunk_text,
     matrix_from_counts,
     rank_pairs,
-    attribute_chunks,
     draw_orders,
     permutation_baselines,
 )
@@ -116,7 +115,8 @@ def test_permutation_exactness_four_chunks():
             stat = rank_matrix[np.ix_(members, members)].sum() / 2
             hits += stat <= observed
         exact = hits / len(arrangements)
-        mc = permutation_baselines(matrix, labels, orders).rank_sum_p["x"]
+        baselines = permutation_baselines(matrix, labels, orders)
+        mc = baselines.rank_sum_p[baselines.attribution.categories.index("x")]
         assert abs(mc - exact) <= 0.02
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -137,7 +137,8 @@ def test_null_calibration():
             maps.append({t: int(c) for t, c in zip(tokens, draws) if c > 0})
         matrix = matrix_from_counts([f"c{i}" for i in range(10)], _rows(maps))
         labels = {f"c{i}": ("a" if i < 5 else "b") for i in range(10)}
-        p = permutation_baselines(matrix, labels, orders).rank_sum_p["a"]
+        baselines = permutation_baselines(matrix, labels, orders)
+        p = baselines.rank_sum_p[baselines.attribution.categories.index("a")]
         low += p < 0.05
     elapsed = time.perf_counter() - start
     fraction = low / 200
@@ -159,14 +160,12 @@ def test_separation_power():
             maps.append({t: int(c) for t, c in zip(tokens, draws) if c})
     matrix = matrix_from_counts(ids, _rows(maps))
     labels = {cid: cid[0] for cid in ids}
-    attribution = attribute_chunks(matrix, labels)
-    assert attribution.hits == {"a": 5, "b": 5}
     baselines = permutation_baselines(matrix, labels, draw_orders(10, 40000, seed=42))
-    attr_p = baselines.attribution_p
-    for cat in ("a", "b"):
-        rs_p = baselines.rank_sum_p[cat]
+    assert baselines.attribution.categories == ("a", "b")
+    assert baselines.hits.tolist() == [5, 5]
+    for cat, rs_p, attr_p in zip("ab", baselines.rank_sum_p, baselines.attribution_p):
         assert rs_p <= 0.01, (cat, rs_p)
-        assert attr_p[cat] <= 0.01, (cat, attr_p[cat])
+        assert attr_p <= 0.01, (cat, attr_p)
     print("\nPASS separation power (10/10 hits, p <= 0.01 both categories)")
 
 

@@ -34,6 +34,12 @@ def _play(play_id, speakers):
     return PlayScript(play_id, "x", "original", turns)
 
 
+def _interchange(turns, **fields):
+    """Interchange JSON of one play with these turns; `fields` override its ids."""
+    ids = {"play_id": "x", "language": "en", "translator": "t"}
+    return json.dumps({**ids, **fields, "turns": turns})
+
+
 def synthetic_config(configs_dir, tmp_path, **overrides):
     overrides.setdefault("permutations", 300)
     overrides.setdefault("output_dir", str(tmp_path / "out"))
@@ -609,6 +615,25 @@ class TestCompareTranslations:
         golden = data_dir / "golden" / "synthetic_translations_cross.csv"
         assert table.read_bytes() == golden.read_bytes()
 
+    def test_nearest_foreign_is_the_reports_least_foreign_mean(self, configs_dir, tmp_path):
+        # both commands read one attribution; a tie goes to the smallest name
+        config = load_config(configs_dir / "synthetic_translations.json", permutations=10,
+                             output_dir=str(tmp_path / "out"))
+        rows = compare_translations(config)
+        report = run_experiment(replace(config, labeling="character_by_translator"))
+        expected = []
+        for mode, section in report["modes"].items():
+            for record in section["attribution"]:
+                own = record["true_category"]
+                score, category = min(
+                    (s, c) for c, s in record["mean_scores"].items() if c != own
+                )
+                expected.append((mode, record["chunk_id"], own, category, score))
+        assert [
+            (r["mode"], r["chunk_id"], r["own_category"], r["nearest_foreign_category"],
+             r["nearest_foreign_score"]) for r in rows
+        ] == expected
+
     def test_identical_translations_map_to_same_character(self, data_dir, tmp_path, configs_dir):
         src = data_dir / "synthetic" / "translation_a.txt"
         twin = tmp_path / "translation_twin.txt"
@@ -864,6 +889,10 @@ class TestCliExitCodes:
         {"max_heading_words": 0},
         {"max_heading_words": -1},
         {"max_heading_words": True},
+        # a string is not split into characters
+        {"delimiters": ".:"},
+        {"delimiters": "--"},
+        {"stage_direction_brackets": ["[]", "()"]},
     ])
     def test_bad_parse_rules_is_2(self, configs_dir, tmp_path, parse_rules):
         config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
@@ -1002,7 +1031,13 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("content, problem", [
         ('{"play_id": "x", "language"', "invalid interchange JSON"),
         ('{"play_id": "x"}', "interchange JSON lacks key 'language'"),
-    ], ids=["truncated", "missing_key"])
+        # wrong types: read, they would fail mid-stage without the file's name
+        (_interchange([{"speaker": None, "text": "hi", "ordinal": 0}]),
+         "malformed interchange JSON"),
+        (_interchange([{"speaker": "alfa", "text": 5, "ordinal": 0}]),
+         "malformed interchange JSON"),
+        (_interchange([], play_id=["x"]), "malformed interchange JSON"),
+    ], ids=["truncated", "missing_key", "null_speaker", "int_text", "list_play_id"])
     def test_matrix_bad_interchange_json_is_3(self, tmp_path, capsys, content, problem):
         play = tmp_path / "play.json"
         play.write_text(content)
@@ -1040,7 +1075,7 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == "error: permutations must lie in [1, 1000000]\n"
         assert not (tmp_path / "out").exists()
 
-    def test_report_subcommand(self, configs_dir, tmp_path, capsys):
+    def test_report_subcommand(self, configs_dir, data_dir, tmp_path, capsys):
         main([
             "run", "--config", str(configs_dir / "synthetic_two_category.json"),
             "--permutations", "50", "--mode", "letter_unigram",
@@ -1052,6 +1087,9 @@ class TestCliExitCodes:
         assert rc == 0
         shown = capsys.readouterr().out
         assert "alfa" in shown and "bravo" in shown
+        golden = data_dir / "golden" / "synthetic_two_category_report"
+        assert main(["report", str(golden.with_suffix(".json"))]) == 0
+        assert capsys.readouterr().out.encode() == golden.with_suffix(".txt").read_bytes()
 
 
     @pytest.mark.parametrize("content", [

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from dramastyle import (
     permutation_baselines,
     rank_pairs,
 )
+from dramastyle.experiment import _mode_section
 
 
 def make_matrix(ids, pair_scores):
@@ -50,10 +52,35 @@ def upper_ranks(matrix):
     return rank_pairs(matrix)[np.triu_indices(len(matrix.chunk_ids), 1)]
 
 
+def by_category(result, field):
+    """A (K,) array field of a PermutationBaselines as {category: value}."""
+    return dict(zip(result.attribution.categories, getattr(result, field).tolist()))
+
+
+def hits_of(result):
+    """{category: chunks whose nearest category is their own} of an AttributionResult."""
+    hit = result.means.argmin(axis=1) == result.codes
+    counts = np.bincount(result.codes[hit], minlength=len(result.categories))
+    return dict(zip(result.categories, counts.tolist()))
+
+
+def assert_same_fields(a, b):
+    """Array fields break dataclass ==: compare field by field, arrays exactly."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x):
+            assert_same_fields(x, y)
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
 def observed_rank_sum(matrix, labels, category):
     """The engine's observed within-category rank-sum of `category`."""
     orders = draw_orders(len(matrix.chunk_ids), 1, 0)
-    return permutation_baselines(matrix, labels, orders).rank_sum_null[category]["observed"]
+    return by_category(permutation_baselines(matrix, labels, orders), "rank_sums")[category]
 
 
 def enumerate_rank_sum_p(matrix, labels, category):
@@ -178,25 +205,26 @@ class TestWithinCategoryRankSum:
 class TestRankSumBaseline:
     def test_all_equal_distances_give_p_one(self):
         m = four_chunk_matrix([0.5] * 6)
-        p = permutation_baselines(m, LABELS4, draw_orders(4, 200, 1)).rank_sum_p["x"]
-        assert p == 1.0
+        p = by_category(permutation_baselines(m, LABELS4, draw_orders(4, 200, 1)), "rank_sum_p")
+        assert p["x"] == 1.0
 
     def test_single_permutation_p_values(self):
-        p = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 1, 0)).rank_sum_p["x"]
-        assert p in (0.5, 1.0)
+        result = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 1, 0))
+        assert by_category(result, "rank_sum_p")["x"] in (0.5, 1.0)
 
     def test_reproducible(self):
         a = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
         b = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
-        assert a == b
+        assert_same_fields(a, b)
 
     def test_p_floor(self):
-        p = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 100, 9)).rank_sum_p["x"]
-        assert p >= 1 / 101
+        result = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 100, 9))
+        assert by_category(result, "rank_sum_p")["x"] >= 1 / 101
 
     def test_converges_to_enumeration(self):
         exact = enumerate_rank_sum_p(SEPARATED, LABELS4, "x")
-        p = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 10000, 42)).rank_sum_p["x"]
+        result = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 10000, 42))
+        p = by_category(result, "rank_sum_p")["x"]
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(p - exact) <= 3 * se + 1 / 10001
 
@@ -210,7 +238,7 @@ class TestRankSumBaseline:
         m = DissimilarityMatrix(ids, scores)
         labels = {cid: ("a" if i % 2 == 0 else "b") for i, cid in enumerate(ids)}
         exact = enumerate_rank_sum_p(m, labels, "a")
-        p = permutation_baselines(m, labels, draw_orders(6, 10000, 7)).rank_sum_p["a"]
+        p = by_category(permutation_baselines(m, labels, draw_orders(6, 10000, 7)), "rank_sum_p")["a"]
         se = math.sqrt(exact * (1 - exact) / 10000)
         assert abs(p - exact) <= 3 * se + 1 / 10001
 
@@ -218,8 +246,9 @@ class TestRankSumBaseline:
 class TestAttribution:
     def test_perfect_separation_hits_all(self):
         result = attribute_chunks(SEPARATED, LABELS4)
-        assert result.hits == {"x": 2, "y": 2}
-        assert result.totals == {"x": 2, "y": 2}
+        assert result.categories == ("x", "y")
+        assert result.codes.tolist() == [0, 0, 1, 1]
+        assert hits_of(result) == {"x": 2, "y": 2}
 
     def test_chunk_closer_to_other_category(self):
         m = four_chunk_matrix(
@@ -227,21 +256,24 @@ class TestAttribution:
              ("x2", "y1"): 0.8, ("x2", "y2"): 0.8, ("y1", "y2"): 0.2}.values()
         )
         result = attribute_chunks(m, LABELS4)
-        x1 = next(r for r in result.per_chunk if r["chunk_id"] == "x1")
-        assert x1["attributed_category"] == "y"
-        assert not x1["hit"]
+        assert m.chunk_ids[0] == "x1" and result.categories[result.codes[0]] == "x"
+        assert result.categories[result.means[0].argmin()] == "y"
 
     def test_all_equal_attributes_to_lexicographically_smallest(self):
         m = four_chunk_matrix([0.5] * 6)
-        result = attribute_chunks(m, LABELS4)
-        assert all(r["attributed_category"] == "x" for r in result.per_chunk)
-        assert len(result.ties) == 4
+        section = _mode_section(
+            "m", m.chunk_ids, permutation_baselines(m, LABELS4, draw_orders(4, 1, 0)), 0
+        )
+        assert all(r["attributed_category"] == "x" for r in section["attribution"])
+        assert section["ties_logged"] == [
+            {"chunk_id": cid, "tied_categories": ["x", "y"]} for cid in m.chunk_ids
+        ]
 
     def test_relabeling_invariance(self):
         renamed_ids = ("k1", "k2", "m1", "m2")
         m2 = DissimilarityMatrix(renamed_ids, SEPARATED.scores.copy())
         labels2 = {"k1": "x", "k2": "x", "m1": "y", "m2": "y"}
-        assert attribute_chunks(m2, labels2).hits == attribute_chunks(SEPARATED, LABELS4).hits
+        assert_same_fields(attribute_chunks(m2, labels2), attribute_chunks(SEPARATED, LABELS4))
 
     def test_degenerate_category(self):
         with pytest.raises(DegenerateCategory):
@@ -251,29 +283,29 @@ class TestAttribution:
 class TestAttributionBaseline:
     def test_all_equal_distances_give_p_one(self):
         m = four_chunk_matrix([0.5] * 6)
-        p_values = permutation_baselines(m, LABELS4, draw_orders(4, 200, 3)).attribution_p
-        assert p_values == {"x": 1.0, "y": 1.0}
+        result = permutation_baselines(m, LABELS4, draw_orders(4, 200, 3))
+        assert by_category(result, "attribution_p") == {"x": 1.0, "y": 1.0}
 
     def test_single_permutation_tied_statistic(self):
         m = four_chunk_matrix([0.5] * 6)
-        p_values = permutation_baselines(m, LABELS4, draw_orders(4, 1, 3)).attribution_p
-        assert p_values["x"] == 1.0
+        result = permutation_baselines(m, LABELS4, draw_orders(4, 1, 3))
+        assert by_category(result, "attribution_p")["x"] == 1.0
 
     def test_reproducible(self):
         a = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
         b = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 500, 42))
-        assert a == b
+        assert_same_fields(a, b)
 
     def test_separated_categories_are_significant(self):
         # with 4 chunks the complement labeling ties the hit count, so the
         # smallest reachable p is about 2 * (1/3)
-        p_values = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 3000, 5)).attribution_p
-        assert p_values["x"] < 1.0
+        result = permutation_baselines(SEPARATED, LABELS4, draw_orders(4, 3000, 5))
+        assert by_category(result, "attribution_p")["x"] < 1.0
 
 
 # Reference: the per-permutation loops that permutation_baselines replaced,
-# kept verbatim except that permutation p takes its shuffle from orders[p].
-# The engine must reproduce them bit for bit.
+# kept verbatim except that permutation p takes its shuffle from orders[p]
+# and that each returns its null. The engine must reproduce them bit for bit.
 
 
 def _shuffled(labels, order):
@@ -294,7 +326,8 @@ def _rank_sum(rank_matrix, members):
 
 
 def _rank_sum_baseline_loop(matrix, labels, category, orders):
-    """One-sided permutation p-value for the rank-sum (small = homogeneous)."""
+    """One-sided permutation p-value for the rank-sum (small = homogeneous),
+    the null summary as report.json gives it, and the null."""
     permutations = len(orders)
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
@@ -318,7 +351,7 @@ def _rank_sum_baseline_loop(matrix, labels, category, orders):
         "null_min": float(null.min()),
         "null_max": float(null.max()),
     }
-    return p_value, summary
+    return p_value, summary, null
 
 
 def _category_means_loop(scores, labels, categories):
@@ -337,16 +370,49 @@ def _category_means_loop(scores, labels, categories):
     return sums / denom
 
 
+def _attribute_loop(matrix, labels):
+    """The per-chunk records, hits, totals and tie log of the observed
+    attribution, as report.json gives them: each chunk goes to the category
+    of least mean; a tie goes to the lexicographically smallest one and is
+    logged."""
+    label_list = [labels[cid] for cid in matrix.chunk_ids]
+    categories = sorted(set(label_list))
+    means = _category_means_loop(matrix.scores, label_list, categories)
+    per_chunk, ties = [], []
+    hits = {c: 0 for c in categories}
+    totals = {c: 0 for c in categories}
+    for i, cid in enumerate(matrix.chunk_ids):
+        best = min(range(len(categories)), key=lambda k: (means[i, k], categories[k]))
+        tied = [c for k, c in enumerate(categories) if means[i, k] == means[i, best]]
+        if len(tied) > 1:
+            ties.append({"chunk_id": cid, "tied_categories": tied})
+        hit = categories[best] == label_list[i]
+        per_chunk.append(
+            {
+                "chunk_id": cid,
+                "true_category": label_list[i],
+                "attributed_category": categories[best],
+                "hit": hit,
+                "mean_scores": {c: float(means[i, k]) for k, c in enumerate(categories)},
+            }
+        )
+        totals[label_list[i]] += 1
+        hits[label_list[i]] += hit
+    return {"per_chunk": per_chunk, "hits": hits, "totals": totals, "ties": ties}
+
+
 def _attribution_baseline_loop(matrix, labels, orders):
-    """Per-category permutation p for the hit count (large = homogeneous)."""
+    """Per-category permutation p for the hit count (large = homogeneous),
+    the null summary as report.json gives it, and the (K, permutations) null."""
     permutations = len(orders)
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
     label_list = [labels[cid] for cid in matrix.chunk_ids]
     categories = sorted(set(label_list))
-    observed = attribute_chunks(matrix, labels).hits
+    observed = _attribute_loop(matrix, labels)["hits"]
     at_least = {c: 0 for c in categories}
     null_sums = {c: 0.0 for c in categories}
+    null = np.empty((len(categories), permutations))
     cat_index = {c: k for k, c in enumerate(categories)}
     for p in range(permutations):
         shuffled = _shuffled(label_list, orders[p])
@@ -357,6 +423,7 @@ def _attribution_baseline_loop(matrix, labels, orders):
             if best[i] == cat_index[lab]:
                 null_hits[lab] += 1
         for c in categories:
+            null[cat_index[c], p] = null_hits[c]
             null_sums[c] += null_hits[c]
             if null_hits[c] >= observed[c]:
                 at_least[c] += 1
@@ -366,7 +433,30 @@ def _attribution_baseline_loop(matrix, labels, orders):
         "permutations": permutations,
         "null_mean": {c: null_sums[c] / permutations for c in categories},
     }
-    return p_values, summary
+    return p_values, summary, null
+
+
+def assert_matches_loops(matrix, labels, orders):
+    """The engine's arrays equal the reference loops' exactly, nulls whole,
+    and the report section laid out from them equals the loops' records."""
+    engine = permutation_baselines(matrix, labels, orders)
+    categories = sorted(set(labels.values()))
+    assert engine.attribution.categories == tuple(categories)
+    records = []
+    for k, c in enumerate(categories):
+        p, summary, null = _rank_sum_baseline_loop(matrix, labels, c, orders)
+        assert engine.rank_sum_p[k] == p
+        assert engine.rank_sums[k] == summary["observed"]
+        assert np.array_equal(engine.rank_sum_null[k], null)
+        records.append(summary)
+    attr_p, attr_summary, attr_null = _attribution_baseline_loop(matrix, labels, orders)
+    assert engine.attribution_p.tolist() == [attr_p[c] for c in categories]
+    assert engine.hits.tolist() == [attr_summary["observed"][c] for c in categories]
+    assert np.array_equal(engine.hit_null, attr_null)
+    section = _mode_section("m", matrix.chunk_ids, engine, 0)
+    assert json.dumps([c["rank_sum_null"] for c in section["categories"]]) == json.dumps(records)
+    assert json.dumps(section["attribution_null"]) == json.dumps(attr_summary)
+    return section
 
 
 def random_instance(instance):
@@ -409,17 +499,7 @@ class TestPermutationBaselines:
         permutations = (1, 63, 64, 65, 300)[instance % 5]
         seed = 1000 + instance
         matrix, labels = random_instance(instance)
-        orders = draw_orders(len(matrix.chunk_ids), permutations, seed)
-        engine = permutation_baselines(matrix, labels, orders)
-        categories = sorted(set(labels.values()))
-        assert list(engine.rank_sum_p) == list(engine.rank_sum_null) == categories
-        for c in categories:
-            p, summary = _rank_sum_baseline_loop(matrix, labels, c, orders)
-            assert engine.rank_sum_p[c] == p
-            assert json.dumps(engine.rank_sum_null[c]) == json.dumps(summary)
-        attr_p, attr_summary = _attribution_baseline_loop(matrix, labels, orders)
-        assert json.dumps(engine.attribution_p) == json.dumps(attr_p)
-        assert json.dumps(engine.attribution_null) == json.dumps(attr_summary)
+        assert_matches_loops(matrix, labels, draw_orders(len(matrix.chunk_ids), permutations, seed))
 
     @pytest.mark.parametrize(
         "n, ncat, integer_scores",
@@ -434,36 +514,43 @@ class TestPermutationBaselines:
         matrix, labels = wide_instance(n, ncat, integer_scores)
         orders = draw_orders(n, 65, seed=n + ncat)
         assert orders.dtype == (np.uint8 if n < 256 else np.uint16)
-        engine = permutation_baselines(matrix, labels, orders)
-        for c in sorted(set(labels.values())):
-            p, summary = _rank_sum_baseline_loop(matrix, labels, c, orders)
-            assert engine.rank_sum_p[c] == p
-            assert json.dumps(engine.rank_sum_null[c]) == json.dumps(summary)
-        attr_p, attr_summary = _attribution_baseline_loop(matrix, labels, orders)
-        assert json.dumps(engine.attribution_p) == json.dumps(attr_p)
-        assert json.dumps(engine.attribution_null) == json.dumps(attr_summary)
+        assert_matches_loops(matrix, labels, orders)
+
+    @pytest.mark.parametrize("n, ncat", [(255, 40), (256, 17), (300, 40)])
+    def test_section_attribution_and_ties_match_loop(self, n, ncat):
+        # integer scores: most chunks' nearest categories tie
+        matrix, labels = wide_instance(n, ncat, integer_scores=True)
+        engine = permutation_baselines(matrix, labels, draw_orders(n, 3, seed=n))
+        section = _mode_section("m", matrix.chunk_ids, engine, 0)
+        reference = _attribute_loop(matrix, labels)
+        assert reference["ties"]
+        assert json.dumps(section["attribution"]) == json.dumps(reference["per_chunk"])
+        assert json.dumps(section["ties_logged"]) == json.dumps(reference["ties"])
+        assert [(c["category"], c["attribution_hits"], c["attribution_total"])
+                for c in section["categories"]] == [
+            (c, reference["hits"][c], reference["totals"][c]) for c in reference["hits"]
+        ]
 
     @pytest.mark.parametrize("instance", [0, 8, 9, 10])
     def test_attribution_means_match_loop(self, instance):
         matrix, labels = random_instance(instance)
         label_list = [labels[cid] for cid in matrix.chunk_ids]
         means = _category_means_loop(matrix.scores, label_list, sorted(set(label_list)))
-        result = attribute_chunks(matrix, labels)
-        assert [list(r["mean_scores"].values()) for r in result.per_chunk] == means.tolist()
+        assert np.array_equal(attribute_chunks(matrix, labels).means, means)
 
     @pytest.mark.parametrize("instance", range(0, 60, 7))
     def test_attribution_is_attribute_chunks(self, instance):
         matrix, labels = random_instance(instance)
         orders = draw_orders(len(matrix.chunk_ids), 65, seed=instance)
         attribution = permutation_baselines(matrix, labels, orders).attribution
-        assert attribution == attribute_chunks(matrix, labels)
+        assert_same_fields(attribution, attribute_chunks(matrix, labels))
 
     @pytest.mark.parametrize("n, ncat, integer_scores", [(255, 40, True), (300, 2, False)])
     def test_attribution_is_attribute_chunks_wide(self, n, ncat, integer_scores):
         matrix, labels = wide_instance(n, ncat, integer_scores)
         orders = draw_orders(n, 65, seed=n + ncat)
         attribution = permutation_baselines(matrix, labels, orders).attribution
-        assert attribution == attribute_chunks(matrix, labels)
+        assert_same_fields(attribution, attribute_chunks(matrix, labels))
 
     def test_labels_encoded_once(self, monkeypatch):
         calls, encode = [], homogeneity._encode

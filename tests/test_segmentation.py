@@ -9,7 +9,6 @@ from dramastyle import (
     build_chunks,
     chunk_text,
 )
-from dramastyle.segmentation import write_manifest
 
 
 class TestChunkText:
@@ -94,14 +93,3 @@ class TestBuildChunks:
     def test_unknown_labeling_rejected(self):
         with pytest.raises(ConfigError, match="unknown labeling mode 'bogus'"):
             build_chunks(self.CHAR_TEXTS, "bogus", 2, 100)
-
-
-def test_manifest_sorted_by_chunk_id(tmp_path):
-    chunks = build_chunks(TestBuildChunks.CHAR_TEXTS, "character", 2, 100)
-    path = tmp_path / "manifest.csv"
-    write_manifest(chunks[::-1], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "chunk_id,category,play_id,translator,speaker,size_units"
-    ids = [line.split(",")[0] for line in lines[1:]]
-    assert ids == sorted(ids)
-    assert {line.split(",")[-1] for line in lines[1:]} == {"100"}
