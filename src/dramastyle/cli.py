@@ -93,7 +93,7 @@ def _render_report(data: dict) -> list[str]:
             hits = f"{cat['attribution_hits']}/{cat['attribution_total']}"
             lines.append(
                 f"{cat['category']:<28} {cat['rank_sum']:>10.1f} {cat['rank_sum_p']:>8.4f} "
-                f"{hits:>9} {cat['attribution_p']:>8.4f}  {flag}"
+                f"{hits:>9} {cat['attribution_p']:>8.4f}  {flag}".rstrip()
             )
         if section["ties_logged"]:
             lines.append(f"ties logged: {len(section['ties_logged'])}")

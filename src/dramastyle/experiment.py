@@ -211,6 +211,8 @@ def _output_dir(config: ExperimentConfig) -> Iterator[Path]:
     leaves the previous results untouched.
     """
     final = Path(config.output_dir) / config.experiment_id
+    if final.is_symlink() or final.exists() and not final.is_dir():  # the swap would hide it
+        raise NotADirectoryError(f"{final}: a file or symlink is where the output directory goes")
     final.parent.mkdir(parents=True, exist_ok=True)
     tmp = final.with_name(f".{final.name}.{os.urandom(8).hex()}.tmp")
     tmp.mkdir()

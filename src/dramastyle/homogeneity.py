@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DegenerateCategory, PreconditionFailed
 from .similarity import DissimilarityMatrix
+from .tokenization import _first_of_runs
 
 _BLOCK = 64  # permutations scored per (B, n, K) one-hot stack; bounds memory
 _DRAW_WORDS = 1 << 16  # SplitMix64 outputs per block of rows in draw_orders; bounds memory
@@ -62,29 +63,34 @@ class PermutationBaselines:
 
 def rank_pairs(matrix: DissimilarityMatrix) -> np.ndarray:
     """Symmetric (n, n) ranks of all unordered pairs, ascending by score
-    (most similar = 1), with a zero diagonal; ties get the average rank."""
+    (most similar = 1), with a zero diagonal; ties get the average rank.
+    A NaN score, which ties with no score, is rejected."""
     if len(matrix.chunk_ids) < 2:
         raise PreconditionFailed("need at least 2 chunks")
     n = len(matrix.chunk_ids)
     upper = np.triu_indices(n, 1)
     # 12 significant digits: scores equal but for summation noise must tie
-    rounded = [float(format(v, ".12g")) for v in matrix.scores[upper].tolist()]
-    # a run of `cnt` equal values ending at position cumsum shares the mean
-    # of its positions; ranks are multiples of 0.5, hence exact
-    _, inv, cnt = np.unique(rounded, return_inverse=True, return_counts=True)
+    rounded = np.array([float(format(v, ".12g")) for v in matrix.scores[upper].tolist()])
+    if np.isnan(rounded).any():
+        raise PreconditionFailed("pair scores must not be NaN")
+    order = np.argsort(rounded)
+    first = _first_of_runs(rounded[order])
+    cnt = np.diff(first, append=len(order))
+    # a run shares the mean of ranks first+1 ... first+cnt, a multiple of 0.5, hence exact
     rank_matrix = np.zeros((n, n))
-    rank_matrix[upper] = (np.cumsum(cnt) - (cnt - 1) / 2)[inv]
+    rank_matrix[upper[0][order], upper[1][order]] = np.repeat(first + (cnt + 1) / 2, cnt)
     return rank_matrix + rank_matrix.T
 
 
 def _encode(ids: Sequence[str], labels: Mapping[str, str]) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted categories and the category index of each of the chunks `ids`;
     every category needs at least two chunks."""
-    names, codes = np.unique(list(map(labels.__getitem__, ids)), return_inverse=True)
+    index = {name: k for k, name in enumerate(sorted({labels[i] for i in ids}))}
+    codes = np.array([index[labels[i]] for i in ids], np.intp)
     small = np.flatnonzero(np.bincount(codes) < 2)
     if small.size:
-        raise DegenerateCategory(f"category {str(names[small[0]])!r} has 1 chunk(s)")
-    return tuple(names.tolist()), codes
+        raise DegenerateCategory(f"category {list(index)[small[0]]!r} has 1 chunk(s)")
+    return tuple(index), codes
 
 
 def attribute_chunks(

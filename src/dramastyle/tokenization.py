@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,12 +63,6 @@ def _word_stream(text: str) -> list[str]:
     return _WORD_RE.findall(text.casefold())
 
 
-def _grams(stream: list[str], n: int) -> Iterable[str]:
-    """The sliding n-grams of `stream`, each window joined by a space, in order."""
-    # zip of the n shifted streams yields each sliding window once, in order
-    return stream if n == 1 else map(" ".join, zip(*(stream[k:] for k in range(n))))
-
-
 def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
     """Indices where a run of equal values starts in the sorted `ordered`."""
     first = np.empty(len(ordered), bool)
@@ -84,15 +78,9 @@ def _union(distinct: Sequence[np.ndarray]) -> np.ndarray:
     return values[_first_of_runs(values)]
 
 
-def _letter_codes(texts: Sequence[str], n: int) -> list[np.ndarray]:
-    """Each text's letter n-grams as integer codes that sort as the n-grams do.
-
-    A letter's digit is its place in the sorted alphabet of the texts; an
-    n-gram's code is its digits read in that mixed radix, so equal-length
-    n-grams compare as their code points do. Before a digit whose product
-    could pass 2**63, the codes are replaced by their ranks among the codes
-    of all the texts, which keeps their order.
-    """
+def _letter_digits(texts: Sequence[str]) -> tuple[list[np.ndarray], int]:
+    """Each text's letters as digits, their places in the sorted alphabet of
+    the texts, and the size of that alphabet."""
     # case folding maps each character on its own, so the folded texts have
     # the folded characters; each text is folded when its turn comes
     chars = sorted(set().union(*(c.casefold() for c in set().union(*texts))))
@@ -108,32 +96,19 @@ def _letter_codes(texts: Sequence[str], n: int) -> list[np.ndarray]:
         at = np.searchsorted(points, np.frombuffer(
             text.casefold().encode("utf-32-le", "surrogatepass"), np.uint32))
         digits.append(digit[at[kept[at]]])
-    if n == 1:
-        return digits
-    codes = [d[: max(len(d) - n + 1, 0)].astype(np.int64) for d in digits]
-    bound = size  # every code is below it
-    for k in range(1, n):
-        if bound * size > 2**63:
-            ranks = _union([s[_first_of_runs(s)] for s in map(np.sort, codes)])
-            codes = [np.searchsorted(ranks, c) for c in codes]
-            bound = len(ranks)
-        for c, d in zip(codes, digits):
-            c *= size
-            c += d[k : k + len(c)]
-        bound *= size
-    return codes
+    return digits, size
 
 
-def _word_codes(texts: Sequence[str], n: int) -> list[np.ndarray]:
-    """Each text's word n-grams as int64 codes: their ranks in the sorted vocabulary."""
+def _word_digits(texts: Sequence[str]) -> tuple[list[np.ndarray], int]:
+    """Each text's words as digits, their places in the sorted vocabulary of
+    the texts, and the size of that vocabulary."""
     ids: dict[str, int] = {}
-    grams = [
-        [ids.setdefault(g, len(ids)) for g in _grams(_word_stream(text), n)]
-        for text in texts
-    ]
-    rank = np.empty(len(ids), np.int64)
-    rank[np.array([ids[g] for g in sorted(ids)], np.intp)] = np.arange(len(ids))
-    return [rank[np.array(g, np.intp)] for g in grams]
+    # each text's words are numbered as it is read: no text's words outlive it
+    numbered = [np.array([ids.setdefault(w, len(ids)) for w in _word_stream(text)], np.intp)
+                for text in texts]
+    digit = np.empty(len(ids), np.min_scalar_type(len(ids)))
+    digit[np.array([ids[w] for w in sorted(ids)], np.intp)] = np.arange(len(ids))
+    return [digit[d] for d in numbered], len(ids)
 
 
 def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> np.ndarray:
@@ -148,11 +123,28 @@ def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> np.ndarray:
     """
     if not texts:
         raise PreconditionFailed("count_matrix needs at least one text")
-    codes = (_letter_codes if mode.unit == "letter" else _word_codes)(texts, mode.n)
+    digits, size = (_letter_digits if mode.unit == "letter" else _word_digits)(texts)
+    # an n-gram's code is its digits read in radix `size`, so n-grams sort as
+    # their digit tuples do, and word n-grams as joined by a space, which sorts
+    # below every character of a word. Before a digit whose product could pass
+    # 2**63, codes are replaced by their ranks among all texts' codes, in order.
+    n = mode.n
+    codes = digits if n == 1 else [d[: max(len(d) - n + 1, 0)].astype(np.int64) for d in digits]
+    bound = size  # every code is below it
+    for k in range(1, n):
+        if bound * size > 2**63:
+            ranks = _union([s[_first_of_runs(s)] for s in map(np.sort, codes)])
+            codes = [np.searchsorted(ranks, c) for c in codes]
+            bound = len(ranks)
+        for c, d in zip(codes, digits):
+            c *= size
+            c += d[k : k + len(c)]
+        bound *= size
+    del digits  # an n-gram mode's digits are freed before counting
     distinct, runs = [], []
     while codes:  # each text's codes are freed once counted
         c = codes.pop(0)
-        # radix sort for 8- and 16-bit letter digits: their default sort is many times slower
+        # radix sort for 8- and 16-bit digits: their default sort is many times slower
         c.sort(kind="stable" if c.itemsize <= 2 else None)
         first = _first_of_runs(c)
         distinct.append(c[first])

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dramastyle import (
@@ -754,6 +755,32 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == "error: [permutation_orders] no orders\n"
         assert not (tmp_path / "out" / "synthetic_two_category").exists()
 
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_non_directory_at_output_path_is_3(self, configs_dir, tmp_path, capsys, kind):
+        # moved aside by the swap, it would be left behind as a hidden .old entry
+        out = tmp_path / "out"
+        out.mkdir()
+        final = out / "synthetic_two_category"
+        target = tmp_path / "elsewhere"
+        if kind == "file":
+            final.write_text("kept")
+        else:
+            target.mkdir()
+            (target / "kept.txt").write_text("kept")
+            final.symlink_to(target, target_is_directory=True)
+        rc = main(["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                   "--permutations", "20", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {final}: a file or symlink is where the output directory goes\n"
+        )
+        assert [p.name for p in out.iterdir()] == [final.name]
+        if kind == "file":
+            assert final.read_text() == "kept"
+        else:
+            assert os.readlink(final) == str(target)
+            assert [(p.name, p.read_text()) for p in target.iterdir()] == [("kept.txt", "kept")]
+
     def test_matrix_subcommand(self, data_dir, tmp_path):
         interchange = tmp_path / "mini.json"
         main([
@@ -1089,7 +1116,11 @@ class TestCliExitCodes:
         assert "alfa" in shown and "bravo" in shown
         golden = data_dir / "golden" / "synthetic_two_category_report"
         assert main(["report", str(golden.with_suffix(".json"))]) == 0
-        assert capsys.readouterr().out.encode() == golden.with_suffix(".txt").read_bytes()
+        rendered = capsys.readouterr().out
+        assert rendered.encode() == golden.with_suffix(".txt").read_bytes()
+        # an unflagged row has an empty flag column, and no spaces before it at the end
+        for out in (shown, rendered):
+            assert all(line == line.rstrip() for line in out.splitlines())
 
 
     @pytest.mark.parametrize("content", [
@@ -1147,3 +1178,28 @@ def test_run_loads_no_numpy_random(configs_dir, data_dir, tmp_path, command):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_no_command_reaches_np_unique(configs_dir, data_dir, tmp_path, monkeypatch):
+    """Sorted codes, tied ranks and category codes all come from sorting and
+    counting runs: the first `np.unique` call of a process would page in
+    about 0.6 MB of NumPy code."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("np.unique reached")
+
+    monkeypatch.setattr(np, "unique", unreachable)
+    golden = data_dir / "golden"
+    assert main(["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = tmp_path / "out" / "synthetic_two_category" / "report.json"
+    assert report.read_bytes() == (golden / "synthetic_two_category_report.json").read_bytes()
+    assert main(["run", "--config", str(configs_dir / "synthetic_translations.json"),
+                 "--compare-translations", "--out", str(tmp_path / "out")]) == 0
+    play, matrix = tmp_path / "two.json", tmp_path / "matrix.csv"
+    assert main(["parse", str(data_dir / "synthetic" / "two_category.txt"), "--play-id", "synthia",
+                 "--language", "synthetic", "--out", str(play)]) == 0
+    assert main(["matrix", str(play), "--mode", "letter_ngram:3", "--min-size", "3000",
+                 "--chunk-count", "5", "--chunk-size", "600", "--out", str(matrix)]) == 0
+    assert matrix.read_bytes() == (
+        golden / "synthetic_two_category_matrix_letter_ngram3.csv"
+    ).read_bytes()

@@ -153,6 +153,12 @@ class TestRankPairs:
         m = four_chunk_matrix([0.5, 1.0, 0.9999999999999999, 2.0, 0.25, 3.0])
         assert list(upper_ranks(m)) == [2, 3.5, 3.5, 5, 1, 6]
 
+    def test_nan_score_rejected(self):
+        # NaN equals no score, not even a NaN, so it would fall out of every tie
+        m = four_chunk_matrix([0.5, np.nan, 0.5, 1.0, 0.25, np.nan])
+        with pytest.raises(PreconditionFailed, match="NaN"):
+            rank_pairs(m)
+
     def test_rank_sum_total_invariant(self):
         ranks = upper_ranks(SEPARATED)
         p = len(ranks)

@@ -176,6 +176,9 @@ ALPHABETS = {
     + "     .,;:!?-'’\n",
     "sparse": "aBå" + " .,;:!?-\n0123456789",
     "binary": "aB  ",
+    # words that are prefixes of one another, with both apostrophes inside:
+    # word n-grams sort as their word tuples because a space sorts below both
+    "prefix": "ab'’ ",
 }
 
 
@@ -196,15 +199,21 @@ class TestCountMatrix:
     def test_matches_reference_on_any_text(self, texts, mode):
         _assert_matches_reference(texts, mode)
 
-    def test_alphabet_beyond_int64_mixed_radix(self):
-        # 7,000 letters at n = 5: the mixed-radix codes of the 5-grams would pass 2**63
-        alphabet = [chr(0x4E00 + k) for k in range(7000)]
-        assert all(c.isalpha() for c in alphabet) and len(alphabet) ** 5 >= 2**63
+    @pytest.mark.parametrize("unit", tokenization.UNITS)
+    def test_alphabet_beyond_int64_mixed_radix(self, unit):
+        # 7,000 letters or words at n = 5: the mixed-radix codes of the 5-grams
+        # would pass 2**63, so they are compressed to ranks on the way
+        if unit == "letter":
+            alphabet, joiner = [chr(0x4E00 + k) for k in range(7000)], ""
+        else:
+            alphabet, joiner = [f"w{k}" for k in range(7000)], " "
+        assert all(_ref_stream(t, TokenizationMode(unit))[0] == [t] for t in alphabet)
+        assert len(alphabet) ** 5 >= 2**63
         rng = random.Random(5)
         shuffled = rng.sample(alphabet, len(alphabet))
-        texts = ["".join(shuffled)]
-        texts += ("".join(rng.choices(alphabet[:40], k=1500)) for _ in range(3))
-        _assert_matches_reference(texts, TokenizationMode("letter", 5))
+        texts = [joiner.join(shuffled)]
+        texts += (joiner.join(rng.choices(alphabet[:40], k=1500)) for _ in range(3))
+        _assert_matches_reference(texts, TokenizationMode(unit, 5))
 
     def test_case_folding_maps_each_character_on_its_own(self):
         # the alphabet is built from the folded characters, not the folded texts
