@@ -24,6 +24,9 @@ _HONORIFICS = {"mr", "mrs", "ms", "dr", "st", "fru", "frk", "hr"}
 # The characters at which `str.splitlines` ends a line; "\r\n" is one break.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_END_RE = re.compile(f"\r\n|[{_LINE_BREAKS}]")
+# The characters for which `str.isspace` is true (a test checks the set).
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+           "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 @dataclass(frozen=True)
@@ -261,6 +264,17 @@ def remove_stage_directions(text: str, rules: ParseRules) -> tuple[str, list[str
     return text, warnings
 
 
+def _collapse(text: str, spaces: str) -> str:
+    """`" ".join(text.split())`, when `spaces` holds every whitespace
+    character of `text` other than " ": each becomes " ", runs of " "
+    shrink to one, and the ends are trimmed."""
+    for ch in spaces:
+        text = text.replace(ch, " ")
+    while "  " in text:
+        text = text.replace("  ", " ")
+    return text.strip(" ")
+
+
 def parse_play(
     doc: RawDocument,
     rules: ParseRules,
@@ -272,8 +286,9 @@ def parse_play(
 
     Lines are those of `str.splitlines` (see `strip_boilerplate`). Lines
     before the first heading are discarded; non-heading lines continue the
-    current turn; a turn's lines are joined with "\n", its bracketed stage
-    directions deleted and its whitespace collapsed.
+    current turn; a turn's lines are joined with "\n" and its bracketed
+    stage directions deleted. Each run of `str.isspace` characters then
+    becomes one space, and the turn is trimmed.
     """
     lines = doc.text.splitlines()
     # Exact prefilter: a heading's first word is title-case, so the matcher
@@ -287,6 +302,8 @@ def parse_play(
     turns: list[SpeechTurn] = []
     warnings: list[str] = []
     speakers: dict[str, str] = {}
+    # bodies join lines with "\n"; deleting a stage direction adds no character
+    spaces = "\n" + "".join(ch for ch in _SPACES if ch not in " \n" and ch in doc.text)
     ends = [i for i, _ in headings[1:]] + [len(lines)]
     for (i, (name, rest)), end in zip(headings, ends):
         body = "\n".join([rest, *lines[i + 1 : end]] if rest else lines[i + 1 : end])
@@ -295,7 +312,7 @@ def parse_play(
         speaker = speakers.get(name)
         if speaker is None:
             speaker = speakers[name] = normalize_speaker(name) if rules.name_normalization else name
-        turns.append(SpeechTurn(speaker, " ".join(body.split()), len(turns)))
+        turns.append(SpeechTurn(speaker, _collapse(body, spaces), len(turns)))
     return PlayScript(
         play_id=play_id,
         language=language,

@@ -720,6 +720,15 @@ class TestCliExitCodes:
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 2
 
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"experiment_id": "x\xff", "corpus": []}')
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "utf-8" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_corpus_error_is_3(self, tmp_path, configs_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

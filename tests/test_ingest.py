@@ -170,7 +170,8 @@ class TestExtractCharacterText:
 
 # Reference parser: the heading matcher, stage-direction remover and turn
 # assembly as they were before the exact prefilter, cached bracket patterns
-# and split/join whitespace collapse. The current parser must agree with them.
+# and the whitespace collapse by `str.replace` passes (`ingest._collapse`).
+# The current parser must agree with them.
 
 _REF_HONORIFICS = {"mr", "mrs", "ms", "dr", "st", "fru", "frk", "hr"}
 
@@ -365,13 +366,14 @@ class TestAgainstReferenceParser:
 
 
 def test_regex_whitespace_is_str_isspace():
-    """`" ".join(s.split())` collapses exactly what `\\s+` did: same character set."""
+    """`ingest._SPACES` is the `str.isspace` set, and `\\s` matches the same."""
     ws = re.compile(r"\s")
     disagree = [
         hex(cp) for cp in range(0x110000)
         if (ws.match(chr(cp)) is not None) != chr(cp).isspace()
     ]
     assert disagree == []
+    assert ingest._SPACES == "".join(chr(cp) for cp in range(0x110000) if chr(cp).isspace())
 
 
 def test_edge_case_fixture_matches_golden(data_dir, tmp_path, capsys):
@@ -512,13 +514,27 @@ class TestStripBoilerplateAgainstReference:
     ParseRules(max_heading_words=2, name_normalization=False),
     ParseRules(delimiters=("--", ":"), stage_direction_brackets=(("<<", ">>"), ("{", "}"))),
 ], ids=repr)
-@pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1d", "\x1e", "\u2029"], ids=repr)
+@pytest.mark.parametrize(
+    "brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1d", "\x1e", "\u2028", "\u2029"], ids=repr
+)
 def test_parse_play_matches_reference_at_each_line_break(rules, brk):
     rng = random.Random(f"breaks:{rules!r}:{brk!r}")
     (open_, close), (open2, close2) = rules.stage_direction_brackets
     delim = rules.delimiters[0]
     plain = ["yes", "and", "the", "street", "was", "mine", "so", "it", "ends", "\xa0", "--"]
-    lines = ["a title page line", "and a cast list"]
+    # runs of spaces and every other whitespace character; "\n" only where it
+    # is the break, so that the other documents hold none; "\u205f" only in
+    # a deleted aside
+    odd = "\u205f"
+    spaces = [" " * n for n in (2, 3, 9, 17)] + [
+        c for c in ingest._SPACES if c != odd and (c != "\n" or c in brk)
+    ]
+    lines = [
+        "a title page line", "and a cast list",
+        f"NORA{delim}{spaces[-1]}" + "".join(f"w{sp}" for sp in spaces),
+        f"Osvald{delim}", "".join(spaces),
+        f"MRS. ALVING{delim} so {open_}aside{odd}deep{odd * 3}{close} it{spaces[1]}",
+    ]
     kinds = set()
     for _ in range(300):
         kind = rng.choice(["plain", "unmatched", "nested", "empty_rest", "seeded"])
@@ -548,3 +564,7 @@ def test_parse_play_matches_reference_at_each_line_break(rules, brk):
     assert warnings and any(t.text == "" for t in turns)
     assert any(not any(b in t.text for pair in rules.stage_direction_brackets for b in pair)
                for t in turns)
+    assert [t.text for t in turns[:3]] == [
+        " ".join(["w"] * len(spaces)), "", "so it",
+    ]
+    assert ("\n" in text) == ("\n" in brk) and odd in text
