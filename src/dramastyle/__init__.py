@@ -22,7 +22,6 @@ from .ingest import (
     extract_character_text,
     load_document,
     parse_play,
-    play_from_json,
     play_to_json,
     strip_boilerplate,
 )

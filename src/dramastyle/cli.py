@@ -3,7 +3,6 @@
 Subcommands:
   parse   play file -> normalized interchange JSON
   run     experiment config -> manifest, matrices, report
-  matrix  interchange JSON files -> dissimilarity matrix CSV
   report  re-render a report JSON as a readable text table
 
 Exit codes: 0 success, 2 config error (or a precondition that is not
@@ -19,13 +18,8 @@ from pathlib import Path
 from .errors import (
     ConfigError, CorpusError, DramastyleError, PipelineError, PreconditionFailed, StatisticsError,
 )
-from .experiment import (
-    ExperimentConfig, check_chunking, chunk_matrix, compare_translations, load_config,
-    prepare_chunks, run_experiment, write_matrix_csv,
-)
-from .ingest import ParseRules, load_document, parse_play, play_from_json, play_to_json, strip_boilerplate
-from .segmentation import labeler
-from .tokenization import TokenizationMode
+from .experiment import compare_translations, load_config, run_experiment
+from .ingest import ParseRules, load_document, parse_play, play_to_json, strip_boilerplate
 
 
 def _cmd_parse(args) -> int:
@@ -55,25 +49,6 @@ def _cmd_run(args) -> int:
     else:
         run_experiment(config)
     print(f"wrote {Path(config.output_dir) / config.experiment_id}")
-    return 0
-
-
-def _cmd_matrix(args) -> int:
-    mode = TokenizationMode.parse(args.mode)
-    # fail before any file is read
-    labeler(args.labeling)
-    check_chunking(args.min_size, args.chunk_count, args.chunk_size)
-    plays = []
-    for path in args.files:
-        try:
-            plays.append(play_from_json(Path(path).read_text(encoding="utf-8")))
-        except (CorpusError, UnicodeDecodeError) as exc:
-            raise CorpusError(f"{path}: {exc}") from None
-    chunks, _ = prepare_chunks(
-        plays, args.labeling, args.min_size, args.chunk_count, args.chunk_size
-    )
-    write_matrix_csv(chunk_matrix(chunks, mode)[0], args.out)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -145,16 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-translations", action="store_true",
                    help="emit the cross-translation attribution table instead")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("matrix", help="interchange JSON files -> matrix CSV")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--mode", default=ExperimentConfig.modes[0])
-    p.add_argument("--labeling", default=ExperimentConfig.labeling)
-    p.add_argument("--min-size", type=int, default=ExperimentConfig.min_size)
-    p.add_argument("--chunk-count", type=int, default=ExperimentConfig.chunk_count)
-    p.add_argument("--chunk-size", type=int, default=ExperimentConfig.chunk_size)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("report", help="render a report JSON as a text table")
     p.add_argument("report")

@@ -15,7 +15,7 @@ sequence of timed stages: `_chunk_corpus` (ingest, then
 `prepare_chunks` keeps each speaker with at least `min_size` characters
 of dialogue, returns each decision for run_meta.json only, and has
 `segmentation.build_chunks` cut and label the kept texts; it and
-`chunk_matrix` are the front half that every command shares. A config
+`chunk_matrix` are the front half that both pipelines share. A config
 checks its fields when it is built, so an invalid one never reaches a
 stage. Everything is deterministic given the config and corpus bytes;
 the wall-clock timestamp and the file locations live in a sidecar file
@@ -86,20 +86,6 @@ class CorpusEntry:
         object.__setattr__(self, "speaker_aliases", pairs)
 
 
-def check_chunking(min_size: int, chunk_count: int, chunk_size: int) -> None:
-    """Raise ConfigError unless every eligible speaker can give the chunks:
-    at least 2 chunks of at least 1 character, within `min_size`."""
-    if chunk_count < 2:
-        raise ConfigError("chunk_count must be at least 2")
-    if chunk_size < 1:
-        raise ConfigError("chunk_size must be at least 1")
-    if chunk_count * chunk_size > min_size:
-        raise ConfigError(
-            f"chunk_count*chunk_size ({chunk_count * chunk_size}) "
-            f"exceeds min_size ({min_size})"
-        )
-
-
 def _check_types(
     obj: object, names: Sequence[str], kinds: tuple[type, ...], kind: str, where: str = ""
 ) -> None:
@@ -147,7 +133,14 @@ class ExperimentConfig:
             raise ConfigError(f"permutations must lie in [1, {MAX_PERMUTATIONS}]")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)")
-        check_chunking(self.min_size, self.chunk_count, self.chunk_size)
+        # every eligible speaker can give at least 2 chunks of at least 1 character
+        if self.chunk_count < 2:
+            raise ConfigError("chunk_count must be at least 2")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size must be at least 1")
+        if self.chunk_count * self.chunk_size > self.min_size:
+            raise ConfigError(f"chunk_count*chunk_size ({self.chunk_count * self.chunk_size}) "
+                              f"exceeds min_size ({self.min_size})")
         if not 0 < self.significance < 1:
             raise ConfigError("significance must lie strictly between 0 and 1")
         # the pipeline keys each file's speakers, aliases and chunks by this pair
@@ -275,7 +268,7 @@ def prepare_chunks(
     aliases: Mapping[tuple[str, str], Mapping[str, str]] | None = None,
     timings: dict[str, float] | None = None,
 ) -> tuple[list[Chunk], list[dict]]:
-    """Extract -> select -> chunk and label: the front half of every command.
+    """Extract -> select -> chunk and label: the front half of both pipelines.
 
     Each speaker's dialogue is gathered per (play_id, translator), with
     `aliases[(play_id, translator)]` mapping speaker names onto canonical

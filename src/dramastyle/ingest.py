@@ -345,27 +345,3 @@ def play_to_json(play: PlayScript) -> str:
     }
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
-
-def play_from_json(text: str) -> PlayScript:
-    """Read the interchange format; anything else is a CorpusError, raised
-    before any stage: the ids, and each turn's speaker and text, must be
-    strings, each ordinal an int, and `turns` a list of objects."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"invalid interchange JSON: {exc}") from None
-    try:
-        ids = [data[key] for key in ("play_id", "language", "translator")]
-        if type(data["turns"]) is not list or any(type(t) is not dict for t in data["turns"]):
-            raise TypeError("turns must be a list of objects")
-        turns = [(t["speaker"], t["text"], t["ordinal"]) for t in data["turns"]]
-    except KeyError as exc:
-        raise CorpusError(f"interchange JSON lacks key {exc}") from None
-    except TypeError as exc:
-        raise CorpusError(f"malformed interchange JSON: {exc}") from None
-    # exact types: an ordinal of true or 1.0 is not an int
-    if (any(type(s) is not str for s in ids)
-            or any(tuple(map(type, t)) != (str, str, int) for t in turns)):
-        raise CorpusError("malformed interchange JSON: ids, speakers and texts must be "
-                          "strings and ordinals integers")
-    return PlayScript(*ids, turns=tuple(SpeechTurn(*t) for t in turns))

@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "matrix_from_counts",
     "parse_play",
     "permutation_baselines",
-    "play_from_json",
     "play_to_json",
     "rank_pairs",
     "run_experiment",

@@ -35,12 +35,6 @@ def _play(play_id, speakers):
     return PlayScript(play_id, "x", "original", turns)
 
 
-def _interchange(turns, **fields):
-    """Interchange JSON of one play with these turns; `fields` override its ids."""
-    ids = {"play_id": "x", "language": "en", "translator": "t"}
-    return json.dumps({**ids, **fields, "turns": turns})
-
-
 def synthetic_config(configs_dir, tmp_path, **overrides):
     overrides.setdefault("permutations", 300)
     overrides.setdefault("output_dir", str(tmp_path / "out"))
@@ -223,6 +217,17 @@ class TestRunExperiment:
         assert err.value.stage == "segmentation"
         assert isinstance(err.value.cause, NoEligibleCharacters)
 
+    def test_repeated_play_and_translator_fails(self):
+        # a config rejects two files of one pair; this guards direct callers
+        plays = [_play("p", [("ALFA", 200)]), _play("p", [("BRAVO", 200)])]
+        with pytest.raises(PipelineError) as err:
+            prepare_chunks(plays, "character", 200, 2, 100)
+        assert err.value.stage == "extract"
+        assert isinstance(err.value.cause, PreconditionFailed)
+        assert str(err.value.cause) == (
+            "each (play_id, translator) must name one play: ('p', 'original')"
+        )
+
     def test_play_without_eligible_speaker_is_skipped(self):
         chunks, _ = prepare_chunks(
             [_play("p", [("ALFA", 200), ("BRAVO", 200)]), _play("q", [("DELTA", 199)])],
@@ -244,6 +249,24 @@ class TestRunExperiment:
         report = run_experiment(config)
         n = sum(c["attribution_total"] for c in report["modes"]["letter_unigram"]["categories"])
         assert calls == [(n, 130, 5)]
+
+    @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
+    def test_rank_sum_null_centres_on_its_exact_mean(self, configs_dir, tmp_path, name):
+        # Under uniform orders a category of m chunks sums m(m-1)/2 of the N pair
+        # ranks, each (N+1)/2 on average, ties included. The bound of 4 Monte-Carlo
+        # standard errors is fixed in advance: do not change a config's seed to pass.
+        permutations = 10_000
+        config = load_config(configs_dir / f"{name}.json", permutations=permutations,
+                             output_dir=str(tmp_path / "out"))
+        report = run_experiment(config)
+        for section in report["modes"].values():
+            n = sum(c["attribution_total"] for c in section["categories"])
+            pairs = n * (n - 1) // 2
+            for cat in section["categories"]:
+                m, null = cat["attribution_total"], cat["rank_sum_null"]
+                exact = m * (m - 1) / 2 * (pairs + 1) / 2
+                standard_error = null["null_sd"] / permutations ** 0.5
+                assert abs(null["null_mean"] - exact) <= 4 * standard_error, cat["category"]
 
     def test_one_homogeneity_call_per_mode(self, configs_dir, tmp_path, monkeypatch):
         calls, permutation_baselines = [], experiment.permutation_baselines
@@ -426,17 +449,12 @@ class TestRunExperiment:
         golden = data_dir / "golden" / "synthetic_two_category_chunk_manifest.csv"
         assert manifest.read_bytes() == golden.read_bytes()
 
-    def test_letter_ngram_matrix_matches_golden(self, data_dir, tmp_path):
-        play = tmp_path / "two.json"
+    def test_letter_ngram_matrix_matches_golden(self, configs_dir, data_dir, tmp_path):
         assert main([
-            "parse", str(data_dir / "synthetic" / "two_category.txt"), "--play-id", "synthia",
-            "--language", "synthetic", "--out", str(play),
+            "run", "--config", str(configs_dir / "synthetic_two_category.json"),
+            "--mode", "letter_ngram:3", "--permutations", "20", "--out", str(tmp_path / "out"),
         ]) == 0
-        matrix = tmp_path / "matrix.csv"
-        assert main([
-            "matrix", str(play), "--mode", "letter_ngram:3", "--min-size", "3000",
-            "--chunk-count", "5", "--chunk-size", "600", "--out", str(matrix),
-        ]) == 0
+        matrix = tmp_path / "out" / "synthetic_two_category" / "matrix_letter_ngram3.csv"
         golden = data_dir / "golden" / "synthetic_two_category_matrix_letter_ngram3.csv"
         assert matrix.read_bytes() == golden.read_bytes()
 
@@ -790,65 +808,69 @@ class TestCliExitCodes:
             assert os.readlink(final) == str(target)
             assert [(p.name, p.read_text()) for p in target.iterdir()] == [("kept.txt", "kept")]
 
-    def test_matrix_subcommand(self, data_dir, tmp_path):
-        interchange = tmp_path / "mini.json"
-        main([
-            "parse", str(data_dir / "synthetic" / "two_category.txt"),
-            "--play-id", "synthia", "--language", "syn", "--out", str(interchange),
-        ])
-        out = tmp_path / "matrix.csv"
-        rc = main([
-            "matrix", str(interchange), "--mode", "letter_unigram",
-            "--min-size", "3000", "--chunk-count", "5", "--chunk-size", "600",
-            "--out", str(out),
-        ])
-        assert rc == 0
-        header = out.read_text().splitlines()[0]
-        assert header.startswith("chunk_id,")
+    def test_matrix_subcommand(self, configs_dir, data_dir, tmp_path):
+        # argparse rejects `matrix` as an unknown command; run --mode builds one matrix
+        with pytest.raises(SystemExit) as exit_:
+            main(["matrix", str(data_dir / "golden" / "miniature_play.json"),
+                  "--out", str(tmp_path / "matrix.csv")])
+        assert exit_.value.code == 2
+        assert main(["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                     "--permutations", "20", "--mode", "letter_unigram",
+                     "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out" / "synthetic_two_category"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "chunk_manifest.csv", "matrix_letter_unigram.csv", "report.json", "run_meta.json",
+        ]
+        golden = data_dir / "golden" / "synthetic_two_category_matrix_letter_unigram.csv"
+        assert (out / "matrix_letter_unigram.csv").read_bytes() == golden.read_bytes()
 
-    def test_matrix_repeated_play_and_translator_is_2(self, data_dir, tmp_path, capsys):
-        # a run's config rejects such files; matrix learns the keys by reading them
-        plays = []
-        for name, language in (("translation_a", "en"), ("translation_b", "de")):
-            play = tmp_path / f"{name}.json"
-            assert main(["parse", str(data_dir / "synthetic" / f"{name}.txt"),
-                         "--play-id", "synthia", "--language", language, "--translator", "t",
-                         "--out", str(play)]) == 0
-            plays.append(str(play))
-        capsys.readouterr()
-        out = tmp_path / "matrix.csv"
-        rc = main(["matrix", *plays, "--min-size", "3000", "--chunk-count", "5",
-                   "--chunk-size", "600", "--out", str(out)])
-        assert rc == 2
+    def test_matrix_repeated_play_and_translator_is_2(self, configs_dir, tmp_path, capsys):
+        # two files of one (play_id, translator), whatever their languages
+        config = json.loads((configs_dir / "synthetic_translations.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+            entry["translator"] = "t"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: [extract] each (play_id, translator) must name one play: ('synthia', 't')\n"
+            "error: each (play_id, translator) must name one corpus file\n"
         )
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_matrix_defaults_are_the_configs(self):
-        args = build_parser().parse_args(["matrix", "f.json", "--out", "o"])
-        assert args.mode == ExperimentConfig.modes[0]
-        assert args.labeling == ExperimentConfig.labeling
-        assert args.min_size == ExperimentConfig.min_size
-        assert args.chunk_count == ExperimentConfig.chunk_count
-        assert args.chunk_size == ExperimentConfig.chunk_size
+        # unset, run's options leave the config's own seed, permutations and modes
+        args = build_parser().parse_args(["run", "--config", "c.json"])
+        assert args.seed is args.permutations is args.mode is args.out is None
 
-    def test_matrix_skips_play_without_eligible_speaker(self, data_dir, tmp_path):
-        interchange = tmp_path / "synthia.json"
-        main([
-            "parse", str(data_dir / "synthetic" / "two_category.txt"),
-            "--play-id", "synthia", "--language", "syn", "--out", str(interchange),
-        ])
-        chunking = ["--min-size", "3000", "--chunk-count", "5", "--chunk-size", "600"]
-        alone, mixed = tmp_path / "alone.csv", tmp_path / "mixed.csv"
-        assert main(["matrix", str(interchange), *chunking, "--out", str(alone)]) == 0
-        miniature = data_dir / "golden" / "miniature_play.json"
-        rc = main(["matrix", str(interchange), str(miniature), *chunking, "--out", str(mixed)])
-        assert rc == 0
-        assert mixed.read_bytes() == alone.read_bytes()
+    def test_matrix_skips_play_without_eligible_speaker(self, configs_dir, data_dir, tmp_path):
+        config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+        alone = tmp_path / "alone.json"
+        alone.write_text(json.dumps(config))
+        # no speaker of the miniature play reaches min_size
+        config["corpus"].append({"path": str(data_dir / "miniature_play.txt"),
+                                 "play_id": "miniature", "language": "en"})
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(config))
+        for cfg in (alone, mixed):
+            assert main(["run", "--config", str(cfg), "--permutations", "20",
+                         "--out", str(tmp_path / cfg.stem)]) == 0
+        written = ["chunk_manifest.csv", "matrix_letter_unigram.csv", "matrix_word_unigram.csv"]
+        for name in written:
+            path = Path("synthetic_two_category") / name
+            assert (tmp_path / "mixed" / path).read_bytes() == \
+                (tmp_path / "alone" / path).read_bytes()
+        meta = json.loads((tmp_path / "mixed" / "synthetic_two_category" / "run_meta.json")
+                          .read_text())
+        read = [r["kept"] for r in meta["eligibility"] if r["play_id"] == "miniature"]
+        assert read and not any(read)
 
     @pytest.mark.parametrize("field, value", [
         ("permutations", 0),
+        ("min_size", 0),
         ("chunk_count", 1),
         ("chunk_size", 0),
         ("significance", 0.0),
@@ -989,13 +1011,9 @@ class TestCliExitCodes:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
-    # matrix takes no --jobs at all
-    @pytest.mark.parametrize("jobs, command", [("0", "run"), ("-1", "run"), ("1", "matrix")])
+    @pytest.mark.parametrize("jobs, command", [("0", "run"), ("-1", "run")])
     def test_jobs_below_one_is_2(self, configs_dir, tmp_path, command, jobs):
-        if command == "run":
-            args = ["run", "--config", str(configs_dir / "synthetic_two_category.json")]
-        else:
-            args = ["matrix", str(tmp_path / "play.json")]
+        args = [command, "--config", str(configs_dir / "synthetic_two_category.json")]
         with pytest.raises(SystemExit) as exit_:
             main([*args, "--jobs", jobs, "--out", str(tmp_path / "out")])
         assert exit_.value.code == 2
@@ -1011,31 +1029,11 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == "error: two translators of one play required\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("option, problem", [
-        (["--mode", "bogus"], "unknown"),
-        (["--labeling", "bogus"], "unknown"),
-        (["--mode", "letter_unigram:3"], "unknown tokenization mode 'letter_unigram:3'"),
-        (["--mode", "letter_ngram"], "unknown tokenization mode 'letter_ngram'"),
-        (["--mode", "letter_ngram:1"], "unknown tokenization mode 'letter_ngram:1'"),
-        (["--mode", "letter_ngram:03"], "unknown tokenization mode 'letter_ngram:03'"),
-        (["--mode", "word_ngram"], "unknown tokenization mode 'word_ngram'"),
-    ], ids=["mode", "labeling", "unigram_with_n", "ngram_without_n", "ngram_of_one",
-            "padded_n", "word_ngram_without_n"])
-    def test_matrix_bad_mode_or_labeling_is_2(self, data_dir, tmp_path, capsys, option,
-                                              problem):
-        out = tmp_path / "matrix.csv"
-        rc = main(["matrix", str(data_dir / "golden" / "miniature_play.json"), *option,
-                   "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert problem in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("compare", [[], ["--compare-translations"]],
                              ids=["run", "compare_translations"])
     @pytest.mark.parametrize("spec", [
-        "letter_unigram:3", "letter_ngram", "letter_ngram:1", "word_ngram", "letter_ngram:03",
+        "bogus", "letter_unigram:3", "letter_ngram", "letter_ngram:1", "word_ngram",
+        "letter_ngram:03",
     ])
     def test_run_mode_of_another_spelling_is_2(self, configs_dir, tmp_path, capsys, compare,
                                                spec):
@@ -1049,44 +1047,59 @@ class TestCliExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    # the corpus file does not exist: only a check made before it is read exits 2
+    @pytest.mark.parametrize("option, labeling, problem", [
+        (["--mode", "bogus"], "character", "unknown tokenization mode 'bogus'"),
+        ([], "bogus", "unknown labeling mode 'bogus'"),
+        (["--mode", "letter_unigram:3"], "character",
+         "unknown tokenization mode 'letter_unigram:3'"),
+        (["--mode", "letter_ngram"], "character", "unknown tokenization mode 'letter_ngram'"),
+        (["--mode", "letter_ngram:1"], "character", "unknown tokenization mode 'letter_ngram:1'"),
+        (["--mode", "letter_ngram:03"], "character",
+         "unknown tokenization mode 'letter_ngram:03'"),
+        (["--mode", "word_ngram"], "character", "unknown tokenization mode 'word_ngram'"),
+    ], ids=["mode", "labeling", "unigram_with_n", "ngram_without_n", "ngram_of_one",
+            "padded_n", "word_ngram_without_n"])
+    def test_matrix_bad_mode_or_labeling_is_2(self, tmp_path, capsys, option, labeling,
+                                              problem):
+        config = {
+            "experiment_id": "x", "labeling": labeling,
+            "corpus": [{"path": str(tmp_path / "missing.txt"), "play_id": "p", "language": "en"}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), *option, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {problem}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("chunking", [
-        ["--min-size", "100", "--chunk-count", "1", "--chunk-size", "50"],
-        ["--min-size", "0"],
-        ["--min-size", "100", "--chunk-count", "2", "--chunk-size", "0"],
-        ["--min-size", "100", "--chunk-count", "2", "--chunk-size", "200"],
+        {"min_size": 100, "chunk_count": 1, "chunk_size": 50},
+        {"min_size": 0},
+        {"min_size": 100, "chunk_count": 2, "chunk_size": 0},
+        {"min_size": 100, "chunk_count": 2, "chunk_size": 200},
     ], ids=["one_chunk", "zero_min_size", "zero_chunk_size", "over_min_size"])
-    def test_matrix_bad_chunking_is_2(self, data_dir, tmp_path, capsys, chunking):
-        out = tmp_path / "matrix.csv"
-        rc = main(["matrix", str(data_dir / "golden" / "miniature_play.json"), *chunking,
-                   "--out", str(out)])
-        assert rc == 2
+    def test_matrix_bad_chunking_is_2(self, configs_dir, tmp_path, capsys, chunking):
+        config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+        del config["min_size"], config["chunk_count"], config["chunk_size"]
+        config.update(chunking)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: chunk_") and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("content, problem", [
-        ('{"play_id": "x", "language"', "invalid interchange JSON"),
-        ('{"play_id": "x"}', "interchange JSON lacks key 'language'"),
-        # wrong types: read, they would fail mid-stage without the file's name
-        (_interchange([{"speaker": None, "text": "hi", "ordinal": 0}]),
-         "malformed interchange JSON"),
-        (_interchange([{"speaker": "alfa", "text": 5, "ordinal": 0}]),
-         "malformed interchange JSON"),
-        (_interchange([], play_id=["x"]), "malformed interchange JSON"),
-    ], ids=["truncated", "missing_key", "null_speaker", "int_text", "list_play_id"])
-    def test_matrix_bad_interchange_json_is_3(self, tmp_path, capsys, content, problem):
-        play = tmp_path / "play.json"
-        play.write_text(content)
-        out = tmp_path / "matrix.csv"
-        assert main(["matrix", str(play), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {play}: {problem}") and err.count("\n") == 1
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_matrix_checks_chunking_before_reading(self, tmp_path, capsys):
-        rc = main(["matrix", str(tmp_path / "missing.json"), "--chunk-size", "0",
-                   "--out", str(tmp_path / "matrix.csv")])
-        assert rc == 2
+        config = {
+            "experiment_id": "x", "chunk_size": 0,
+            "corpus": [{"path": str(tmp_path / "missing.txt"), "play_id": "p", "language": "en"}],
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: chunk_size must be at least 1\n"
 
     def test_bad_labeling_in_config_is_2(self, configs_dir, tmp_path, capsys):
@@ -1204,11 +1217,10 @@ def test_no_command_reaches_np_unique(configs_dir, data_dir, tmp_path, monkeypat
     assert report.read_bytes() == (golden / "synthetic_two_category_report.json").read_bytes()
     assert main(["run", "--config", str(configs_dir / "synthetic_translations.json"),
                  "--compare-translations", "--out", str(tmp_path / "out")]) == 0
-    play, matrix = tmp_path / "two.json", tmp_path / "matrix.csv"
-    assert main(["parse", str(data_dir / "synthetic" / "two_category.txt"), "--play-id", "synthia",
-                 "--language", "synthetic", "--out", str(play)]) == 0
-    assert main(["matrix", str(play), "--mode", "letter_ngram:3", "--min-size", "3000",
-                 "--chunk-count", "5", "--chunk-size", "600", "--out", str(matrix)]) == 0
+    assert main(["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                 "--mode", "letter_ngram:3", "--permutations", "20",
+                 "--out", str(tmp_path / "ngram")]) == 0
+    matrix = tmp_path / "ngram" / "synthetic_two_category" / "matrix_letter_ngram3.csv"
     assert matrix.read_bytes() == (
         golden / "synthetic_two_category_matrix_letter_ngram3.csv"
     ).read_bytes()
