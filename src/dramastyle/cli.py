@@ -53,11 +53,12 @@ def _cmd_run(args) -> int:
 
 
 def _render_report(data: dict) -> list[str]:
-    threshold = data["settings"]["threshold"]
+    config = data["config"]
+    threshold = config["significance"]
     lines = [
-        f"experiment: {data['experiment_id']}",
-        f"settings: permutations={data['settings']['permutations']} "
-        f"seed={data['settings']['seed']} threshold={threshold}",
+        f"experiment: {config['experiment_id']}",
+        f"settings: permutations={config['permutations']} "
+        f"seed={config['seed']} threshold={threshold}",
     ]
     for mode, section in data["modes"].items():
         lines.append(f"\n== mode: {mode} ==")

@@ -11,7 +11,9 @@ sequence of timed stages: `_chunk_corpus` (ingest, then
 (`chunk_matrix`, then its statistic), the report stage, and
 `_write_run_meta`. This module alone knows the output formats:
 `_mode_section` lays out a mode's report.json section from the arrays of
-`permutation_baselines`, and `_write_csv` writes every CSV.
+`permutation_baselines`, and `_write_csv` writes every CSV. The report
+states each value once: the settings only in its `config` echo, and no
+per-chunk means, which follow from the matrix CSV and the manifest.
 `prepare_chunks` keeps each speaker with at least `min_size` characters
 of dialogue, returns each decision for run_meta.json only, and has
 `segmentation.build_chunks` cut and label the kept texts; it and
@@ -352,42 +354,35 @@ def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
     ))
 
 
-def _mode_section(
-    mode: str, chunk_ids: Sequence[str], baselines: PermutationBaselines, seed: int
-) -> dict:
+def _mode_section(mode: str, chunk_ids: Sequence[str], baselines: PermutationBaselines) -> dict:
     """One mode's section of report.json, laid out from the engine's arrays:
-    a record per category and per chunk (in matrix order), the attribution
-    null and the chunks whose nearest categories tie."""
+    a record per category, with its two nulls, and per chunk (in matrix
+    order), and the chunks whose nearest categories tie."""
     result, null = baselines.attribution, baselines.rank_sum_null
-    names, permutations = result.categories, null.shape[1]
+    names = result.categories
     best = result.means.argmin(axis=1)  # first index wins: lexicographic tie-break
     tied = result.means == result.means[np.arange(len(best)), best][:, None]
-    hit_means = baselines.hit_null.sum(axis=1) / permutations
+    hit_means = baselines.hit_null.sum(axis=1) / null.shape[1]
     # row by row: std(axis=1) would allocate a temporary of the null's size
     summaries = [(float(r.mean()), float(r.std()), float(r.min()), float(r.max())) for r in null]
     categories = [
         {"category": name, "rank_sum": rank_sum, "rank_sum_p": rank_sum_p,
          "attribution_hits": hits, "attribution_total": total, "attribution_p": attribution_p,
-         "permutations": permutations, "seed": seed,
-         "rank_sum_null": {"observed": rank_sum, "permutations": permutations, "null_mean": mean,
-                           "null_sd": sd, "null_min": low, "null_max": high}}
-        for name, rank_sum, rank_sum_p, hits, total, attribution_p, (mean, sd, low, high) in zip(
-            names, baselines.rank_sums.tolist(), baselines.rank_sum_p.tolist(),
-            baselines.hits.tolist(), np.bincount(result.codes).tolist(),
-            baselines.attribution_p.tolist(), summaries)
+         "rank_sum_null": {"null_mean": mean, "null_sd": sd, "null_min": low, "null_max": high},
+         "attribution_null": {"null_mean": hit_mean}}
+        for name, rank_sum, rank_sum_p, hits, total, attribution_p, (mean, sd, low, high), hit_mean
+        in zip(names, baselines.rank_sums.tolist(), baselines.rank_sum_p.tolist(),
+               baselines.hits.tolist(), np.bincount(result.codes).tolist(),
+               baselines.attribution_p.tolist(), summaries, hit_means.tolist())
     ]
     attribution = [
         {"chunk_id": chunk_id, "true_category": names[own], "attributed_category": names[k],
-         "hit": own == k, "mean_scores": dict(zip(names, row))}
-        for chunk_id, own, k, row
-        in zip(chunk_ids, result.codes.tolist(), best.tolist(), result.means.tolist())
+         "hit": own == k}
+        for chunk_id, own, k in zip(chunk_ids, result.codes.tolist(), best.tolist())
     ]
     return {
         "chunk_manifest_ref": "chunk_manifest.csv", "matrix_ref": f"matrix_{mode}.csv",
         "categories": categories, "attribution": attribution,
-        "attribution_null": {"observed": dict(zip(names, baselines.hits.tolist())),
-                             "permutations": permutations,
-                             "null_mean": dict(zip(names, hit_means.tolist()))},
         "ties_logged": [
             {"chunk_id": chunk_id, "tied_categories": [names[k] for k in np.flatnonzero(row)]}
             for chunk_id, row in zip(chunk_ids, tied) if row.sum() > 1
@@ -437,8 +432,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 matrices[mode.name] = matrix
                 # no name holds the engine's result: its nulls are freed with the mode
                 sections[mode.name] = _mode_section(
-                    mode.name, matrix.chunk_ids, permutation_baselines(matrix, labels, orders),
-                    config.seed,
+                    mode.name, matrix.chunk_ids, permutation_baselines(matrix, labels, orders)
                 )
         with _stage("report", timings):
             # chunks come sorted by chunk_id, as the matrices' rows
@@ -452,17 +446,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             for entry in echo["corpus"]:
                 del entry["path"]
                 entry["speaker_aliases"] = dict(entry["speaker_aliases"])
-            report = {
-                "experiment_id": config.experiment_id,
-                "config": echo,
-                "modes": sections,
-                "warnings": warnings,
-                "settings": {
-                    "permutations": config.permutations,
-                    "seed": config.seed,
-                    "threshold": config.significance,
-                },
-            }
+            report = {"config": echo, "modes": sections, "warnings": warnings}
             (out_dir / "report.json").write_text(
                 json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
             )

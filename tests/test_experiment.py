@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import pickle
@@ -24,6 +25,7 @@ from dramastyle import experiment
 from dramastyle.cli import build_parser, main
 from dramastyle.errors import NoEligibleCharacters
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
+from dramastyle.homogeneity import attribute_chunks
 from dramastyle.ingest import ParseRules, PlayScript, SpeechTurn
 from dramastyle.tokenization import TokenizationMode, count_matrix
 from reference_counts import _ref_tokenize
@@ -138,14 +140,66 @@ class TestRunExperiment:
         assert (out / "run_meta.json").exists()
 
     @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
-    def test_attribution_hits_are_the_nulls_observed_hits(self, configs_dir, tmp_path, name):
+    def test_report_layout(self, configs_dir, tmp_path, name):
+        # each value is written once; a new field is a deliberate edit here
         config = load_config(configs_dir / f"{name}.json", permutations=300,
                              output_dir=str(tmp_path / "out"))
-        for section in run_experiment(config)["modes"].values():
-            observed = section["attribution_null"]["observed"]
-            assert list(observed) == [c["category"] for c in section["categories"]]
-            for category in section["categories"]:
-                assert category["attribution_hits"] == observed[category["category"]]
+        run_experiment(config)
+        out = tmp_path / "out" / name
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert list(report) == ["config", "modes", "warnings"]
+        assert list(report["modes"]) == [TokenizationMode.parse(m).name for m in config.modes]
+        for section in report["modes"].values():
+            assert list(section) == [
+                "chunk_manifest_ref", "matrix_ref", "categories", "attribution", "ties_logged",
+            ]
+            for cat in section["categories"]:
+                assert list(cat) == [
+                    "category", "rank_sum", "rank_sum_p", "attribution_hits",
+                    "attribution_total", "attribution_p", "rank_sum_null", "attribution_null",
+                ]
+                assert list(cat["rank_sum_null"]) == ["null_mean", "null_sd", "null_min",
+                                                      "null_max"]
+                assert list(cat["attribution_null"]) == ["null_mean"]
+            for record in section["attribution"]:
+                assert list(record) == ["chunk_id", "true_category", "attributed_category", "hit"]
+            for tie in section["ties_logged"]:
+                assert list(tie) == ["chunk_id", "tied_categories"]
+
+    @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
+    def test_category_means_follow_from_the_csvs(self, configs_dir, tmp_path, name):
+        # Each chunk's category means, leave-one-out in its own category, from
+        # chunk_manifest.csv and matrix_<mode>.csv alone. A 6-decimal entry is
+        # within 5e-7 of the score, so the mean is too; a gap above 1e-6
+        # between the two least means cannot flip. Bounds fixed in advance.
+        config = load_config(configs_dir / f"{name}.json", permutations=20,
+                             output_dir=str(tmp_path / "out"))
+        report = run_experiment(config)
+        out = tmp_path / "out" / name
+        with open(out / "chunk_manifest.csv", newline="", encoding="utf-8") as f:
+            category = {row["chunk_id"]: row["category"] for row in csv.DictReader(f)}
+        chunks, _, _ = experiment._chunk_corpus(config, {})
+        for spec in config.modes:
+            mode = TokenizationMode.parse(spec)
+            section = report["modes"][mode.name]
+            with open(out / section["matrix_ref"], newline="", encoding="utf-8") as f:
+                (_, *ids), *rows = csv.reader(f)
+            scores = np.array([[float(v) for v in row[1:]] for row in rows])
+            assert [row[0] for row in rows] == ids
+            names = sorted(set(category.values()))
+            member = np.array([[category[cid] == c for c in names] for cid in ids])
+            sizes = member.sum(axis=0) - member  # leave the chunk itself out
+            means = np.array([[scores[i, member[:, k]].sum() / sizes[i, k]
+                               for k in range(len(names))] for i in range(len(ids))])
+            matrix = experiment.chunk_matrix(chunks, mode)[0]
+            exact = attribute_chunks(matrix, category).means
+            assert list(matrix.chunk_ids) == ids
+            assert np.all(np.abs(means - exact) <= 5e-7 + 1e-12 * np.abs(exact))
+            assert [r["chunk_id"] for r in section["attribution"]] == ids
+            ordered = np.sort(means, axis=1)
+            clear = (ordered[:, 1] - ordered[:, 0] > 1e-6).tolist()
+            for record, k, is_clear in zip(section["attribution"], means.argmin(axis=1), clear):
+                assert not is_clear or record["attributed_category"] == names[k]
 
     def test_run_meta_records_stage_timings_and_sizes(self, configs_dir, data_dir, tmp_path):
         run_experiment(synthetic_config(configs_dir, tmp_path))
@@ -185,7 +239,7 @@ class TestRunExperiment:
             for speaker, chars in (("alfa", 3410), ("bravo", 3409))
         ]
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        assert set(report) == {"experiment_id", "config", "modes", "warnings", "settings"}
+        assert set(report) == {"config", "modes", "warnings"}
 
     def test_eligibility_records_excluded_speakers_and_skipped_plays(self):
         _, eligibility = prepare_chunks(
@@ -639,15 +693,22 @@ class TestCompareTranslations:
         config = load_config(configs_dir / "synthetic_translations.json", permutations=10,
                              output_dir=str(tmp_path / "out"))
         rows = compare_translations(config)
-        report = run_experiment(replace(config, labeling="character_by_translator"))
+        config = replace(config, labeling="character_by_translator")
+        report = run_experiment(config)
+        chunks, _, _ = experiment._chunk_corpus(config, {})
+        labels = {c.chunk_id: c.category for c in chunks}
         expected = []
-        for mode, section in report["modes"].items():
-            for record in section["attribution"]:
-                own = record["true_category"]
-                score, category = min(
-                    (s, c) for c, s in record["mean_scores"].items() if c != own
-                )
-                expected.append((mode, record["chunk_id"], own, category, score))
+        for spec in config.modes:
+            mode = TokenizationMode.parse(spec)
+            attribution = attribute_chunks(experiment.chunk_matrix(chunks, mode)[0], labels)
+            names = attribution.categories
+            records = report["modes"][mode.name]["attribution"]
+            for record, own, means in zip(records, attribution.codes, attribution.means.tolist()):
+                assert record["true_category"] == names[own]
+                assert record["attributed_category"] == min(zip(means, names))[1]
+                score, category = min((s, c) for k, (s, c) in enumerate(zip(means, names))
+                                      if k != own)
+                expected.append((mode.name, record["chunk_id"], names[own], category, score))
         assert [
             (r["mode"], r["chunk_id"], r["own_category"], r["nearest_foreign_category"],
              r["nearest_foreign_score"]) for r in rows
@@ -1146,11 +1207,11 @@ class TestCliExitCodes:
 
 
     @pytest.mark.parametrize("content", [
-        '{"experiment_id": "x", "settings"',
-        '{"experiment_id": "x", "modes": {}}',
-        '{"experiment_id": "x", "settings": {"threshold": 0.05, "permutations": 1, "seed": 1}, '
+        '{"config": {"experiment_id": "x"',
+        '{"modes": {}, "warnings": []}',
+        '{"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}, '
         '"modes": [], "warnings": []}',
-    ], ids=["invalid_json", "missing_settings", "modes_not_an_object"])
+    ], ids=["invalid_json", "missing_config", "modes_not_an_object"])
     def test_report_of_non_report_is_3(self, tmp_path, capsys, content):
         report = tmp_path / "report.json"
         report.write_text(content)

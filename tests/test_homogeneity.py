@@ -268,7 +268,7 @@ class TestAttribution:
     def test_all_equal_attributes_to_lexicographically_smallest(self):
         m = four_chunk_matrix([0.5] * 6)
         section = _mode_section(
-            "m", m.chunk_ids, permutation_baselines(m, LABELS4, draw_orders(4, 1, 0)), 0
+            "m", m.chunk_ids, permutation_baselines(m, LABELS4, draw_orders(4, 1, 0))
         )
         assert all(r["attributed_category"] == "x" for r in section["attribution"])
         assert section["ties_logged"] == [
@@ -333,7 +333,8 @@ def _rank_sum(rank_matrix, members):
 
 def _rank_sum_baseline_loop(matrix, labels, category, orders):
     """One-sided permutation p-value for the rank-sum (small = homogeneous),
-    the null summary as report.json gives it, and the null."""
+    the observed rank-sum, the null summary as report.json gives it, and
+    the null."""
     permutations = len(orders)
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
@@ -350,14 +351,12 @@ def _rank_sum_baseline_loop(matrix, labels, category, orders):
         )
     p_value = (1 + int((null <= observed).sum())) / (permutations + 1)
     summary = {
-        "observed": observed,
-        "permutations": permutations,
         "null_mean": float(null.mean()),
         "null_sd": float(null.std()),
         "null_min": float(null.min()),
         "null_max": float(null.max()),
     }
-    return p_value, summary, null
+    return p_value, observed, summary, null
 
 
 def _category_means_loop(scores, labels, categories):
@@ -399,7 +398,6 @@ def _attribute_loop(matrix, labels):
                 "true_category": label_list[i],
                 "attributed_category": categories[best],
                 "hit": hit,
-                "mean_scores": {c: float(means[i, k]) for k, c in enumerate(categories)},
             }
         )
         totals[label_list[i]] += 1
@@ -409,7 +407,8 @@ def _attribute_loop(matrix, labels):
 
 def _attribution_baseline_loop(matrix, labels, orders):
     """Per-category permutation p for the hit count (large = homogeneous),
-    the null summary as report.json gives it, and the (K, permutations) null."""
+    the observed hits, each category's null summary as report.json gives
+    it, and the (K, permutations) null."""
     permutations = len(orders)
     if permutations < 1:
         raise PreconditionFailed("permutations must be >= 1")
@@ -434,12 +433,8 @@ def _attribution_baseline_loop(matrix, labels, orders):
             if null_hits[c] >= observed[c]:
                 at_least[c] += 1
     p_values = {c: (1 + at_least[c]) / (permutations + 1) for c in categories}
-    summary = {
-        "observed": dict(observed),
-        "permutations": permutations,
-        "null_mean": {c: null_sums[c] / permutations for c in categories},
-    }
-    return p_values, summary, null
+    summaries = {c: {"null_mean": null_sums[c] / permutations} for c in categories}
+    return p_values, observed, summaries, null
 
 
 def assert_matches_loops(matrix, labels, orders):
@@ -448,21 +443,27 @@ def assert_matches_loops(matrix, labels, orders):
     engine = permutation_baselines(matrix, labels, orders)
     categories = sorted(set(labels.values()))
     assert engine.attribution.categories == tuple(categories)
-    records = []
+    rank_sums, records = [], []
     for k, c in enumerate(categories):
-        p, summary, null = _rank_sum_baseline_loop(matrix, labels, c, orders)
+        p, observed, summary, null = _rank_sum_baseline_loop(matrix, labels, c, orders)
         assert engine.rank_sum_p[k] == p
-        assert engine.rank_sums[k] == summary["observed"]
+        assert engine.rank_sums[k] == observed
         assert np.array_equal(engine.rank_sum_null[k], null)
+        rank_sums.append(observed)
         records.append(summary)
-    attr_p, attr_summary, attr_null = _attribution_baseline_loop(matrix, labels, orders)
+    attr_p, hits, attr_records, attr_null = _attribution_baseline_loop(matrix, labels, orders)
     assert engine.attribution_p.tolist() == [attr_p[c] for c in categories]
-    assert engine.hits.tolist() == [attr_summary["observed"][c] for c in categories]
+    assert engine.hits.tolist() == [hits[c] for c in categories]
     assert np.array_equal(engine.hit_null, attr_null)
-    section = _mode_section("m", matrix.chunk_ids, engine, 0)
-    assert json.dumps([c["rank_sum_null"] for c in section["categories"]]) == json.dumps(records)
-    assert json.dumps(section["attribution_null"]) == json.dumps(attr_summary)
-    return section
+    section = _mode_section("m", matrix.chunk_ids, engine)
+    cats = section["categories"]
+    assert json.dumps([(c["category"], c["rank_sum"], c["attribution_hits"]) for c in cats]) == (
+        json.dumps([(c, rank_sums[k], hits[c]) for k, c in enumerate(categories)])
+    )
+    assert json.dumps([c["rank_sum_null"] for c in cats]) == json.dumps(records)
+    assert json.dumps([c["attribution_null"] for c in cats]) == json.dumps(
+        [attr_records[c] for c in categories]
+    )
 
 
 def random_instance(instance):
@@ -527,9 +528,13 @@ class TestPermutationBaselines:
         # integer scores: most chunks' nearest categories tie
         matrix, labels = wide_instance(n, ncat, integer_scores=True)
         engine = permutation_baselines(matrix, labels, draw_orders(n, 3, seed=n))
-        section = _mode_section("m", matrix.chunk_ids, engine, 0)
+        section = _mode_section("m", matrix.chunk_ids, engine)
         reference = _attribute_loop(matrix, labels)
         assert reference["ties"]
+        label_list = [labels[cid] for cid in matrix.chunk_ids]
+        assert np.array_equal(engine.attribution.means, _category_means_loop(
+            matrix.scores, label_list, sorted(set(label_list))
+        ))
         assert json.dumps(section["attribution"]) == json.dumps(reference["per_chunk"])
         assert json.dumps(section["ties_logged"]) == json.dumps(reference["ties"])
         assert [(c["category"], c["attribution_hits"], c["attribution_total"])
