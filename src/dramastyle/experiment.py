@@ -348,9 +348,17 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 
 def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
-    """Matrix CSV: header of chunk_ids, one labeled row per chunk, 6 decimals."""
+    """Matrix CSV: header of chunk_ids, one labeled row per chunk, 6 decimals.
+
+    Each row is formatted by one `%` over a "%.6f,%.6f,..." template, which
+    gives the bytes of `format(v, ".6f")` per entry; a number needs no
+    quoting, so splitting at the commas gives back the fields. One row at a
+    time is held as Python floats, not the whole matrix.
+    """
+    template = ",".join(["%.6f"] * len(matrix.chunk_ids))
     _write_csv(path, ["chunk_id", *matrix.chunk_ids], (
-        [cid, *(format(v, ".6f") for v in row)] for cid, row in zip(matrix.chunk_ids, matrix.scores)
+        [cid, *(template % tuple(row.tolist())).split(",")]
+        for cid, row in zip(matrix.chunk_ids, matrix.scores)
     ))
 
 
@@ -390,13 +398,21 @@ def _mode_section(mode: str, chunk_ids: Sequence[str], baselines: PermutationBas
     }
 
 
+def _blas() -> dict:
+    """NumPy's BLAS as its build configuration names it; a key NumPy lacks is None."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
 def _write_run_meta(out_dir: Path, timings: dict[str, float], sizes: dict, **extra) -> None:
-    """Write the run_meta.json sidecar: time written, stage seconds, sizes
-    and the `extra` keys. Call it after the report stage, whose time it holds."""
+    """Write the run_meta.json sidecar: time written, stage seconds, sizes,
+    NumPy's BLAS and the `extra` keys. Call it after the report stage, whose
+    time it holds."""
     sidecar = {
         "written_at": datetime.now(timezone.utc).isoformat(),
         "timings": {name: round(secs, 6) for name, secs in timings.items()},
         "sizes": sizes,
+        "blas": _blas(),
         **extra,
     }
     (out_dir / "run_meta.json").write_text(
@@ -446,6 +462,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             for entry in echo["corpus"]:
                 del entry["path"]
                 entry["speaker_aliases"] = dict(entry["speaker_aliases"])
+            # lists for the config's tuples: the returned report equals report.json read back
+            echo = json.loads(json.dumps(echo))
             report = {"config": echo, "modes": sections, "warnings": warnings}
             (out_dir / "report.json").write_text(
                 json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"

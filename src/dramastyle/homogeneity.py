@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import DegenerateCategory, PreconditionFailed
 from .similarity import DissimilarityMatrix
-from .tokenization import _first_of_runs
 
 _BLOCK = 64  # permutations scored per (B, n, K) one-hot stack; bounds memory
 _DRAW_WORDS = 1 << 16  # SplitMix64 outputs per block of rows in draw_orders; bounds memory
@@ -64,17 +63,36 @@ class PermutationBaselines:
 def rank_pairs(matrix: DissimilarityMatrix) -> np.ndarray:
     """Symmetric (n, n) ranks of all unordered pairs, ascending by score
     (most similar = 1), with a zero diagonal; ties get the average rank.
-    A NaN score, which ties with no score, is rejected."""
+    A NaN score, which ties with no score, is rejected.
+
+    Scores tie when they agree to 12 significant digits (`format(v, ".12g")`
+    read back as a float), so that scores equal but for summation noise tie.
+    Rounding is monotone, so the raw sort order also sorts the rounded
+    scores, and a run of equal rounded scores is a run of raw neighbours.
+    Two scores that round alike differ by at most about 1e-11 of their
+    magnitude, so only raw neighbours within the generous bound of 1e-10 of
+    the larger magnitude are rounded and compared: the ranks are those of
+    rounding every score, ties included.
+    """
     if len(matrix.chunk_ids) < 2:
         raise PreconditionFailed("need at least 2 chunks")
     n = len(matrix.chunk_ids)
     upper = np.triu_indices(n, 1)
-    # 12 significant digits: scores equal but for summation noise must tie
-    rounded = np.array([float(format(v, ".12g")) for v in matrix.scores[upper].tolist()])
-    if np.isnan(rounded).any():
+    values = matrix.scores[upper]
+    if np.isnan(values).any():
         raise PreconditionFailed("pair scores must not be NaN")
-    order = np.argsort(rounded)
-    first = _first_of_runs(rounded[order])
+    order = np.argsort(values)
+    ordered = values[order]
+    lo, hi = ordered[:-1], ordered[1:]
+    new_run = hi != lo
+    # unequal neighbours only: inf - inf is NaN
+    near = np.flatnonzero(new_run)
+    near = near[hi[near] - lo[near] <= 1e-10 * np.maximum(abs(lo[near]), abs(hi[near]))]
+    at = np.zeros(len(ordered), bool)
+    at[near] = at[near + 1] = True
+    ordered[at] = [float(format(v, ".12g")) for v in ordered[at].tolist()]
+    new_run[near] = ordered[near + 1] != ordered[near]
+    first = np.flatnonzero(np.concatenate(([True], new_run)))
     cnt = np.diff(first, append=len(order))
     # a run shares the mean of ranks first+1 ... first+cnt, a multiple of 0.5, hence exact
     rank_matrix = np.zeros((n, n))

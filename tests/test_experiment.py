@@ -167,6 +167,15 @@ class TestRunExperiment:
                 assert list(tie) == ["chunk_id", "tied_categories"]
 
     @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
+    def test_returned_report_is_report_json(self, configs_dir, tmp_path, name):
+        config = load_config(configs_dir / f"{name}.json", permutations=50,
+                             output_dir=str(tmp_path / "out"))
+        report = run_experiment(config)
+        text = (tmp_path / "out" / name / "report.json").read_text(encoding="utf-8")
+        assert report == json.loads(text)
+        assert text == json.dumps(report, ensure_ascii=False, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
     def test_category_means_follow_from_the_csvs(self, configs_dir, tmp_path, name):
         # Each chunk's category means, leave-one-out in its own category, from
         # chunk_manifest.csv and matrix_<mode>.csv alone. A 6-decimal entry is
@@ -207,8 +216,8 @@ class TestRunExperiment:
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         # the warnings live in report.json only
         assert set(meta) == {
-            "written_at", "timings", "sizes", "corpus_paths", "encoding_fallbacks", "eligibility",
-            "token_totals",
+            "written_at", "timings", "sizes", "blas", "corpus_paths", "encoding_fallbacks",
+            "eligibility", "token_totals",
         }
         assert meta["corpus_paths"] == [str(data_dir / "synthetic" / "two_category.txt")]
         assert set(meta["timings"]) == {
@@ -228,6 +237,19 @@ class TestRunExperiment:
             assert sizes["permutations"] == 300
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert "timings" not in report and "sizes" not in report
+
+    def test_run_meta_records_numpys_blas(self, configs_dir, tmp_path, monkeypatch):
+        run_experiment(synthetic_config(configs_dir, tmp_path, permutations=20))
+        meta = json.loads(
+            (tmp_path / "out" / "synthetic_two_category" / "run_meta.json").read_text()
+        )
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        keys = ["name", "version", "openblas configuration"]
+        assert meta["blas"] == {key: blas.get(key) for key in keys}
+        assert meta["blas"]["name"] and meta["blas"]["version"]
+        # a build configuration without the keys gives nulls, not a failed run
+        monkeypatch.setattr(np, "show_config", lambda mode: {})
+        assert experiment._blas() == dict.fromkeys(keys)
 
     def test_run_meta_records_eligibility_decisions(self, configs_dir, tmp_path):
         run_experiment(synthetic_config(configs_dir, tmp_path, permutations=50))
@@ -648,8 +670,8 @@ class TestCompareTranslations:
         assert (out / "cross_attribution.csv").exists()
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert set(meta) == {
-            "written_at", "timings", "sizes", "warnings", "corpus_paths", "encoding_fallbacks",
-            "eligibility", "token_totals",
+            "written_at", "timings", "sizes", "blas", "warnings", "corpus_paths",
+            "encoding_fallbacks", "eligibility", "token_totals",
         }
         assert meta["corpus_paths"] == [e.path for e in corpus]
         assert set(meta["timings"]) == {

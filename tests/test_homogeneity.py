@@ -18,7 +18,9 @@ from dramastyle import (
     permutation_baselines,
     rank_pairs,
 )
+from dramastyle import experiment, load_config
 from dramastyle.experiment import _mode_section
+from dramastyle.tokenization import TokenizationMode, _first_of_runs
 
 
 def make_matrix(ids, pair_scores):
@@ -98,12 +100,74 @@ def enumerate_rank_sum_p(matrix, labels, category):
     return hits / len(arrangements)
 
 
+def rank_pairs_rounding_every_score(matrix):
+    """The reference: rank_pairs with one `format(v, ".12g")` per pair score."""
+    n = len(matrix.chunk_ids)
+    upper = np.triu_indices(n, 1)
+    rounded = np.array([float(format(v, ".12g")) for v in matrix.scores[upper].tolist()])
+    order = np.argsort(rounded)
+    first = _first_of_runs(rounded[order])
+    cnt = np.diff(first, append=len(order))
+    rank_matrix = np.zeros((n, n))
+    rank_matrix[upper[0][order], upper[1][order]] = np.repeat(first + (cnt + 1) / 2, cnt)
+    return rank_matrix + rank_matrix.T
+
+
+def ulps(x, k):
+    """`x` moved k floats up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+def rounds(v):
+    return float(format(v, ".12g"))
+
+
+def near_tie_groups():
+    """Named groups of neighbouring scores, the cases rank_pairs rounds."""
+    rng = np.random.default_rng(0)
+    groups = {f"ulp {v!r}": [v, ulps(v, 1), ulps(v, -1)]
+              for v in (rng.random(6) * 10.0 ** rng.integers(-5, 6, 6)).tolist()}
+    # both sides of 12-digit half-way points
+    groups.update({f"half {half}": [ulps(float(half), k) for k in (-3, -1, 0, 1, 3)]
+                   for half in ("1.234567890125", "0.5000000000005", "31.41592653585",
+                                "7.000000000015e-8", "123456.7890125")})
+    # the two edges of one rounding bucket, about 8e-12 relative apart
+    groups["bucket"] = [ulps(float("1.234567890115"), 2), ulps(float("1.234567890125"), -2)]
+    # across a decade: the first two round to 10, the third to 9.99999999999
+    groups["decade"] = [9.9999999999951, 10.0000000000004, 9.9999999999949]
+    groups["zeros"] = [0.0, -0.0]
+    # the smallest subnormals are far apart; near 1e-310 they are spaced finer than 12 digits
+    groups["subnormal"] = [5e-324, 1e-323]
+    groups["subnormal 1e-310"] = [1e-310, ulps(1e-310, 1)]
+    # a chain of one-ulp neighbours, all in one rounding bucket
+    groups["chain"] = [ulps(2.0 / 3.0, k) for k in range(-4, 5)]
+    groups["infinite"] = [math.inf, math.inf, 1.7976931348623157e308]
+    return groups
+
+
+def matrix_of(values):
+    """The smallest matrix whose upper triangle, row-major, starts with
+    `values`; the remaining pairs repeat the values cyclically. Both
+    triangles are set, so -0.0 stays -0.0."""
+    n = 2
+    while n * (n - 1) // 2 < len(values):
+        n += 1
+    upper = np.triu_indices(n, 1)
+    pair_values = np.resize(np.asarray(values, float), len(upper[0]))
+    scores = np.zeros((n, n))
+    scores[upper] = scores.T[upper] = pair_values
+    return DissimilarityMatrix(tuple(f"c{i:02d}" for i in range(n)), scores)
+
+
 class TestRankPairs:
     def test_distinct_scores_yield_permutation(self):
         assert sorted(upper_ranks(SEPARATED)) == [1, 2, 3, 4, 5, 6]
 
-    def test_all_ties_average(self):
-        m = four_chunk_matrix([0.5] * 6)
+    @pytest.mark.parametrize("value", [0.5, 0.0, -0.0, 5e-324, 1e300])
+    def test_all_ties_average(self, value):
+        m = matrix_of([value] * 6)
         ranks = upper_ranks(m)
         assert list(ranks) == [3.5] * 6
         assert ranks.sum() == 21
@@ -158,6 +222,59 @@ class TestRankPairs:
         m = four_chunk_matrix([0.5, np.nan, 0.5, 1.0, 0.25, np.nan])
         with pytest.raises(PreconditionFailed, match="NaN"):
             rank_pairs(m)
+
+    def test_near_tie_cases_are_what_they_claim(self):
+        groups = near_tie_groups()
+        distinct = {name: len({rounds(v) for v in group}) for name, group in groups.items()}
+        assert all(distinct[name] == 1 for name in groups if name.startswith("ulp"))
+        assert all(distinct[name] == 2 for name in groups if name.startswith("half"))
+        low, high = groups["bucket"]
+        assert rounds(low) == rounds(high) and high - low > 5e-12 * high
+        assert [rounds(v) for v in groups["decade"]] == [10.0, 10.0, 9.99999999999]
+        assert [distinct[name] for name in (
+            "zeros", "subnormal", "subnormal 1e-310", "chain", "infinite")] == [1, 2, 1, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_near_ties_rank_as_rounding_every_score(self, seed):
+        rng = np.random.default_rng(seed)
+        values = [v for group in near_tie_groups().values() for v in group]
+        values += (rng.random(20) * 10.0 ** rng.integers(-8, 8, 20)).tolist()
+        m = matrix_of(rng.permutation(values))
+        got = rank_pairs(m)
+        assert np.array_equal(got, rank_pairs_rounding_every_score(m))
+        upper = np.triu_indices(len(m.chunk_ids), 1)
+        # not vacuous: near ties share ranks their raw scores do not
+        assert len(set(got[upper].tolist())) < len(set(m.scores[upper].tolist()))
+
+    def test_rounds_near_ties_only(self, configs_dir, monkeypatch):
+        # one Python format call per pair score was the engine's largest
+        # Python-level cost: only scores with a near-tie neighbour are rounded
+        rounded = []
+
+        def counting(value, spec):
+            rounded.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(homogeneity, "format", counting, raising=False)
+        for m in (SEPARATED, matrix_of(np.random.default_rng(0).random(780))):
+            rank_pairs(m)
+        assert rounded == []
+        near_tie_scores = 0
+        for name in ("synthetic_two_category", "synthetic_translations"):
+            config = load_config(configs_dir / f"{name}.json")
+            chunks = experiment._chunk_corpus(config, {})[0]
+            for spec in config.modes:
+                m = experiment.chunk_matrix(chunks, TokenizationMode.parse(spec))[0]
+                ordered = np.sort(m.scores[np.triu_indices(len(m.chunk_ids), 1)])
+                gap = np.diff(ordered)
+                near = (gap > 0) & (gap <= 1e-10 * ordered[1:])
+                # the scores with a near-tie neighbour
+                allowed = np.count_nonzero(np.r_[near, False] | np.r_[False, near])
+                rounded.clear()
+                assert np.array_equal(rank_pairs(m), rank_pairs_rounding_every_score(m))
+                assert len(rounded) <= allowed
+                near_tie_scores += allowed
+        assert near_tie_scores > 0  # synthetic_two_category's word_unigram has some
 
     def test_rank_sum_total_invariant(self):
         ranks = upper_ranks(SEPARATED)

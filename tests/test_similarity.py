@@ -260,6 +260,29 @@ class TestMatrixFromCounts:
         assert lines[1] == "a,0.000000,0.266667"
         assert lines[2] == "b,0.266667,0.000000"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csv_bytes_match_one_format_per_entry(self, tmp_path, seed):
+        def reference(m, path):
+            # write_matrix_csv with one `format(v, ".6f")` call per entry
+            experiment._write_csv(path, ["chunk_id", *m.chunk_ids], (
+                [cid, *(format(v, ".6f") for v in row)] for cid, row in zip(m.chunk_ids, m.scores)
+            ))
+
+        rng = np.random.default_rng(seed)
+        ids = ("a,b", 'c"d', "e f", "g", 'h,"i" j', "k")
+        # .6f half-way points (odd multiples of 1/128) and the floats beside them
+        halfway = rng.integers(0, 10**6, 12) + (2 * rng.integers(0, 64, 12) + 1) / 128
+        values = np.concatenate([
+            halfway, np.nextafter(halfway, np.inf), np.nextafter(halfway, -np.inf),
+            [0.0, -0.0, 1e-7, 5e-7, 1e6, 123456789.0000005, 1e20, 1e300],
+            rng.random(6) * 10.0 ** rng.integers(-8, 9, 6),
+        ])
+        scores = rng.permutation(np.resize(values, len(ids) ** 2)).reshape(len(ids), -1)
+        m = similarity.DissimilarityMatrix(ids, scores)
+        write_matrix_csv(m, tmp_path / "got.csv")
+        reference(m, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BUNDLED_CONFIGS = ["synthetic_two_category", "synthetic_translations"]
