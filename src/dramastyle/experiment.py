@@ -279,7 +279,8 @@ def prepare_chunks(
     eligible speaker is skipped; only a corpus where no play has one
     fails. Stage seconds go into `timings`. Returns the chunks and the
     eligibility records, one per speaker: play_id, translator, speaker,
-    chars of dialogue, and whether it was kept.
+    chars of dialogue, the chars its chunks use (chunk_count * chunk_size
+    if kept, else 0) and whether it was kept.
     """
     aliases = aliases or {}
     by_play: dict[tuple[str, str], dict[str, str]] = {}
@@ -303,7 +304,8 @@ def prepare_chunks(
                     eligible[(play_id, translator, speaker)] = text
                 eligibility.append({
                     "play_id": play_id, "translator": translator, "speaker": speaker,
-                    "chars": len(text), "kept": kept,
+                    "chars": len(text), "chars_used": chunk_count * chunk_size if kept else 0,
+                    "kept": kept,
                 })
         if not eligible:
             raise NoEligibleCharacters(

@@ -19,7 +19,11 @@ are those of the one attribution that `attribute_chunks` also gives. Each
 shuffle's attribution is one batched (n x n) @ (n x K) product, divided by
 the category sizes and corrected to leave-one-out in each chunk's own
 category only, which gives the bits of dividing by (sizes - one-hot), as
-x / (s - 0.0) == x / s exactly.
+x / (s - 0.0) == x / s exactly. The quotients are laid out category-major,
+(K, chunks of the block), so the nearest category is a minimum reduced
+down each column rather than an argmin along a K-wide last axis. A chunk
+is a hit when its own quotient equals the column minimum and no earlier
+category does: argmin's first-index rule, so the hits are argmin's.
 """
 from __future__ import annotations
 
@@ -114,7 +118,11 @@ def _encode(ids: Sequence[str], labels: Mapping[str, str]) -> tuple[tuple[str, .
 def attribute_chunks(
     matrix: DissimilarityMatrix, labels: Mapping[str, str]
 ) -> AttributionResult:
-    """Mean score from each chunk to each category, leave-one-out in its own."""
+    """Mean score from each chunk to each category, leave-one-out in its own.
+    Scores must be finite: an infinite one makes NaN means, as inf * 0
+    enters the one-hot product."""
+    if not np.isfinite(matrix.scores).all():
+        raise PreconditionFailed("pair scores must be finite")
     categories, codes = _encode(matrix.chunk_ids, labels)
     onehot = np.eye(len(categories))[codes]
     # leave-one-out for the chunk's own category: its zero self-distance is excluded
@@ -160,7 +168,10 @@ def permutation_baselines(
     of range(n). Each order scores the rank-sum (small = homogeneous) and
     the attribution hit count (large = homogeneous) of all categories. The
     observed rank-sums sum the same pair ranks unshuffled, and the observed
-    hits are those of `attribute_chunks`, returned as `attribution`.
+    hits are those of `attribute_chunks`, returned as `attribution`. A
+    shuffle's hits are the chunks whose own leave-one-out mean is the
+    minimum of their column of category-major means and, on a tie, the
+    first category there, as `argmin` would pick it.
     p-values use the add-one estimator, so none is below 1/(permutations+1).
     Every result is an array over the sorted categories; `experiment` lays
     them out as report records.
@@ -204,18 +215,26 @@ def permutation_baselines(
         ranks = flat_ranks[inv[:, first] * n + inv[:, second]]
         rank_sums = np.add.reduceat(ranks, starts, axis=1)
         # position i of shuffle p carries the label of chunk block[p, i]
-        own = codes[block]
+        own = codes[block].ravel()
         # "clip" never clips here, as the range is checked above; "raise" would buffer `out`
         stack = np.take(onehot, block, axis=0, out=stack_buffer[: len(block)], mode="clip")
         means = np.matmul(matrix.scores, stack, out=means_buffer[: len(block)])
+        # the product has read the stack, so its buffer takes the quotients
+        # category-major: row c, column p*n + i is the mean from the chunk at
+        # position i of shuffle p to category c
+        at = np.arange(own.size)
+        major = stack_buffer.reshape(-1)[: k * at.size].reshape(k, at.size)
+        np.divide(means.transpose(2, 0, 1), sizes[:, None, None], out=major.reshape(k, -1, n))
         # leave-one-out in the own category only: x / (s - 0.0) == x / s
         # exactly, so these are the bits of dividing by sizes - stack
-        at_own = np.arange(own.size) * k + own.ravel()
-        own_means = means.reshape(-1)[at_own] / (sizes - 1)[own.ravel()]
-        means /= sizes
-        means.reshape(-1)[at_own] = own_means
-        hit = means.argmin(axis=2) == own
-        hits = np.bincount((rows * k + own)[hit], minlength=len(block) * k)
+        own_means = means.reshape(-1)[at * k + own] / (sizes - 1)[own]
+        major.reshape(-1)[own * at.size + at] = own_means
+        # a hit has its own category at the column's minimum and, as argmin
+        # rules a tie, first among the categories there
+        low = np.minimum.reduce(major, axis=0)
+        hit = np.flatnonzero(own_means == low)
+        hit = hit[(major[:, hit] == low[hit]).argmax(axis=0) == own[hit]]
+        hits = np.bincount(hit // n * k + own[hit], minlength=len(block) * k)
         return rank_sums.T, hits.reshape(-1, k).T
 
     rank_null = np.empty((k, permutations))

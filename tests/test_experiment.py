@@ -257,7 +257,7 @@ class TestRunExperiment:
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["eligibility"] == [
             {"play_id": "synthia", "translator": "original", "speaker": speaker,
-             "chars": chars, "kept": True}
+             "chars": chars, "chars_used": 5 * 600, "kept": True}
             for speaker, chars in (("alfa", 3410), ("bravo", 3409))
         ]
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
@@ -271,13 +271,13 @@ class TestRunExperiment:
         )
         assert eligibility == [
             {"play_id": "p", "translator": "original", "speaker": "ALFA", "chars": 300,
-             "kept": True},
+             "chars_used": 200, "kept": True},
             {"play_id": "p", "translator": "original", "speaker": "CHARLIE", "chars": 199,
-             "kept": False},
+             "chars_used": 0, "kept": False},
             {"play_id": "p", "translator": "original", "speaker": "BRAVO", "chars": 200,
-             "kept": True},
+             "chars_used": 200, "kept": True},
             {"play_id": "q", "translator": "original", "speaker": "DELTA", "chars": 50,
-             "kept": False},
+             "chars_used": 0, "kept": False},
         ]
 
     def test_speaker_at_min_size_is_kept(self):
@@ -692,7 +692,7 @@ class TestCompareTranslations:
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["eligibility"] == [
             {"play_id": "synthia", "translator": translator, "speaker": speaker,
-             "chars": chars, "kept": True}
+             "chars": chars, "chars_used": 5 * 600, "kept": True}
             for translator in ("alpha", "beta")
             for speaker, chars in (("ola", 3408), ("kari", 3412))
         ]

@@ -222,6 +222,9 @@ class TestRankPairs:
         m = four_chunk_matrix([0.5, np.nan, 0.5, 1.0, 0.25, np.nan])
         with pytest.raises(PreconditionFailed, match="NaN"):
             rank_pairs(m)
+        # the engine ranks first, so its NaN message is rank_pairs'
+        with pytest.raises(PreconditionFailed, match="NaN"):
+            permutation_baselines(m, LABELS4, draw_orders(4, 10, 0))
 
     def test_near_tie_cases_are_what_they_claim(self):
         groups = near_tie_groups()
@@ -401,6 +404,17 @@ class TestAttribution:
     def test_degenerate_category(self):
         with pytest.raises(DegenerateCategory):
             attribute_chunks(SEPARATED, {"x1": "x", "x2": "x", "y1": "y", "y2": "z"})
+
+    @pytest.mark.parametrize("score", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_infinite_score_rejected(self, score):
+        # inf * 0 in the one-hot product would make NaN means
+        scores = SEPARATED.scores.copy()
+        scores[0, 2] = scores[2, 0] = score
+        m = DissimilarityMatrix(SEPARATED.chunk_ids, scores)
+        with pytest.raises(PreconditionFailed, match="pair scores must be finite"):
+            attribute_chunks(m, LABELS4)
+        with pytest.raises(PreconditionFailed, match="pair scores must be finite"):
+            permutation_baselines(m, LABELS4, draw_orders(4, 10, 0))
 
 
 class TestAttributionBaseline:
@@ -617,7 +631,53 @@ def wide_instance(n, ncat, integer_scores):
     return DissimilarityMatrix(ids, scores + scores.T), dict(zip(ids, label_list))
 
 
+def tie_instance(ncat):
+    """`ncat` categories of 3 or 4 chunks, integer scores 1 or 2: many
+    attribution means tie."""
+    rng = np.random.default_rng(ncat)
+    label_list = [f"k{c:02d}" for c in range(ncat) for _ in range(3 + c % 2)]
+    rng.shuffle(label_list)
+    n = len(label_list)
+    ids = tuple(f"c{i:03d}" for i in range(n))
+    scores = np.zeros((n, n))
+    scores[np.triu_indices(n, 1)] = rng.integers(1, 3, n * (n - 1) // 2)
+    return DissimilarityMatrix(ids, scores + scores.T), dict(zip(ids, label_list))
+
+
+def argmin_hit_null(matrix, labels, orders):
+    """(K, permutations) hit counts from a plain argmin per shuffle, and the
+    numbers of chunks whose own category ties the minimum with an earlier
+    category (a miss) and with only later ones (a hit)."""
+    categories = sorted(set(labels.values()))
+    codes = np.array([categories.index(labels[cid]) for cid in matrix.chunk_ids])
+    k = len(categories)
+    null = np.zeros((k, len(orders)), np.int32)
+    tie_misses = tie_hits = 0
+    for p, order in enumerate(orders):
+        own = codes[order]
+        onehot = np.eye(k)[own]
+        means = matrix.scores @ onehot / (onehot.sum(axis=0) - onehot)
+        hit = means.argmin(axis=1) == own
+        np.add.at(null[:, p], own[hit], 1)
+        at_low = means == means.min(axis=1, keepdims=True)
+        tied = at_low[np.arange(len(own)), own] & (at_low.sum(axis=1) > 1)
+        tie_misses += int((tied & ~hit).sum())
+        tie_hits += int((tied & hit).sum())
+    return null, tie_misses, tie_hits
+
+
 class TestPermutationBaselines:
+    @pytest.mark.parametrize("ncat", [2, 17])
+    def test_tie_goes_to_the_first_category_at_the_minimum(self, ncat):
+        # 65 permutations: one full block and a partial one
+        matrix, labels = tie_instance(ncat)
+        orders = draw_orders(len(matrix.chunk_ids), 65, seed=ncat)
+        null, tie_misses, tie_hits = argmin_hit_null(matrix, labels, orders)
+        assert tie_misses > 0 and tie_hits > 0
+        engine = permutation_baselines(matrix, labels, orders)
+        assert np.array_equal(engine.hit_null, null)
+        assert np.array_equal(engine.hit_null, _attribution_baseline_loop(matrix, labels, orders)[3])
+
     @pytest.mark.parametrize("instance", range(60))
     def test_matches_per_permutation_loops_exactly(self, instance):
         permutations = (1, 63, 64, 65, 300)[instance % 5]
