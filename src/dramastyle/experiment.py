@@ -8,8 +8,8 @@ matrix CSV per mode, and a report JSON; `compare_translations` writes
 each chunk's nearest foreign category instead. Each is one straight
 sequence of timed stages: `_chunk_corpus` (ingest, then
 `prepare_chunks`), the command's own loop over the modes
-(`chunk_matrix`, then its statistic), the report stage, and
-`_write_run_meta`. This module alone knows the output formats:
+(`chunk_matrix`'s tokenize and matrix, then its statistic), the report
+stage, and `_write_run_meta`. This module alone knows the output formats:
 `_mode_section` lays out a mode's report.json section from the arrays of
 `permutation_baselines`, and `_write_csv` writes every CSV. The report
 states each value once: the settings only in its `config` echo, and no
@@ -315,9 +315,11 @@ def prepare_chunks(
 
 
 def chunk_matrix(
-    chunks: Sequence[Chunk], mode: TokenizationMode
+    chunks: Sequence[Chunk], mode: TokenizationMode, timings: dict[str, float] | None = None
 ) -> tuple[DissimilarityMatrix, dict, dict[str, int]]:
-    """Count every chunk's tokens under `mode` and score all pairs.
+    """Count every chunk's tokens under `mode` and score all pairs, as the
+    stages `tokenize:<mode>` and `matrix:<mode>`, whose seconds go into
+    `timings`.
 
     Returns the matrix, rows in chunk_id order; its sizes: the chunks,
     pairs, union vocabulary, the mean number of distinct tokens per chunk
@@ -326,8 +328,10 @@ def chunk_matrix(
     between equal-size chunks; and each chunk's token total by chunk_id.
     """
     ordered = sorted(chunks, key=lambda c: c.chunk_id)
-    counts = count_matrix([c.text for c in ordered], mode)
-    matrix = matrix_from_counts([c.chunk_id for c in ordered], counts)
+    with _stage(f"tokenize:{mode.name}", timings):
+        counts = count_matrix([c.text for c in ordered], mode)
+    with _stage(f"matrix:{mode.name}", timings):
+        matrix = matrix_from_counts([c.chunk_id for c in ordered], counts)
     totals = counts.sum(axis=1)
     n = len(ordered)
     sizes = {
@@ -442,12 +446,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
             orders = draw_orders(len(chunks), config.permutations, config.seed)
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
-            with _stage(f"analysis:{mode.name}", timings):
-                matrix, sizes[mode.name], token_totals[mode.name] = chunk_matrix(chunks, mode)
-                # the orders permute chunks by matrix position
-                assert matrix.chunk_ids == tuple(labels)
-                sizes[mode.name]["permutations"] = config.permutations
-                matrices[mode.name] = matrix
+            matrix, sizes[mode.name], token_totals[mode.name] = chunk_matrix(chunks, mode, timings)
+            # the orders permute chunks by matrix position
+            assert matrix.chunk_ids == tuple(labels)
+            sizes[mode.name]["permutations"] = config.permutations
+            matrices[mode.name] = matrix
+            with _stage(f"statistics:{mode.name}", timings):
                 # no name holds the engine's result: its nulls are freed with the mode
                 sections[mode.name] = _mode_section(
                     mode.name, matrix.chunk_ids, permutation_baselines(matrix, labels, orders)
@@ -500,10 +504,10 @@ def compare_translations(config: ExperimentConfig) -> list[dict]:
         labels = {c.chunk_id: c.category for c in chunks}
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
+            matrix, sizes[mode.name], token_totals[mode.name] = chunk_matrix(chunks, mode, timings)
+            # the attribution lists chunks by matrix position
+            assert matrix.chunk_ids == tuple(labels)
             with _stage(f"cross:{mode.name}", timings):
-                matrix, sizes[mode.name], token_totals[mode.name] = chunk_matrix(chunks, mode)
-                # the attribution lists chunks by matrix position
-                assert matrix.chunk_ids == tuple(labels)
                 attribution = attribute_chunks(matrix, labels)
                 names, own, at = attribution.categories, attribution.codes, np.arange(len(chunks))
                 foreign = attribution.means.copy()

@@ -4,6 +4,18 @@
 float64 count matrix that the chi-square kernel scores. Text is
 case-folded; letter modes count letters only, word modes maximal
 alphanumeric runs.
+
+Each token becomes a digit, its place in the sorted alphabet or vocabulary
+of all the texts. Letters are coded through a code-point table: each text
+is case-folded and encoded to code points once, the code points seen mark
+a boolean table sized by the largest of them, each distinct code point is
+tested with `str.isalpha` once, and one gather through a digit table codes
+every character. An n-gram's code is its digits read in radix `size`, built
+in the smallest unsigned type that holds the code space `size**n`. Codes of
+8 or 16 bits take NumPy's stable radix sort: letter unigrams, and letter
+trigrams of an alphabet of up to 40 letters, as in the corpus languages.
+Each text's codes are sorted, its runs of equal codes counted, and the
+distinct codes of all texts merged into the columns.
 """
 from __future__ import annotations
 
@@ -81,21 +93,23 @@ def _union(distinct: Sequence[np.ndarray]) -> np.ndarray:
 def _letter_digits(texts: Sequence[str]) -> tuple[list[np.ndarray], int]:
     """Each text's letters as digits, their places in the sorted alphabet of
     the texts, and the size of that alphabet."""
-    # case folding maps each character on its own, so the folded texts have
-    # the folded characters; each text is folded when its turn comes
-    chars = sorted(set().union(*(c.casefold() for c in set().union(*texts))))
-    kept = np.array([c.isalpha() for c in chars], bool)
-    points = np.array([ord(c) for c in chars], np.uint32)
-    size = int(np.count_nonzero(kept))
-    # the smallest unsigned type that holds the digits; a dropped character's
-    # entry may wrap, but it is never read
-    digit = (np.cumsum(kept) - 1).astype(np.min_scalar_type(size))
+    # surrogatepass: a lone surrogate encodes, and is dropped as a non-letter
+    points = [np.frombuffer(text.casefold().encode("utf-32-le", "surrogatepass"), np.uint32)
+              for text in texts]
+    seen = np.zeros(max((int(p.max()) + 1 for p in points if len(p)), default=0), bool)
+    for p in points:
+        seen[p] = True
+    chars = np.flatnonzero(seen)
+    letters = chars[np.array([chr(c).isalpha() for c in chars.tolist()], bool)]
+    size = len(letters)
+    # the digit of each code point, in the smallest unsigned type that holds
+    # `size`, the digit of a non-letter
+    digit = np.full(len(seen), size, np.min_scalar_type(size))
+    digit[letters] = np.arange(size)
     digits = []
-    for text in texts:
-        # surrogatepass: a lone surrogate encodes, and is dropped as a non-letter
-        at = np.searchsorted(points, np.frombuffer(
-            text.casefold().encode("utf-32-le", "surrogatepass"), np.uint32))
-        digits.append(digit[at[kept[at]]])
+    while points:  # each text's code points are freed once coded
+        d = digit[points.pop(0)]
+        digits.append(d[d < size])
     return digits, size
 
 
@@ -112,7 +126,8 @@ def _word_digits(texts: Sequence[str]) -> tuple[list[np.ndarray], int]:
 
 
 def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> np.ndarray:
-    """(n, V) float64 token counts of the n >= 1 `texts` under `mode`.
+    """(n, V) float64 token counts of the n >= 1 `texts` under `mode`; a
+    bare str is not a sequence of texts and raises PreconditionFailed.
 
     Row i holds the count of each token of the case-folded `texts[i]`:
     letters or their sliding n-grams under a letter mode, words (maximal
@@ -121,15 +136,20 @@ def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> np.ndarray:
     of the texts in code-point order of the tokens. A text without tokens
     gives a zero row.
     """
+    if isinstance(texts, str):
+        raise PreconditionFailed("count_matrix needs a sequence of texts, not a str")
     if not texts:
         raise PreconditionFailed("count_matrix needs at least one text")
     digits, size = (_letter_digits if mode.unit == "letter" else _word_digits)(texts)
     # an n-gram's code is its digits read in radix `size`, so n-grams sort as
     # their digit tuples do, and word n-grams as joined by a space, which sorts
-    # below every character of a word. Before a digit whose product could pass
-    # 2**63, codes are replaced by their ranks among all texts' codes, in order.
+    # below every character of a word. Codes below 2**63 are built in the
+    # smallest unsigned type that holds size**n; larger code spaces in int64,
+    # where before a digit whose product could pass 2**63, codes are replaced
+    # by their ranks among all texts' codes, in order.
     n = mode.n
-    codes = digits if n == 1 else [d[: max(len(d) - n + 1, 0)].astype(np.int64) for d in digits]
+    code_type = np.min_scalar_type(size**n) if size**n <= 2**63 else np.int64
+    codes = digits if n == 1 else [d[: max(len(d) - n + 1, 0)].astype(code_type) for d in digits]
     bound = size  # every code is below it
     for k in range(1, n):
         if bound * size > 2**63:
@@ -144,7 +164,7 @@ def count_matrix(texts: Sequence[str], mode: TokenizationMode) -> np.ndarray:
     distinct, runs = [], []
     while codes:  # each text's codes are freed once counted
         c = codes.pop(0)
-        # radix sort for 8- and 16-bit digits: their default sort is many times slower
+        # radix sort for 8- and 16-bit codes: their default sort is many times slower
         c.sort(kind="stable" if c.itemsize <= 2 else None)
         first = _first_of_runs(c)
         distinct.append(c[first])

@@ -222,7 +222,9 @@ class TestRunExperiment:
         assert meta["corpus_paths"] == [str(data_dir / "synthetic" / "two_category.txt")]
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation", "permutation_orders",
-            "analysis:letter_unigram", "analysis:word_unigram", "report",
+            *(f"{stage}:{mode}" for stage in ("tokenize", "matrix", "statistics")
+              for mode in ("letter_unigram", "word_unigram")),
+            "report",
         }
         assert all(secs >= 0 for secs in meta["timings"].values())
         assert set(meta["sizes"]) == {"letter_unigram", "word_unigram"}
@@ -675,7 +677,8 @@ class TestCompareTranslations:
         }
         assert meta["corpus_paths"] == [e.path for e in corpus]
         assert set(meta["timings"]) == {
-            "ingest", "extract", "segmentation", "cross:letter_unigram", "report",
+            "ingest", "extract", "segmentation", "tokenize:letter_unigram",
+            "matrix:letter_unigram", "cross:letter_unigram", "report",
         }
         assert set(meta["sizes"]) == {"letter_unigram"}
         assert set(meta["sizes"]["letter_unigram"]) == {

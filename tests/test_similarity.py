@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from dramastyle import (
     EmptyDistribution,
+    PipelineError,
     PreconditionFailed,
     TokenizationMode,
     matrix_from_counts,
@@ -337,5 +338,7 @@ class TestChunkMatrix:
             Chunk("a#00", "a", ("p", "original", "a"), "abc def"),
             Chunk("b#00", "b", ("p", "original", "b"), "123 !!"),
         ]
-        with pytest.raises(EmptyDistribution, match="chunk b#00"):
+        # the error names the stage, as every stage's does, and the chunk
+        with pytest.raises(PipelineError, match=r"^\[matrix:letter_unigram\] .*chunk b#00") as err:
             chunk_matrix(chunks, MODE)
+        assert isinstance(err.value.cause, EmptyDistribution)

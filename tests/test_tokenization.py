@@ -162,8 +162,9 @@ def _assert_matches_reference(texts, mode):
     _assert_counts(texts, mode, [_ref_tokenize(t, mode) for t in texts])
 
 
-# casefold-expanding (ß, ﬁ, İ), non-BMP (𝔄), a lone surrogate, digits, both apostrophes
-EXOTIC = "aAbBåÅzßﬁİ𝔄\ud800" + "09" + "'’" + " .,!\n"
+# casefold-expanding (ß, ﬁ, İ), non-BMP (𝔄), a lone surrogate, the largest code
+# point (a non-letter: its code-point table has every entry), digits, both apostrophes
+EXOTIC = "aAbBåÅzßﬁİ𝔄\ud800\U0010FFFF" + "09" + "'’" + " .,!\n"
 exotic_texts = st.lists(st.sampled_from(EXOTIC), max_size=60).map("".join)
 
 # the alphabets the random texts are drawn from: exotic characters; the letters
@@ -215,10 +216,18 @@ class TestCountMatrix:
         texts += (joiner.join(rng.choices(alphabet[:40], k=1500)) for _ in range(3))
         _assert_matches_reference(texts, TokenizationMode(unit, 5))
 
-    def test_case_folding_maps_each_character_on_its_own(self):
-        # the alphabet is built from the folded characters, not the folded texts
-        every = "".join(map(chr, range(0x110000)))
-        assert every.casefold() == "".join(c.casefold() for c in every)
+    @pytest.mark.parametrize("size", [15, 16, 17, 255, 256, 257])
+    @pytest.mark.parametrize("unit", tokenization.UNITS)
+    def test_code_type_boundaries(self, unit, size):
+        # size**2 falls just below, at and just above 2**8 and 2**16: from 16
+        # and 256 letters or words on, the bigram codes need a wider type
+        # than the digits they are built from
+        alphabet, joiner = [chr(0x4E00 + k) for k in range(size)], "" if unit == "letter" else " "
+        rng = random.Random(size)
+        texts = [joiner.join(rng.sample(alphabet, size))]
+        texts += (joiner.join(rng.choices(alphabet, k=3 * size)) for _ in range(3))
+        assert sorted(_ref_stream(texts[0], TokenizationMode(unit))[0]) == alphabet
+        _assert_matches_reference(texts, TokenizationMode(unit, 2))
 
     def test_text_without_tokens_gives_zero_row(self):
         counts = count_matrix(["Aab", "... 1 !!", "", "b"], LETTERS)
@@ -229,3 +238,10 @@ class TestCountMatrix:
     def test_no_texts_rejected(self, mode):
         with pytest.raises(PreconditionFailed, match="at least one text"):
             count_matrix([], mode)
+
+    @pytest.mark.parametrize("text, mode", [("abc", LETTERS), ("ab ab", WORDS)],
+                             ids=["letter", "word"])
+    def test_bare_str_rejected(self, text, mode):
+        # a str is a sequence of one-character texts: one row per character
+        with pytest.raises(PreconditionFailed, match="not a str"):
+            count_matrix(text, mode)
