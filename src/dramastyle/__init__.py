@@ -6,7 +6,6 @@ from .errors import (
     DegenerateCategory,
     DramastyleError,
     EmptyDistribution,
-    InsufficientText,
     NoEligibleCharacters,
     NoTurnsFound,
     PipelineError,
@@ -19,13 +18,12 @@ from .ingest import (
     PlayScript,
     RawDocument,
     SpeechTurn,
-    extract_character_text,
     load_document,
     parse_play,
     play_to_json,
     strip_boilerplate,
 )
-from .segmentation import Chunk, build_chunks, chunk_text
+from .segmentation import Chunk
 from .tokenization import TokenizationMode, count_matrix
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .homogeneity import (

@@ -7,6 +7,7 @@ Subcommands:
 
 Exit codes: 0 success, 2 config error (or a precondition that is not
 met, in any stage), 3 corpus/parse error, 4 degenerate-statistics error.
+Any other exception is a fault of the program and keeps its traceback.
 """
 from __future__ import annotations
 

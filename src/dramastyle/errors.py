@@ -29,10 +29,6 @@ class NoEligibleCharacters(StatisticsError):
     """No character meets the minimum-size requirement."""
 
 
-class InsufficientText(StatisticsError):
-    """Text shorter than chunk_count * chunk_size."""
-
-
 class EmptyDistribution(StatisticsError):
     """Tokenization produced no tokens for a chunk."""
 

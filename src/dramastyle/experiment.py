@@ -2,26 +2,27 @@
 
 A config JSON names the corpus files, the labeling mode, one or more
 tokenization modes, the chunking budget, and the permutation settings.
-`run_experiment` executes ingest -> extract -> select -> chunk and
-label -> tokenize -> matrix -> statistics and writes a manifest CSV, one
-matrix CSV per mode, and a report JSON; `compare_translations` writes
-each chunk's nearest foreign category instead. Each is one straight
-sequence of timed stages: `_chunk_corpus` (ingest, then
-`prepare_chunks`), the command's own loop over the modes
-(`chunk_matrix`'s tokenize and matrix, then its statistic), the report
-stage, and `_write_run_meta`. This module alone knows the output formats:
-`_mode_section` lays out a mode's report.json section from the arrays of
-`permutation_baselines`, and `_write_csv` writes every CSV. The report
-states each value once: the settings only in its `config` echo, and no
-per-chunk means, which follow from the matrix CSV and the manifest.
-`prepare_chunks` keeps each speaker with at least `min_size` characters
-of dialogue, returns each decision for run_meta.json only, and has
-`segmentation.build_chunks` cut and label the kept texts; it and
-`chunk_matrix` are the front half that both pipelines share. A config
-checks its fields when it is built, so an invalid one never reaches a
-stage. Everything is deterministic given the config and corpus bytes;
-the wall-clock timestamp and the file locations live in a sidecar file
-so the hashed outputs stay reproducible.
+`run_experiment` executes ingest -> extract -> segmentation -> tokenize
+-> matrix -> statistics and writes a manifest CSV, one matrix CSV per
+mode, and a report JSON; `compare_translations` writes each chunk's
+nearest foreign category instead. Each is one straight sequence of
+timed stages: `_chunk_corpus` (ingest, then `prepare_chunks`), the
+command's own loop over the modes (`chunk_matrix`'s tokenize and
+matrix, then its statistic), the report stage, and `_write_run_meta`.
+`prepare_chunks` is the one pass from turns to chunks: it gathers each
+speaker's turns in speaking order, aliases included, keeps the speakers
+with at least `min_size` characters (each decision goes to run_meta.json
+only), and cuts and labels the front of each kept speaker's dialogue; it
+and `chunk_matrix` are the front half that both pipelines share. This
+module alone knows the output formats: `_mode_section` lays out a mode's
+report.json section from the arrays of `permutation_baselines`, and
+`_write_csv` writes every CSV. The report states each value once: the
+settings only in its `config` echo, and no per-chunk means, which follow
+from the matrix CSV and the manifest. A config checks its fields when it
+is built, so an invalid one never reaches a stage. Everything is
+deterministic given the config and corpus bytes; the wall-clock
+timestamp and the file locations live in a sidecar file so the hashed
+outputs stay reproducible.
 """
 from __future__ import annotations
 
@@ -38,17 +39,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NoEligibleCharacters, PipelineError, PreconditionFailed
-from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, permutation_baselines
-from .ingest import (
-    ParseRules,
-    PlayScript,
-    extract_character_text,
-    load_document,
-    parse_play,
-    strip_boilerplate,
+from .errors import (
+    ConfigError, DegenerateCategory, DramastyleError, NoEligibleCharacters, PipelineError,
+    PreconditionFailed,
 )
-from .segmentation import Chunk, build_chunks, labeler
+from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, permutation_baselines
+from .ingest import ParseRules, PlayScript, load_document, parse_play, strip_boilerplate
+from .segmentation import Chunk, labeler
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .tokenization import TokenizationMode, count_matrix
 
@@ -183,7 +180,9 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
 
 @contextmanager
 def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]:
-    """Re-raise any error of the block as a PipelineError naming the stage.
+    """Re-raise a DramastyleError or OSError of the block as a PipelineError
+    naming the stage; any other error is a fault of the program, and
+    passes through with its traceback.
 
     If the block succeeds, its perf_counter seconds go into
     `timings[name]`, when given. Stages are never nested or repeated.
@@ -191,7 +190,7 @@ def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]
     start = time.perf_counter()
     try:
         yield
-    except Exception as exc:
+    except (DramastyleError, OSError) as exc:
         raise PipelineError(name, exc) from exc
     if timings is not None:
         timings[name] = time.perf_counter() - start
@@ -270,48 +269,73 @@ def prepare_chunks(
     aliases: Mapping[tuple[str, str], Mapping[str, str]] | None = None,
     timings: dict[str, float] | None = None,
 ) -> tuple[list[Chunk], list[dict]]:
-    """Extract -> select -> chunk and label: the front half of both pipelines.
+    """Turns to labelled chunks: the front half of both pipelines.
 
-    Each speaker's dialogue is gathered per (play_id, translator), with
-    `aliases[(play_id, translator)]` mapping speaker names onto canonical
-    ones; both sides compare and are stored case-folded. Two plays of one
-    (play_id, translator) raise PreconditionFailed. A play with no
-    eligible speaker is skipped; only a corpus where no play has one
-    fails. Stage seconds go into `timings`. Returns the chunks and the
-    eligibility records, one per speaker: play_id, translator, speaker,
-    chars of dialogue, the chars its chunks use (chunk_count * chunk_size
-    if kept, else 0) and whether it was kept.
+    Stage `extract` gathers each speaker's turns in speaking order per
+    (play_id, translator); `aliases[(play_id, translator)]` maps speaker
+    names onto canonical ones, both sides compared and stored case-folded.
+    Two plays of one (play_id, translator) raise PreconditionFailed.
+    Stage `segmentation` joins each speaker's turns with a space and keeps
+    the speakers with at least `min_size` characters; only a corpus where
+    no play has one fails. The first chunk_count * chunk_size characters
+    of each kept speaker, in sorted (play_id, translator, speaker) order,
+    give `chunk_count` chunks, labelled by the `labeling` mode and
+    numbered `category#NN` per category; fewer than 2 categories raise
+    DegenerateCategory. Stage seconds go into `timings`.
+
+    Returns the chunks by chunk_id and one eligibility record per speaker,
+    in speaking order: play_id, translator, speaker, chars of dialogue,
+    the chars its chunks use and whether it was kept.
     """
+    # a config checks these when built; this guards direct callers
+    window = chunk_count * chunk_size
+    if chunk_count < 2 or chunk_size < 1 or window > min_size:
+        raise PreconditionFailed(
+            "need chunk_count >= 2, chunk_size >= 1 and chunk_count*chunk_size <= min_size, "
+            f"got {chunk_count}, {chunk_size} and {min_size}"
+        )
+    label = labeler(labeling)
     aliases = aliases or {}
-    by_play: dict[tuple[str, str], dict[str, str]] = {}
+    by_play: dict[tuple[str, str], dict[str, list[str]]] = {}
     with _stage("extract", timings):
         for play in plays:
             key = (play.play_id, play.translator)
             if key in by_play:
                 raise PreconditionFailed(f"each (play_id, translator) must name one play: {key}")
             alias = {k.casefold(): v.casefold() for k, v in aliases.get(key, {}).items()}
-            texts = by_play[key] = {}
-            for speaker, text in extract_character_text(play).items():
-                speaker = alias.get(speaker.casefold(), speaker)
-                texts[speaker] = f"{texts[speaker]} {text}" if speaker in texts else text
+            turns = by_play[key] = {}
+            for turn in play.turns:
+                speaker = alias.get(turn.speaker.casefold(), turn.speaker)
+                turns.setdefault(speaker, []).append(turn.text)
     with _stage("segmentation", timings):
         eligible: dict[tuple[str, str, str], str] = {}
         eligibility = []
-        for (play_id, translator), texts in sorted(by_play.items()):
-            for speaker, text in texts.items():
+        for (play_id, translator), turns in sorted(by_play.items()):
+            for speaker, texts in turns.items():
+                text = " ".join(texts)
                 kept = len(text) >= min_size
                 if kept:
                     eligible[(play_id, translator, speaker)] = text
                 eligibility.append({
                     "play_id": play_id, "translator": translator, "speaker": speaker,
-                    "chars": len(text), "chars_used": chunk_count * chunk_size if kept else 0,
-                    "kept": kept,
+                    "chars": len(text), "chars_used": window if kept else 0, "kept": kept,
                 })
         if not eligible:
             raise NoEligibleCharacters(
                 f"no character in any play reaches {min_size} characters"
             )
-        return build_chunks(eligible, labeling, chunk_count, chunk_size), eligibility
+        by_category: dict[str, list[Chunk]] = {}
+        for source, text in sorted(eligible.items()):
+            category = label(*source)
+            bucket = by_category.setdefault(category, [])
+            for start in range(0, window, chunk_size):
+                bucket.append(Chunk(f"{category}#{len(bucket):02d}", category, source,
+                                    text[start:start + chunk_size]))
+        if len(by_category) < 2:
+            raise DegenerateCategory(f"need at least 2 categories, got {sorted(by_category)}")
+        chunks = sorted((c for bucket in by_category.values() for c in bucket),
+                        key=lambda c: c.chunk_id)
+        return chunks, eligibility
 
 
 def chunk_matrix(

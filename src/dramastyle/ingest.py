@@ -322,16 +322,6 @@ def parse_play(
     )
 
 
-def extract_character_text(play: PlayScript) -> dict[str, str]:
-    """Concatenate each speaker's turn texts in order, space-joined."""
-    if not play.turns:
-        raise CorpusError(f"{play.play_id}: play has no turns")
-    out: dict[str, list[str]] = {}
-    for turn in play.turns:
-        out.setdefault(turn.speaker, []).append(turn.text)
-    return {speaker: " ".join(parts) for speaker, parts in out.items()}
-
-
 def play_to_json(play: PlayScript) -> str:
     """Serialize to the interchange format: fixed key order, UTF-8, LF."""
     payload = {

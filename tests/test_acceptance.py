@@ -13,15 +13,15 @@ import pytest
 
 from dramastyle import (
     DissimilarityMatrix,
-    InsufficientText,
-    chunk_text,
+    PlayScript,
+    SpeechTurn,
     matrix_from_counts,
     rank_pairs,
     draw_orders,
     permutation_baselines,
 )
 from dramastyle.cli import main
-from dramastyle.experiment import load_config, run_experiment
+from dramastyle.experiment import load_config, prepare_chunks, run_experiment
 from reference_counts import _rows
 
 REPO = Path(__file__).resolve().parent.parent
@@ -171,12 +171,18 @@ def test_separation_power():
 
 def test_chunking_conformance():
     text = "".join(chr(97 + i % 26) for i in range(10000))
-    chunks = chunk_text(text, 5, 2000)
-    assert len(chunks) == 5
-    assert all(len(c) == 2000 for c in chunks)
-    assert "".join(chunks) == text
-    with pytest.raises(InsufficientText):
-        chunk_text(text[:9999], 5, 2000)
+    # turns joined with a space; a speaker one character short is not kept
+    turns = [("a", text[:4000]), ("b", "y" * 10000), ("a", text[4001:]), ("c", text[:9998])]
+    play = PlayScript("p", "x", "original",
+                      tuple(SpeechTurn(s, t, i) for i, (s, t) in enumerate(turns)))
+    chunks, eligibility = prepare_chunks([play], "character", 10000, 5, 2000)
+    mine = [c.text for c in chunks if c.category == "a"]
+    assert len(mine) == 5
+    assert all(len(c) == 2000 for c in mine)
+    assert "".join(mine) == text[:4000] + " " + text[4001:]
+    assert [(r["speaker"], r["kept"]) for r in eligibility] == [
+        ("a", True), ("b", True), ("c", False)
+    ]
     print("\nPASS chunking conformance")
 
 

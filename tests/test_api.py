@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "DramastyleError",
     "EmptyDistribution",
     "ExperimentConfig",
-    "InsufficientText",
     "NoEligibleCharacters",
     "NoTurnsFound",
     "ParseRules",
@@ -26,12 +25,9 @@ PUBLIC_NAMES = [
     "TokenizationMode",
     "UnbalancedBoilerplateMarkers",
     "attribute_chunks",
-    "build_chunks",
-    "chunk_text",
     "compare_translations",
     "count_matrix",
     "draw_orders",
-    "extract_character_text",
     "load_config",
     "load_document",
     "matrix_from_counts",

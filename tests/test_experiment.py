@@ -868,6 +868,17 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == "error: [permutation_orders] no orders\n"
         assert not (tmp_path / "out" / "synthetic_two_category").exists()
 
+    def test_program_fault_in_a_stage_propagates(self, configs_dir, tmp_path, monkeypatch):
+        # a fault of the program is neither a corpus error nor hidden in a message
+        def failing(*args):
+            raise TypeError("a fault")
+
+        monkeypatch.setattr(experiment, "draw_orders", failing)
+        with pytest.raises(TypeError, match="a fault"):
+            main(["run", "--config", str(configs_dir / "synthetic_two_category.json"),
+                  "--out", str(tmp_path / "out")])
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["file", "symlink"])
     def test_non_directory_at_output_path_is_3(self, configs_dir, tmp_path, capsys, kind):
         # moved aside by the swap, it would be left behind as a hidden .old entry

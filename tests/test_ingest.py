@@ -9,7 +9,6 @@ from dramastyle import (
     ParseRules,
     RawDocument,
     UnbalancedBoilerplateMarkers,
-    extract_character_text,
     parse_play,
     strip_boilerplate,
 )
@@ -144,28 +143,6 @@ class TestNormalizeSpeaker:
     @given(st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Zs")), max_size=30))
     def test_pure_function(self, name):
         assert normalize_speaker(name) == normalize_speaker(name)
-
-
-class TestExtractCharacterText:
-    def _play(self, pairs):
-        text = "".join(f"{s.upper()}. {t}\n" for s, t in pairs)
-        return parse_play(doc(text), RULES, "p", "en")
-
-    def test_concatenation_in_ordinal_order(self):
-        play = self._play([("a", "x"), ("b", "y"), ("a", "z")])
-        assert extract_character_text(play) == {"a": "x z", "b": "y"}
-
-    def test_single_turn(self):
-        play = self._play([("a", "only line")])
-        assert extract_character_text(play) == {"a": "only line"}
-
-    def test_total_length_preserved(self):
-        play = self._play([("a", "one"), ("b", "two"), ("a", "three"), ("b", "four")])
-        texts = extract_character_text(play)
-        joiners = sum(len([t for t in play.turns if t.speaker == s]) - 1 for s in texts)
-        assert sum(len(v) for v in texts.values()) == (
-            sum(len(t.text) for t in play.turns) + joiners
-        )
 
 
 # Reference parser: the heading matcher, stage-direction remover and turn

@@ -1,95 +1,162 @@
+"""`prepare_chunks` from turns to chunks: each speaker's turns joined in
+speaking order, aliases included, then the front of each kept speaker's
+dialogue cut into equal chunks and labelled."""
 import pytest
 from hypothesis import given, strategies as st
 
 from dramastyle import (
     ConfigError,
     DegenerateCategory,
-    InsufficientText,
+    PipelineError,
+    PlayScript,
     PreconditionFailed,
-    build_chunks,
-    chunk_text,
+    SpeechTurn,
 )
+from dramastyle.experiment import prepare_chunks
 
 
-class TestChunkText:
+def _play(play_id, pairs, translator="original"):
+    """A play of (speaker, text) turns, in that order."""
+    turns = tuple(SpeechTurn(speaker, text, i) for i, (speaker, text) in enumerate(pairs))
+    return PlayScript(play_id, "x", translator, turns)
+
+
+def _joined(chunks):
+    """Each speaker's chunks put back together, in chunk_id order."""
+    texts = {}
+    for c in chunks:
+        texts[c.source[2]] = texts.get(c.source[2], "") + c.text
+    return texts
+
+
+class TestTurnsJoined:
+    def test_concatenation_in_speaking_order(self):
+        play = _play("p", [("a", "x1"), ("b", "y1 y2"), ("a", "x2")])
+        chunks, _ = prepare_chunks([play], "character", 5, 5, 1)
+        assert _joined(chunks) == {"a": "x1 x2", "b": "y1 y2"}
+
+    def test_single_turn(self):
+        play = _play("p", [("a", "only line"), ("b", "other one")])
+        chunks, _ = prepare_chunks([play], "character", 9, 3, 3)
+        assert _joined(chunks) == {"a": "only line", "b": "other one"}
+
+    def test_total_length_preserved(self):
+        play = _play("p", [("a", "one"), ("b", "two"), ("a", "three"), ("b", "four")])
+        _, eligibility = prepare_chunks([play], "character", 2, 2, 1)
+        joiners = sum(len([t for t in play.turns if t.speaker == r["speaker"]]) - 1
+                      for r in eligibility)
+        assert sum(r["chars"] for r in eligibility) == (
+            sum(len(t.text) for t in play.turns) + joiners
+        )
+
+    def test_aliased_turns_come_in_speaking_order(self):
+        # one speaker under two headings: the window is cut from its turns in order
+        play = _play("p", [("mrs. alving", "A1"), ("mrs alving", "B1"),
+                           ("mrs. alving", "A2"), ("regina", "R1 R2 R3")])
+        aliases = {("p", "original"): {"mrs. alving": "mrs alving"}}
+        chunks, eligibility = prepare_chunks([play], "character", 8, 4, 2, aliases)
+        assert _joined(chunks) == {"mrs alving": "A1 B1 A2", "regina": "R1 R2 R3"}
+        assert [r["speaker"] for r in eligibility] == ["mrs alving", "regina"]
+
+    def test_play_without_turns_is_skipped(self):
+        plays = [_play("p", [("a", "xx"), ("b", "yy")]), _play("q", [])]
+        chunks, eligibility = prepare_chunks(plays, "character", 2, 2, 1)
+        assert {c.source[0] for c in chunks} == {"p"}
+        assert [r["play_id"] for r in eligibility] == ["p", "p"]
+
+
+class TestCutting:
     def test_five_sections_of_2000(self):
-        chunks = chunk_text("x" * 10000, 5, 2000)
-        assert len(chunks) == 5
-        assert all(len(c) == 2000 for c in chunks)
+        play = _play("p", [("a", "x" * 10000), ("b", "y" * 10000)])
+        chunks, _ = prepare_chunks([play], "character", 10000, 5, 2000)
+        assert [c.chunk_id for c in chunks] == [f"{s}#{i:02d}" for s in "ab" for i in range(5)]
+        assert all(len(c.text) == 2000 for c in chunks)
 
     def test_tail_truncated(self):
         text = "".join(chr(97 + i % 26) for i in range(10700))
-        chunks = chunk_text(text, 5, 2000)
-        assert len(chunks) == 5
-        assert "".join(chunks) == text[:10000]
+        play = _play("p", [("a", text), ("b", "y" * 10000)])
+        chunks, eligibility = prepare_chunks([play], "character", 10000, 5, 2000)
+        assert _joined(chunks)["a"] == text[:10000]
+        assert [(r["chars"], r["chars_used"]) for r in eligibility] == [
+            (10700, 10000), (10000, 10000)
+        ]
 
-    def test_insufficient_text(self):
-        with pytest.raises(InsufficientText):
-            chunk_text("x" * 9999, 5, 2000)
-
-    @pytest.mark.parametrize("count, size, problem", [
-        (1, 10, "chunk_count must be at least 2"),
-        (0, 10, "chunk_count must be at least 2"),
-        (2, 0, "chunk_size must be at least 1"),
-        (2, -1, "chunk_size must be at least 1"),
+    @pytest.mark.parametrize("count, size, min_size", [
+        (1, 10, 100), (0, 10, 100), (2, 0, 100), (2, -1, 100), (3, 50, 149),
     ])
-    def test_bad_chunking_is_precondition_failed(self, count, size, problem):
-        with pytest.raises(PreconditionFailed, match=problem):
-            chunk_text("x" * 100, count, size)
+    def test_bad_chunking_is_precondition_failed(self, count, size, min_size):
+        # raised before any stage: a config would have rejected these settings
+        play = _play("p", [("a", "x" * 200), ("b", "y" * 200)])
+        with pytest.raises(PreconditionFailed, match=(
+                "need chunk_count >= 2, chunk_size >= 1 and chunk_count[*]chunk_size <= "
+                f"min_size, got {count}, {size} and {min_size}")):
+            prepare_chunks([play], "character", min_size, count, size)
 
     @given(
-        st.text(min_size=0, max_size=200),
+        st.lists(st.tuples(st.sampled_from(["ALFA", "alfa.", "BRAVO"]), st.text(max_size=30)),
+                 max_size=12),
         st.integers(min_value=2, max_value=6),
         st.integers(min_value=1, max_value=20),
     )
-    def test_concatenation_is_prefix(self, text, count, size):
-        if len(text) < count * size:
-            with pytest.raises(InsufficientText):
-                chunk_text(text, count, size)
-        else:
-            chunks = chunk_text(text, count, size)
-            assert "".join(chunks) == text[: count * size]
-            assert len({len(c) for c in chunks}) == 1
+    def test_chunks_are_the_front_of_the_turns_in_order(self, turns, count, size):
+        window = count * size
+        # two long speakers, so that the run always has 2 categories
+        play = _play("p", [*turns, ("yankee", "y" * window), ("zulu", "z" * window)])
+        aliases = {("p", "original"): {"ALFA": "alfa", "alfa.": "alfa"}}
+        chunks, _ = prepare_chunks([play], "character", window, count, size, aliases)
+        joined = _joined(chunks)
+        assert {len(c.text) for c in chunks} == {size}
+        for speaker, names in (("alfa", ("ALFA", "alfa.")), ("BRAVO", ("BRAVO",))):
+            text = " ".join(t for s, t in turns if s in names)
+            if len(text) >= window:
+                assert joined[speaker] == text[:window]
+            else:
+                assert speaker not in joined
 
 
-class TestBuildChunks:
-    CHAR_TEXTS = {
-        ("p1", "original", "nora"): "a" * 400,
-        ("p1", "original", "helmer"): "b" * 400,
-        ("p2", "original", "hilde"): "c" * 400,
-    }
+class TestLabelling:
+    PLAYS = [
+        _play("p1", [("nora", "a" * 400), ("helmer", "b" * 400)]),
+        _play("p2", [("hilde", "c" * 400)]),
+    ]
 
     def test_character_labeling(self):
-        chunks = build_chunks(self.CHAR_TEXTS, "character", 2, 100)
+        chunks, _ = prepare_chunks(self.PLAYS, "character", 400, 2, 100)
         assert {c.category for c in chunks} == {"nora", "helmer", "hilde"}
         assert len(chunks) == 6
         assert len({c.chunk_id for c in chunks}) == 6
         assert [c.chunk_id for c in chunks] == sorted(c.chunk_id for c in chunks)
 
     def test_play_labeling_numbers_across_characters(self):
-        chunks = build_chunks(self.CHAR_TEXTS, "play", 2, 100)
+        chunks, _ = prepare_chunks(self.PLAYS, "play", 400, 2, 100)
         p1 = [c for c in chunks if c.category == "p1"]
-        assert len(p1) == 4
-        assert sorted(c.chunk_id for c in p1) == [f"p1#{i:02d}" for i in range(4)]
+        # sources in sorted order: helmer's chunks first
+        assert [(c.chunk_id, c.source[2]) for c in p1] == [
+            ("p1#00", "helmer"), ("p1#01", "helmer"), ("p1#02", "nora"), ("p1#03", "nora"),
+        ]
 
     def test_translator_qualified_labeling(self):
-        texts = {("p", "alpha", "ola"): "x" * 200, ("p", "beta", "ola"): "y" * 200}
-        chunks = build_chunks(texts, "character_by_translator", 2, 100)
+        plays = [_play("p", [("ola", "x" * 200)], "alpha"),
+                 _play("p", [("ola", "y" * 200)], "beta")]
+        chunks, _ = prepare_chunks(plays, "character_by_translator", 200, 2, 100)
         assert {c.category for c in chunks} == {"ola@alpha", "ola@beta"}
 
     def test_equal_size_invariant(self):
-        chunks = build_chunks(self.CHAR_TEXTS, "character", 3, 120)
+        chunks, _ = prepare_chunks(self.PLAYS, "character", 400, 3, 120)
         assert {len(c.text) for c in chunks} == {120}
 
     def test_deterministic(self):
-        a = build_chunks(self.CHAR_TEXTS, "character", 2, 100)
-        b = build_chunks(dict(reversed(list(self.CHAR_TEXTS.items()))), "character", 2, 100)
+        a = prepare_chunks(self.PLAYS, "character", 400, 2, 100)[0]
+        b = prepare_chunks(self.PLAYS[::-1], "character", 400, 2, 100)[0]
         assert a == b
 
     def test_single_category_rejected(self):
-        with pytest.raises(DegenerateCategory, match="need at least 2 categories"):
-            build_chunks({("p", "t", "solo"): "x" * 200}, "character", 2, 100)
+        with pytest.raises(PipelineError) as err:
+            prepare_chunks([_play("p", [("solo", "x" * 200)])], "character", 200, 2, 100)
+        assert err.value.stage == "segmentation"
+        assert isinstance(err.value.cause, DegenerateCategory)
+        assert str(err.value.cause) == "need at least 2 categories, got ['solo']"
 
     def test_unknown_labeling_rejected(self):
         with pytest.raises(ConfigError, match="unknown labeling mode 'bogus'"):
-            build_chunks(self.CHAR_TEXTS, "bogus", 2, 100)
+            prepare_chunks(self.PLAYS, "bogus", 400, 2, 100)
