@@ -44,7 +44,9 @@ from .errors import (
     PreconditionFailed,
 )
 from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, permutation_baselines
-from .ingest import ParseRules, PlayScript, load_document, parse_play, strip_boilerplate
+from .ingest import (
+    ParseRules, PlayScript, load_document, normalize_speaker, parse_play, strip_boilerplate,
+)
 from .segmentation import Chunk, labeler
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .tokenization import TokenizationMode, count_matrix
@@ -61,7 +63,7 @@ class CorpusEntry:
     language: str
     translator: str = "original"
     parse_rules: ParseRules = ParseRules()
-    # read-only (name, canonical) pairs; a JSON object or other mapping is turned into them
+    # read-only (name, canonical) pairs, one per normalized name; from a JSON object or mapping
     speaker_aliases: tuple[tuple[str, str], ...] = ()
     latin1_fallback: bool = False
 
@@ -75,14 +77,25 @@ class CorpusEntry:
                 object.__setattr__(self, "parse_rules", ParseRules(**self.parse_rules))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{self.play_id}/{self.translator}: parse_rules: {exc}") from None
+        where = f"{self.play_id}/{self.translator}: speaker_aliases"
         pairs = self.speaker_aliases
         pairs = tuple(pairs.items()) if isinstance(pairs, Mapping) else pairs
         if not (isinstance(pairs, tuple) and all(
                 isinstance(kv, tuple) and len(kv) == 2 and all(isinstance(s, str) for s in kv)
                 for kv in pairs)):
-            raise ConfigError(f"{self.play_id}/{self.translator}: speaker_aliases must map "
-                              "names to names")
-        object.__setattr__(self, "speaker_aliases", pairs)
+            raise ConfigError(f"{where} must map names to names")
+        canonical: dict[str, str] = {}  # names as parse_play writes a turn's speaker
+        for name, target in pairs:
+            name, target = normalize_speaker(name), normalize_speaker(target)
+            if not (name and target):
+                raise ConfigError(f"{where}: a name normalizes to the empty string")
+            if canonical.setdefault(name, target) != target:
+                raise ConfigError(f"{where}: {name!r} maps to {canonical[name]!r} and {target!r}")
+        for name, target in canonical.items():
+            if canonical.get(target, target) != target:
+                raise ConfigError(f"{where}: {name!r} maps to {target!r}, which maps to "
+                                  f"{canonical[target]!r}")
+        object.__setattr__(self, "speaker_aliases", tuple(canonical.items()))
 
 
 def _check_types(
@@ -161,7 +174,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     """Load a config JSON, which is checked as it is built; keyword overrides win."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))  # a BOM is tolerated, as in plays
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -251,30 +264,23 @@ def _chunk_corpus(
     # ingest in a frame of its own, so that its last document is freed before chunking
     with _stage("ingest", timings):
         plays, warnings, fallbacks = _ingest_corpus(config)
-    aliases = {(e.play_id, e.translator): dict(e.speaker_aliases) for e in config.corpus}
-    chunks, eligibility = prepare_chunks(
-        plays, config.labeling, config.min_size, config.chunk_count,
-        config.chunk_size, aliases, timings,
-    )
+    chunks, eligibility = prepare_chunks(plays, config, timings)
     return chunks, warnings, {"corpus_paths": [e.path for e in config.corpus],
                               "encoding_fallbacks": fallbacks, "eligibility": eligibility}
 
 
 def prepare_chunks(
     plays: Sequence[PlayScript],
-    labeling: str,
-    min_size: int,
-    chunk_count: int,
-    chunk_size: int,
-    aliases: Mapping[tuple[str, str], Mapping[str, str]] | None = None,
+    config: ExperimentConfig,
     timings: dict[str, float] | None = None,
 ) -> tuple[list[Chunk], list[dict]]:
-    """Turns to labelled chunks: the front half of both pipelines.
+    """Turns to labelled chunks under the settings of the checked `config`:
+    the front half of both pipelines.
 
     Stage `extract` gathers each speaker's turns in speaking order per
-    (play_id, translator); `aliases[(play_id, translator)]` maps speaker
-    names onto canonical ones, both sides compared and stored case-folded.
-    Two plays of one (play_id, translator) raise PreconditionFailed.
+    (play_id, translator); that corpus entry's `speaker_aliases` map
+    speaker names, as parse_play writes them, onto canonical ones. Two
+    plays of one (play_id, translator) raise PreconditionFailed.
     Stage `segmentation` joins each speaker's turns with a space and keeps
     the speakers with at least `min_size` characters; only a corpus where
     no play has one fails. The first chunk_count * chunk_size characters
@@ -287,25 +293,19 @@ def prepare_chunks(
     in speaking order: play_id, translator, speaker, chars of dialogue,
     the chars its chunks use and whether it was kept.
     """
-    # a config checks these when built; this guards direct callers
-    window = chunk_count * chunk_size
-    if chunk_count < 2 or chunk_size < 1 or window > min_size:
-        raise PreconditionFailed(
-            "need chunk_count >= 2, chunk_size >= 1 and chunk_count*chunk_size <= min_size, "
-            f"got {chunk_count}, {chunk_size} and {min_size}"
-        )
-    label = labeler(labeling)
-    aliases = aliases or {}
+    window = config.chunk_count * config.chunk_size
+    label = labeler(config.labeling)
+    aliases = {(e.play_id, e.translator): dict(e.speaker_aliases) for e in config.corpus}
     by_play: dict[tuple[str, str], dict[str, list[str]]] = {}
     with _stage("extract", timings):
         for play in plays:
             key = (play.play_id, play.translator)
             if key in by_play:
                 raise PreconditionFailed(f"each (play_id, translator) must name one play: {key}")
-            alias = {k.casefold(): v.casefold() for k, v in aliases.get(key, {}).items()}
+            alias = aliases.get(key, {})
             turns = by_play[key] = {}
             for turn in play.turns:
-                speaker = alias.get(turn.speaker.casefold(), turn.speaker)
+                speaker = alias.get(turn.speaker, turn.speaker)
                 turns.setdefault(speaker, []).append(turn.text)
     with _stage("segmentation", timings):
         eligible: dict[tuple[str, str, str], str] = {}
@@ -313,7 +313,7 @@ def prepare_chunks(
         for (play_id, translator), turns in sorted(by_play.items()):
             for speaker, texts in turns.items():
                 text = " ".join(texts)
-                kept = len(text) >= min_size
+                kept = len(text) >= config.min_size
                 if kept:
                     eligible[(play_id, translator, speaker)] = text
                 eligibility.append({
@@ -322,15 +322,15 @@ def prepare_chunks(
                 })
         if not eligible:
             raise NoEligibleCharacters(
-                f"no character in any play reaches {min_size} characters"
+                f"no character in any play reaches {config.min_size} characters"
             )
         by_category: dict[str, list[Chunk]] = {}
         for source, text in sorted(eligible.items()):
             category = label(*source)
             bucket = by_category.setdefault(category, [])
-            for start in range(0, window, chunk_size):
+            for start in range(0, window, config.chunk_size):
                 bucket.append(Chunk(f"{category}#{len(bucket):02d}", category, source,
-                                    text[start:start + chunk_size]))
+                                    text[start:start + config.chunk_size]))
         if len(by_category) < 2:
             raise DegenerateCategory(f"need at least 2 categories, got {sorted(by_category)}")
         chunks = sorted((c for bucket in by_category.values() for c in bucket),

@@ -50,14 +50,13 @@ class ParseRules:
     `max_heading_words` (at least 1) words, each fully uppercase or
     starting with an uppercase letter, immediately followed by one of
     `delimiters`. Everything after the delimiter on that line is dialogue;
-    following non-heading lines continue the turn. The boilerplate markers
-    are non-empty strings without a line break, so that each lies within
-    one line.
+    following non-heading lines continue the turn, whose speaker is the
+    name under `normalize_speaker`. The boilerplate markers are non-empty
+    strings without a line break, so that each lies within one line.
     """
 
     delimiters: tuple[str, ...] = (".", ":")
     stage_direction_brackets: tuple[tuple[str, str], ...] = (("[", "]"), ("(", ")"))
-    name_normalization: bool = True
     boilerplate_start: str = "*** START OF"
     boilerplate_end: str = "*** END OF"
     max_heading_words: int = 4
@@ -85,8 +84,6 @@ class ParseRules:
             marker = getattr(self, name)
             if not isinstance(marker, str) or marker.splitlines() != [marker]:
                 raise ValueError(f"{name} must be a non-empty string without a line break")
-        if type(self.name_normalization) is not bool:
-            raise ValueError("name_normalization must be true or false")
 
 
 @dataclass(frozen=True)
@@ -164,12 +161,13 @@ def strip_boilerplate(doc: RawDocument, rules: ParseRules) -> RawDocument:
 
 
 def normalize_speaker(name: str) -> str:
-    """Case-fold, collapse whitespace, strip trailing punctuation.
+    """Case-fold, collapse whitespace, strip trailing punctuation and spaces:
+    the one rule for speaker names, of headings and alias tables alike.
 
     Internal punctuation survives: "MRS. ALVING" and "MRS ALVING" stay
     distinct and merge only through an explicit alias table.
     """
-    return " ".join(name.casefold().split()).rstrip(".,:;")
+    return " ".join(name.casefold().split()).rstrip(".,:; ")
 
 
 def _is_upper_word(word: str) -> bool:
@@ -301,7 +299,8 @@ def parse_play(
         raise NoTurnsFound(f"{doc.source_id}: no speaker heading matched")
     turns: list[SpeechTurn] = []
     warnings: list[str] = []
-    speakers: dict[str, str] = {}
+    # each heading name is normalized once
+    speakers = {name: normalize_speaker(name) for name in {name for _, (name, _) in headings}}
     # bodies join lines with "\n"; deleting a stage direction adds no character
     spaces = "\n" + "".join(ch for ch in _SPACES if ch not in " \n" and ch in doc.text)
     ends = [i for i, _ in headings[1:]] + [len(lines)]
@@ -309,10 +308,7 @@ def parse_play(
         body = "\n".join([rest, *lines[i + 1 : end]] if rest else lines[i + 1 : end])
         body, warns = remove_stage_directions(body, rules)
         warnings.extend(warns)
-        speaker = speakers.get(name)
-        if speaker is None:
-            speaker = speakers[name] = normalize_speaker(name) if rules.name_normalization else name
-        turns.append(SpeechTurn(speaker, _collapse(body, spaces), len(turns)))
+        turns.append(SpeechTurn(speakers[name], _collapse(body, spaces), len(turns)))
     return PlayScript(
         play_id=play_id,
         language=language,

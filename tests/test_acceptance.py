@@ -22,6 +22,7 @@ from dramastyle import (
 )
 from dramastyle.cli import main
 from dramastyle.experiment import load_config, prepare_chunks, run_experiment
+from chunk_config import chunk_config
 from reference_counts import _rows
 
 REPO = Path(__file__).resolve().parent.parent
@@ -175,7 +176,7 @@ def test_chunking_conformance():
     turns = [("a", text[:4000]), ("b", "y" * 10000), ("a", text[4001:]), ("c", text[:9998])]
     play = PlayScript("p", "x", "original",
                       tuple(SpeechTurn(s, t, i) for i, (s, t) in enumerate(turns)))
-    chunks, eligibility = prepare_chunks([play], "character", 10000, 5, 2000)
+    chunks, eligibility = prepare_chunks([play], chunk_config([play], "character", 10000, 5, 2000))
     mine = [c.text for c in chunks if c.category == "a"]
     assert len(mine) == 5
     assert all(len(c) == 2000 for c in mine)

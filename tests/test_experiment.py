@@ -1,6 +1,8 @@
 import copy
 import csv
+import itertools
 import json
+import math
 import os
 import pickle
 import shutil
@@ -15,10 +17,14 @@ import pytest
 
 from dramastyle import (
     ConfigError,
+    DissimilarityMatrix,
     PipelineError,
     PreconditionFailed,
     compare_translations,
+    draw_orders,
     load_config,
+    permutation_baselines,
+    rank_pairs,
     run_experiment,
 )
 from dramastyle import experiment
@@ -28,11 +34,13 @@ from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
 from dramastyle.homogeneity import attribute_chunks
 from dramastyle.ingest import ParseRules, PlayScript, SpeechTurn
 from dramastyle.tokenization import TokenizationMode, count_matrix
+from chunk_config import chunk_config
 from reference_counts import _ref_tokenize
 
 
 def _play(play_id, speakers):
-    """A play in which each (name, chars) speaker has one turn of `chars` characters."""
+    """A play in which each (name, chars) speaker has one turn of `chars` characters;
+    names are as parse_play writes them."""
     turns = tuple(SpeechTurn(name, "x" * chars, i) for i, (name, chars) in enumerate(speakers))
     return PlayScript(play_id, "x", "original", turns)
 
@@ -41,6 +49,42 @@ def synthetic_config(configs_dir, tmp_path, **overrides):
     overrides.setdefault("permutations", 300)
     overrides.setdefault("output_dir", str(tmp_path / "out"))
     return load_config(configs_dir / "synthetic_two_category.json", **overrides)
+
+
+def _exact_rank_sum_moments(ranks, codes):
+    """Each category's exact rank-sum mean and variance under uniform orders.
+
+    A category of m of the n chunks is a uniform m-subset, which holds a
+    given set of k chunks with probability p_k = C(n-k, m-k)/C(n, m). With
+    sums over the unordered pairs and s_i the row sums of `ranks`,
+    E[R] = p2 Σr and E[R²] = p2 Σr² + p3 (Σs² - 2Σr²) + p4 ((Σr)² + Σr² - Σs²):
+    a pair with itself, two pairs that share a chunk, two disjoint pairs.
+    """
+    n = len(codes)
+    total, squares = ranks.sum() / 2, (ranks ** 2).sum() / 2
+    rows = (ranks.sum(axis=1) ** 2).sum()
+    moments = []
+    for m in np.bincount(codes).tolist():
+        p2, p3, p4 = (math.comb(n - k, m - k) / math.comb(n, m) if k <= m else 0.0
+                      for k in (2, 3, 4))
+        mean = p2 * total
+        second = (p2 * squares + p3 * (rows - 2 * squares)
+                  + p4 * (total ** 2 + squares - rows))
+        moments.append((mean, second - mean ** 2))
+    return moments
+
+
+def test_exact_rank_sum_moments_match_enumeration():
+    rng = np.random.default_rng(7)
+    n, codes = 7, np.array([0, 0, 0, 1, 1, 2, 2])
+    scores = np.zeros((n, n))
+    scores[np.triu_indices(n, 1)] = np.round(rng.random(n * (n - 1) // 2), 1)  # ties
+    ranks = rank_pairs(DissimilarityMatrix(tuple("abcdefg"), scores + scores.T))
+    for m, (mean, variance) in zip(np.bincount(codes), _exact_rank_sum_moments(ranks, codes)):
+        sums = [sum(ranks[a, b] for a, b in itertools.combinations(subset, 2))
+                for subset in itertools.combinations(range(n), m)]
+        assert mean == pytest.approx(np.mean(sums), rel=1e-12)
+        assert variance == pytest.approx(np.var(sums), rel=1e-12)
 
 
 class TestConfigValidation:
@@ -74,7 +118,9 @@ class TestConfigValidation:
     # a config checks its fields when it is built, and replace builds one too
     @pytest.mark.parametrize("field, value", [
         ("permutations", 0), ("permutations", 1.5), ("permutations", True),
-        ("chunk_count", 1), ("chunk_size", 0), ("min_size", 100), ("min_size", "10000"),
+        ("chunk_count", 1), ("chunk_count", 0), ("chunk_size", 0), ("chunk_size", -1),
+        # 5 chunks of 600 need a min_size of at least 3000
+        ("min_size", 100), ("min_size", 2999), ("min_size", "10000"),
         ("significance", 0.0), ("significance", 1.0), ("significance", True),
         ("seed", -1), ("seed", 2**64), ("seed", "42"),
         ("experiment_id", ".."), ("experiment_id", 5), ("output_dir", 5),
@@ -94,6 +140,11 @@ class TestConfigValidation:
         ("path", 5), ("play_id", 5), ("language", None), ("translator", ["a"]),
         ("latin1_fallback", "no"), ("speaker_aliases", ["x"]), ("speaker_aliases", {"kari": 1}),
         ("speaker_aliases", (("kari",),)), ("speaker_aliases", [("kari", "k")]),
+        # ambiguous tables: two targets for one normalized name, a renamed
+        # target, a name that normalizes to nothing
+        ("speaker_aliases", {"Nora": "a", "nora.": "b"}),
+        ("speaker_aliases", {"a": "b", "b": "c"}), ("speaker_aliases", {"a": "b", "B.": "a"}),
+        ("speaker_aliases", {" .": "x"}), ("speaker_aliases", {"x": ";"}),
         ("parse_rules", {"delimiters": []}), ("parse_rules", {"max_heading_words": 0}),
         ("parse_rules", ["x"]),
     ])
@@ -110,9 +161,32 @@ class TestConfigValidation:
             config.corpus[0].speaker_aliases["alfa"] = 5
         entry = CorpusEntry(path="p.txt", play_id="p", language="en",
                             speaker_aliases={"Kari": "kari", "a": "b"})
-        assert entry.speaker_aliases == (("Kari", "kari"), ("a", "b"))
+        assert entry.speaker_aliases == (("kari", "kari"), ("a", "b"))
         assert replace(entry, path="q.txt").speaker_aliases == entry.speaker_aliases
         assert copy.deepcopy(entry) == pickle.loads(pickle.dumps(entry)) == entry
+
+    def test_speaker_aliases_are_stored_normalized_once_per_name(self):
+        # as parse_play writes speakers; names that normalize alike and agree are one
+        entry = CorpusEntry(path="p.txt", play_id="p", language="en", speaker_aliases={
+            "MRS.  ALVING.": "Mrs Alving", "mrs. alving": "mrs alving:", "X .": "x",
+            "Solness": "solness",
+        })
+        assert entry.speaker_aliases == (
+            ("mrs. alving", "mrs alving"), ("x", "x"), ("solness", "solness"),
+        )
+        # built again, as load_config and replace do, the pairs stay the same
+        assert replace(entry, path="q.txt").speaker_aliases == entry.speaker_aliases
+
+    def test_config_with_byte_order_mark_loads(self, configs_dir, tmp_path):
+        # as a play file does
+        config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(json.dumps(config), encoding="utf-8")
+        bom.write_text(json.dumps(config), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(bom) == load_config(plain)
 
     def test_replaced_modes_and_corpus_are_tuples(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path)
@@ -266,40 +340,38 @@ class TestRunExperiment:
         assert set(report) == {"config", "modes", "warnings"}
 
     def test_eligibility_records_excluded_speakers_and_skipped_plays(self):
-        _, eligibility = prepare_chunks(
-            [_play("p", [("ALFA", 300), ("CHARLIE", 199), ("BRAVO", 200)]),
-             _play("q", [("DELTA", 50)])],
-            "character", 200, 2, 100,
-        )
+        plays = [_play("p", [("alfa", 300), ("charlie", 199), ("bravo", 200)]),
+                 _play("q", [("delta", 50)])]
+        _, eligibility = prepare_chunks(plays, chunk_config(plays, "character", 200, 2, 100))
         assert eligibility == [
-            {"play_id": "p", "translator": "original", "speaker": "ALFA", "chars": 300,
+            {"play_id": "p", "translator": "original", "speaker": "alfa", "chars": 300,
              "chars_used": 200, "kept": True},
-            {"play_id": "p", "translator": "original", "speaker": "CHARLIE", "chars": 199,
+            {"play_id": "p", "translator": "original", "speaker": "charlie", "chars": 199,
              "chars_used": 0, "kept": False},
-            {"play_id": "p", "translator": "original", "speaker": "BRAVO", "chars": 200,
+            {"play_id": "p", "translator": "original", "speaker": "bravo", "chars": 200,
              "chars_used": 200, "kept": True},
-            {"play_id": "q", "translator": "original", "speaker": "DELTA", "chars": 50,
+            {"play_id": "q", "translator": "original", "speaker": "delta", "chars": 50,
              "chars_used": 0, "kept": False},
         ]
 
     def test_speaker_at_min_size_is_kept(self):
-        chunks, _ = prepare_chunks([_play("p", [("ALFA", 200), ("BRAVO", 201)])],
-                                   "character", 200, 2, 100)
-        assert sorted({c.category for c in chunks}) == ["ALFA", "BRAVO"]
+        plays = [_play("p", [("alfa", 200), ("bravo", 201)])]
+        chunks, _ = prepare_chunks(plays, chunk_config(plays, "character", 200, 2, 100))
+        assert sorted({c.category for c in chunks}) == ["alfa", "bravo"]
 
-    @pytest.mark.parametrize("plays", [[], [_play("p", [("ALFA", 199), ("BRAVO", 50)])]],
+    @pytest.mark.parametrize("plays", [[], [_play("p", [("alfa", 199), ("bravo", 50)])]],
                              ids=["no_plays", "all_too_short"])
     def test_no_speaker_reaching_min_size_fails(self, plays):
         with pytest.raises(PipelineError) as err:
-            prepare_chunks(plays, "character", 200, 2, 100)
+            prepare_chunks(plays, chunk_config(plays, "character", 200, 2, 100))
         assert err.value.stage == "segmentation"
         assert isinstance(err.value.cause, NoEligibleCharacters)
 
     def test_repeated_play_and_translator_fails(self):
-        # a config rejects two files of one pair; this guards direct callers
-        plays = [_play("p", [("ALFA", 200)]), _play("p", [("BRAVO", 200)])]
+        # a config rejects two files of one pair; the plays come from the caller
+        plays = [_play("p", [("alfa", 200)]), _play("p", [("bravo", 200)])]
         with pytest.raises(PipelineError) as err:
-            prepare_chunks(plays, "character", 200, 2, 100)
+            prepare_chunks(plays, chunk_config(plays, "character", 200, 2, 100))
         assert err.value.stage == "extract"
         assert isinstance(err.value.cause, PreconditionFailed)
         assert str(err.value.cause) == (
@@ -307,12 +379,10 @@ class TestRunExperiment:
         )
 
     def test_play_without_eligible_speaker_is_skipped(self):
-        chunks, _ = prepare_chunks(
-            [_play("p", [("ALFA", 200), ("BRAVO", 200)]), _play("q", [("DELTA", 199)])],
-            "character", 200, 2, 100,
-        )
-        assert {c.source for c in chunks} == {("p", "original", "ALFA"),
-                                              ("p", "original", "BRAVO")}
+        plays = [_play("p", [("alfa", 200), ("bravo", 200)]), _play("q", [("delta", 199)])]
+        chunks, _ = prepare_chunks(plays, chunk_config(plays, "character", 200, 2, 100))
+        assert {c.source for c in chunks} == {("p", "original", "alfa"),
+                                              ("p", "original", "bravo")}
 
     def test_each_shuffle_drawn_once_per_run(self, configs_dir, tmp_path, monkeypatch):
         calls, draw_orders = [], experiment.draw_orders
@@ -328,23 +398,47 @@ class TestRunExperiment:
         n = sum(c["attribution_total"] for c in report["modes"]["letter_unigram"]["categories"])
         assert calls == [(n, 130, 5)]
 
-    @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
-    def test_rank_sum_null_centres_on_its_exact_mean(self, configs_dir, tmp_path, name):
-        # Under uniform orders a category of m chunks sums m(m-1)/2 of the N pair
-        # ranks, each (N+1)/2 on average, ties included. The bound of 4 Monte-Carlo
-        # standard errors is fixed in advance: do not change a config's seed to pass.
+    @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations", None],
+                             ids=["synthetic_two_category", "synthetic_translations",
+                                  "80_chunks_16_categories"])
+    def test_rank_sum_null_centres_on_its_exact_mean(self, configs_dir, tmp_path, monkeypatch,
+                                                     name):
+        # The bounds, 4 Monte-Carlo standard errors for the mean and 5 for the
+        # variance, are fixed in advance: do not change a seed to pass.
         permutations = 10_000
-        config = load_config(configs_dir / f"{name}.json", permutations=permutations,
-                             output_dir=str(tmp_path / "out"))
-        report = run_experiment(config)
-        for section in report["modes"].values():
-            n = sum(c["attribution_total"] for c in section["categories"])
-            pairs = n * (n - 1) // 2
-            for cat in section["categories"]:
-                m, null = cat["attribution_total"], cat["rank_sum_null"]
-                exact = m * (m - 1) / 2 * (pairs + 1) / 2
-                standard_error = null["null_sd"] / permutations ** 0.5
-                assert abs(null["null_mean"] - exact) <= 4 * standard_error, cat["category"]
+        if name is None:
+            # the scale_perm shape, fed straight to the engine: 16 categories of
+            # 5 chunks and scores of 2 decimals, so that many pair ranks tie
+            rng = np.random.default_rng(2006)
+            n = 80
+            scores = np.zeros((n, n))
+            scores[np.triu_indices(n, 1)] = np.round(rng.random(n * (n - 1) // 2), 2)
+            ids = tuple(f"c{i:02d}" for i in range(n))
+            matrix = DissimilarityMatrix(ids, scores + scores.T)
+            labels = dict(zip(ids, rng.permutation(np.arange(n) % 16).astype(str).tolist()))
+            runs = [(matrix, labels, permutation_baselines(
+                matrix, labels, draw_orders(n, permutations, 42)))]
+        else:
+            runs, engine = [], experiment.permutation_baselines
+
+            def recording(matrix, labels, orders):
+                runs.append((matrix, labels, engine(matrix, labels, orders)))
+                return runs[-1][2]
+
+            monkeypatch.setattr(experiment, "permutation_baselines", recording)
+            run_experiment(load_config(configs_dir / f"{name}.json", permutations=permutations,
+                                       output_dir=str(tmp_path / "out")))
+        assert runs
+        for matrix, labels, baselines in runs:
+            moments = _exact_rank_sum_moments(rank_pairs(matrix), baselines.attribution.codes)
+            for cat, null, (mean, variance) in zip(baselines.attribution.categories,
+                                                   baselines.rank_sum_null, moments):
+                centred = null - null.mean()
+                sample_variance = float((centred ** 2).mean())
+                fourth = float((centred ** 4).mean())
+                assert abs(null.mean() - mean) <= 4 * (sample_variance / permutations) ** 0.5, cat
+                assert abs(sample_variance - variance) <= 5 * (
+                    (fourth - sample_variance ** 2) / permutations) ** 0.5, cat
 
     def test_one_homogeneity_call_per_mode(self, configs_dir, tmp_path, monkeypatch):
         calls, permutation_baselines = [], experiment.permutation_baselines
@@ -393,15 +487,15 @@ class TestRunExperiment:
         assert timed == list(meta["timings"])
         assert len(set(opened)) == len(opened), opened
 
-    def test_speaker_aliases_match_case_folded_names(self):
-        # raw names, as parse_play leaves them with name_normalization off
+    def test_speaker_aliases_are_normalized_as_headings_are(self):
+        # names as parse_play writes the headings ALFA., STRAßE. and BRAVO.
         turns = tuple(SpeechTurn(speaker, text * 100, i) for i, (speaker, text) in enumerate([
-            ("ALFA.", "a "), ("STRAßE.", "b "), ("BRAVO.", "c "),
+            ("alfa", "a "), ("strasse", "b "), ("bravo", "c "),
         ]))
         play = PlayScript("p", "x", "original", turns)
-        aliases = {("p", "original"): {"alfa.": "strasse", "STRASSE.": "Straße"}}
-        chunks, _ = prepare_chunks([play], "character", 200, 2, 100, aliases)
-        assert sorted({c.source[2] for c in chunks}) == ["BRAVO.", "strasse"]
+        aliases = {("p", "original"): {"ALFA.": "strasse", "STRASSE.": "Straße"}}
+        chunks, _ = prepare_chunks([play], chunk_config([play], "character", 200, 2, 100, aliases))
+        assert sorted({c.source[2] for c in chunks}) == ["bravo", "strasse"]
 
     def test_latin1_fallback_is_reported(self, configs_dir, data_dir, tmp_path):
         play = tmp_path / "latin1.txt"
@@ -1063,6 +1157,7 @@ class TestCliExitCodes:
         *((marker, value) for marker in ("boilerplate_start", "boilerplate_end")
           for value in ("", 5, None, ["***"], "*** START\nOF", "*** END\r", "***\u2028",
                         "\x1c***", "**\x85*")),
+        # a retired key, now unknown whatever its value: headings are always normalized
         ("name_normalization", "yes"),
         ("name_normalization", 1),
         ("name_normalization", None),
@@ -1077,7 +1172,10 @@ class TestCliExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: p/t: parse_rules: {key} must be ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: p/t: parse_rules: ")
+        assert (f"unexpected keyword argument {key!r}" if key == "name_normalization"
+                else f"parse_rules: {key} must be ") in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("compare", [[], ["--compare-translations"]],
@@ -1092,9 +1190,13 @@ class TestCliExitCodes:
         (["letter_ngram:1"], {}),
         (["letter_ngram:03"], {}),
         (["word_ngram"], {}),
+        (["letter_unigram"], {"Nora": "a", "nora": "b"}),
+        (["letter_unigram"], {"a": "b", "b": "c"}),
+        (["letter_unigram"], {"...": "a"}),
     ], ids=["no_modes", "same_mode_name", "aliases_not_mapping", "alias_not_string",
             "unigram_with_n", "ngram_without_n", "ngram_of_one", "padded_n",
-            "word_ngram_without_n"])
+            "word_ngram_without_n", "alias_with_two_targets", "alias_target_renamed",
+            "alias_normalizes_to_nothing"])
     def test_bad_modes_or_speaker_aliases_is_2(self, configs_dir, tmp_path, compare,
                                                modes, aliases):
         config = json.loads((configs_dir / "synthetic_translations.json").read_text())

@@ -856,6 +856,19 @@ class TestDrawOrders:
         statistic = float(((counts - rows / 24) ** 2).sum() / (rows / 24))
         assert statistic < chi2.ppf(0.999, 23), statistic
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_splits_of_ten_into_five_and_five_are_uniform(self, seed):
+        # the chunks at positions 0..4 take the first category's labels: each
+        # of the C(10, 5) = 252 sets is as likely; the bound is fixed in advance
+        rows = 10_000
+        masks = (1 << draw_orders(10, rows, seed)[:, :5].astype(np.int64)).sum(axis=1)
+        counts = np.bincount(masks, minlength=1 << 10)
+        splits = [sum(1 << i for i in c) for c in itertools.combinations(range(10), 5)]
+        assert counts[splits].sum() == rows
+        expected = rows / len(splits)
+        statistic = float(((counts[splits] - expected) ** 2).sum() / expected)
+        assert statistic <= chi2.ppf(0.9999, len(splits) - 1), statistic
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_is_rejected(self, seed):
         with pytest.raises(PreconditionFailed, match="seed must lie in"):

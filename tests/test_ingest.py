@@ -136,6 +136,8 @@ class TestParsePlay:
 class TestNormalizeSpeaker:
     def test_casefold_collapse_strip(self):
         assert normalize_speaker("  MRS.   ALVING. ") == "mrs. alving"
+        # a space before trailing punctuation goes with it
+        assert normalize_speaker("NORA :.") == normalize_speaker("nora") == "nora"
 
     def test_distinct_variants_stay_distinct(self):
         assert normalize_speaker("MRS. ALVING") != normalize_speaker("MRS ALVING")
@@ -143,6 +145,13 @@ class TestNormalizeSpeaker:
     @given(st.text(alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Zs")), max_size=30))
     def test_pure_function(self, name):
         assert normalize_speaker(name) == normalize_speaker(name)
+
+    # an alias table is normalized each time its config entry is built
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from(" .,:;\t\u3000ß")),
+                   max_size=30))
+    def test_idempotent(self, name):
+        once = normalize_speaker(name)
+        assert normalize_speaker(once) == once
 
 
 # Reference parser: the heading matcher, stage-direction remover and turn
@@ -234,7 +243,7 @@ def _ref_parse_turns(text: str, rules: ParseRules) -> tuple[list[SpeechTurn], li
         body, warns = _ref_remove_stage_directions("\n".join(current_lines), rules)
         warnings.extend(warns)
         body = _REF_WS_RE.sub(" ", body).strip()
-        speaker = normalize_speaker(current_speaker) if rules.name_normalization else current_speaker
+        speaker = normalize_speaker(current_speaker)
         turns.append(SpeechTurn(speaker=speaker, text=body, ordinal=len(turns)))
         current_speaker, current_lines = None, []
 
@@ -488,7 +497,7 @@ class TestStripBoilerplateAgainstReference:
 
 @pytest.mark.parametrize("rules", [
     ParseRules(),
-    ParseRules(max_heading_words=2, name_normalization=False),
+    ParseRules(max_heading_words=2),
     ParseRules(delimiters=("--", ":"), stage_direction_brackets=(("<<", ">>"), ("{", "}"))),
 ], ids=repr)
 @pytest.mark.parametrize(
