@@ -251,6 +251,12 @@ def _ingest_corpus(
         doc = strip_boilerplate(doc, entry.parse_rules)
         play = parse_play(doc, entry.parse_rules, entry.play_id, entry.language, entry.translator)
         warnings.extend(f"{entry.play_id}/{entry.translator}: {w}" for w in play.warnings)
+        if entry.speaker_aliases:
+            speakers = {turn.speaker for turn in play.turns}
+            warnings.extend(
+                f"{entry.play_id}/{entry.translator}: speaker alias '{name}' names no speaker"
+                for name, _ in entry.speaker_aliases if name not in speakers
+            )
         plays.append(play)
     return plays, warnings, fallbacks
 

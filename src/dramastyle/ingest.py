@@ -5,6 +5,11 @@ directions removed. Heading detection is heuristic (scripts are not a
 standardized format); the rules are documented on ParseRules and
 deliberately conservative: unknown layouts fail loudly with NoTurnsFound
 rather than producing silent garbage.
+
+Work repeated across a play is done once: `parse_play` classifies each
+distinct heading word and normalizes each distinct speaker name once per
+play, and `load_document` scans for carriage returns only in text that
+holds one.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import CorpusError, NoTurnsFound, UnbalancedBoilerplateMarkers
 
@@ -103,7 +109,9 @@ class PlayScript:
 
 
 def load_document(path: str | Path, latin1_fallback: bool = False) -> RawDocument:
-    """Read a play file as UTF-8 (BOM tolerated), NFC-normalized.
+    """Read a play file as UTF-8 (BOM tolerated), NFC-normalized, with
+    "\r\n" and lone "\r" line ends made "\n". The two passes that do so
+    run only on text that holds a "\r".
 
     Invalid byte sequences are an error unless `latin1_fallback` is set,
     in which case the file is re-read as Latin-1 and the fallback is
@@ -121,7 +129,9 @@ def load_document(path: str | Path, latin1_fallback: bool = False) -> RawDocumen
             ) from None
         text = raw.decode("latin-1")
         note = "latin-1 fallback"
-    text = unicodedata.normalize("NFC", text).replace("\r\n", "\n").replace("\r", "\n")
+    text = unicodedata.normalize("NFC", text)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return RawDocument(source_id=path.name, text=text, encoding_note=note)
 
 
@@ -179,6 +189,58 @@ def _is_title_word(word: str) -> bool:
     return word.rstrip(".:")[:1].isupper()
 
 
+def _heading_matcher(rules: ParseRules) -> Callable[[str], tuple[str, str] | None]:
+    """The matcher of `match_speaker_heading` under `rules`. It classifies
+    each distinct word once and keeps the classification while it lives."""
+    delimiters = rules.delimiters
+    max_words = rules.max_heading_words
+    # word -> (upper-case, title-case, mark); mark 0: no delimiter, -1: a
+    # delimiter after a word that is not title-case, 1: a delimiter after a
+    # title-case word, 2: a delimiter after a title-case honorific
+    kinds: dict[str, tuple[bool, bool, int]] = {}
+
+    def classify(word: str) -> tuple[bool, bool, int]:
+        mark = 0
+        for delim in delimiters:
+            if word.endswith(delim):
+                core = word[: -len(delim)]
+                mark = (2 if core.lower() in _HONORIFICS else 1) if _is_title_word(core) else -1
+                break
+        kind = kinds[word] = _is_upper_word(word), _is_title_word(word), mark
+        return kind
+
+    def match(line: str) -> tuple[str, str] | None:
+        words = line.split(None, max_words)
+        size = 0  # words in the name
+        all_upper = True  # every word so far is upper-case
+        # after a delimiter: (all upper-case, honorific) up to it, else None
+        extend: tuple[bool, bool] | None = None
+        for k, word in enumerate(words[:max_words]):
+            upper, title, mark = kinds.get(word) or classify(word)
+            all_upper = all_upper and upper
+            if extend is not None:
+                # the name continues past its delimiter only with a like word
+                upper_name, honorific = extend
+                if not ((upper_name and all_upper) or (honorific and title)):
+                    break
+                extend = None
+            if not mark:
+                if not title:
+                    break
+                continue
+            if mark < 0:
+                break
+            size = k + 1
+            extend = all_upper, mark == 2
+        if not size:
+            return None
+        # the rest keeps its own whitespace, the name its inner whitespace
+        rest = line.split(None, size)[size] if size < len(words) else ""
+        return line[: len(line) - len(rest)].strip(), rest
+
+    return match
+
+
 def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | None:
     """Return (raw speaker name, rest of line) if the line opens a turn.
 
@@ -187,39 +249,11 @@ def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | Non
     the first delimiter unless the word before it is an honorific
     abbreviation ("Mrs. Linde. Hello" -> "Mrs. Linde", but
     "Nora. Yes." -> "Nora"). Words are the runs that `str.split` gives, read
-    in one pass over the first `max_heading_words` of them.
+    in one pass over the first `max_heading_words` of them. `parse_play`
+    keeps one matcher per play, so it classifies each distinct word once
+    per play; this call builds one for its line.
     """
-    words = line.split(None, rules.max_heading_words)
-    delimiters = rules.delimiters
-    size = 0  # words in the name
-    all_upper = True  # every word so far is upper-case
-    # after a delimiter: (all upper-case, honorific) up to it, else None
-    extend: tuple[bool, bool] | None = None
-    for k, word in enumerate(words[: rules.max_heading_words]):
-        all_upper = all_upper and _is_upper_word(word)
-        if extend is not None:
-            # the name continues past its delimiter only with a like word
-            upper_name, honorific = extend
-            if not ((upper_name and all_upper) or (honorific and _is_title_word(word))):
-                break
-            extend = None
-        if not word.endswith(delimiters):
-            if not _is_title_word(word):
-                break
-            continue
-        for delim in delimiters:
-            if word.endswith(delim):
-                break
-        core = word[: -len(delim)]
-        if not core or not _is_title_word(core):
-            break
-        size = k + 1
-        extend = all_upper, core.lower() in _HONORIFICS
-    if not size:
-        return None
-    # the rest keeps its own whitespace, the name its inner whitespace
-    rest = line.split(None, size)[size] if size < len(words) else ""
-    return line[: len(line) - len(rest)].strip(), rest
+    return _heading_matcher(rules)(line)
 
 
 @functools.lru_cache(maxsize=16)
@@ -289,11 +323,12 @@ def parse_play(
     becomes one space, and the turn is trimmed.
     """
     lines = doc.text.splitlines()
+    match = _heading_matcher(rules)
     # Exact prefilter: a heading's first word is title-case, so the matcher
     # rejects every line whose first non-blank character is not upper-case.
     headings = [
         (i, heading) for i, line in enumerate(lines)
-        if line.lstrip()[:1].isupper() and (heading := match_speaker_heading(line, rules))
+        if line.lstrip()[:1].isupper() and (heading := match(line))
     ]
     if not headings:
         raise NoTurnsFound(f"{doc.source_id}: no speaker heading matched")

@@ -508,6 +508,27 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report["warnings"] == ["synthia/original: latin-1 fallback"]
 
+    @pytest.mark.parametrize("compare, record", [
+        ([], "report.json"), (["--compare-translations"], "run_meta.json"),
+    ], ids=["run", "compare_translations"])
+    @pytest.mark.parametrize("aliases, expected", [
+        ({"karri": "kari"}, ["synthia/alpha: speaker alias 'karri' names no speaker",
+                             "synthia/beta: speaker alias 'karri' names no speaker"]),
+        ({"kari": "kari"}, []),
+    ], ids=["misspelt", "used"])
+    def test_alias_naming_no_speaker_is_a_warning(self, configs_dir, tmp_path, compare,
+                                                  record, aliases, expected):
+        config = json.loads((configs_dir / "synthetic_translations.json").read_text())
+        config["permutations"] = 10
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+            entry["speaker_aliases"] = aliases
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), *compare]) == 0
+        out = tmp_path / "out" / "synthetic_translations"
+        assert json.loads((out / record).read_text())["warnings"] == expected
+
     def test_no_eligible_characters_reports_segmentation_stage(self, configs_dir, tmp_path):
         config = synthetic_config(configs_dir, tmp_path, min_size=10**6,
                                   chunk_count=2, chunk_size=100)

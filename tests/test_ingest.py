@@ -1,5 +1,6 @@
 import random
 import re
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from dramastyle import (
     ParseRules,
     RawDocument,
     UnbalancedBoilerplateMarkers,
+    load_document,
     parse_play,
     strip_boilerplate,
 )
@@ -27,6 +29,22 @@ RULES = ParseRules()
 
 def doc(text):
     return RawDocument("test", text)
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no_bom", "bom"])
+@pytest.mark.parametrize("text", [
+    "NORA. Yes.\r\nHELMER. No.\r\n",
+    "NORA. Yes.\rHELMER. No.\r",
+    "NORA. Yes.\r\r\nHELMER. No.\r\r\n",
+    "NORA. Yes.\r\nHELMER. No.\rNORA. So.\nE\u0301lise. \r\r\n\n\rEnd\n\r",
+    "NORA. Yes.\nE\u0301LISE. No.\r",
+    "NORA. Yes.\nE\u0301LISE. No.\n",
+], ids=["crlf", "cr", "cr_crlf", "mixed", "cr_last", "no_cr"])
+def test_load_document_ends_lines_with_lf(tmp_path, bom, text):
+    path = tmp_path / "play.txt"
+    path.write_bytes(bom + text.encode("utf-8"))
+    expected = unicodedata.normalize("NFC", text).replace("\r\n", "\n").replace("\r", "\n")
+    assert load_document(path).text == expected
 
 
 class TestStripBoilerplate:
@@ -312,6 +330,36 @@ class TestAgainstReferenceParser:
             matched += expected is not None
         # the seeded lines exercise both outcomes
         assert 0 < matched < len(lines)
+
+    def test_one_matcher_reads_words_as_names_and_as_dialogue(self):
+        rules = ParseRules()
+        rng = random.Random("one matcher")
+        match = ingest._heading_matcher(rules)
+        name_words, dialogue_words = set(), set()
+        for _ in range(3000):
+            line = _seeded_line(rng, rules.delimiters)
+            expected = _ref_match_speaker_heading(line, rules)
+            assert match(line) == expected, repr(line)
+            size = len(expected[0].split()) if expected else 0
+            name_words.update(line.split()[:size])
+            dialogue_words.update(line.split()[size:])
+        # the matcher met many words in both roles
+        assert len(name_words & dialogue_words) > 20
+
+    def test_matchers_for_other_rules_read_the_same_words_apart(self):
+        dot = ParseRules(delimiters=(".",), max_heading_words=1)
+        dash = ParseRules(delimiters=("--", "::"), max_heading_words=6)
+        matchers = [(rules, ingest._heading_matcher(rules)) for rules in (dot, dash)]
+        rng = random.Random("two matchers")
+        outcomes = set()
+        for _ in range(3000):
+            line = _seeded_line(rng, (".", "--", "::"))
+            for rules, match in matchers:
+                expected = _ref_match_speaker_heading(line, rules)
+                assert match(line) == expected, (rules, line)
+                outcomes.add((rules, expected is None))
+        # each matcher both matched and rejected lines
+        assert len(outcomes) == 4
 
     @pytest.mark.parametrize("rules", [
         ParseRules(),
