@@ -23,7 +23,6 @@ from .ingest import (
     play_to_json,
     strip_boilerplate,
 )
-from .segmentation import Chunk
 from .tokenization import TokenizationMode, count_matrix
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .homogeneity import (
@@ -33,6 +32,6 @@ from .homogeneity import (
     permutation_baselines,
     rank_pairs,
 )
-from .experiment import ExperimentConfig, compare_translations, load_config, run_experiment
+from .experiment import Chunk, ExperimentConfig, compare_translations, load_config, run_experiment
 
 __version__ = "0.1.0"

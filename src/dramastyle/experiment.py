@@ -6,9 +6,10 @@ tokenization modes, the chunking budget, and the permutation settings.
 -> matrix -> statistics and writes a manifest CSV, one matrix CSV per
 mode, and a report JSON; `compare_translations` writes each chunk's
 nearest foreign category instead. Each is one straight sequence of
-timed stages: `_chunk_corpus` (ingest, then `prepare_chunks`), the
-command's own loop over the modes (`chunk_matrix`'s tokenize and
-matrix, then its statistic), the report stage, and `_write_run_meta`.
+timed stages: `_chunk_corpus`, the one function from a config to
+chunks (ingest, then `prepare_chunks`), the command's own loop over the
+modes (`chunk_matrix`'s tokenize and matrix, then its statistic), the
+report stage, and `_write_run_meta`.
 `prepare_chunks` is the one pass from turns to chunks: it gathers each
 speaker's turns in speaking order, aliases included, keeps the speakers
 with at least `min_size` characters (each decision goes to run_meta.json
@@ -16,9 +17,11 @@ only), and cuts and labels the front of each kept speaker's dialogue; it
 and `chunk_matrix` are the front half that both pipelines share. This
 module alone knows the output formats: `_mode_section` lays out a mode's
 report.json section from the arrays of `permutation_baselines`, and
-`_write_csv` writes every CSV. The report states each value once: the
-settings only in its `config` echo, and no per-chunk means, which follow
-from the matrix CSV and the manifest. A config checks its fields when it
+`_write_csv` writes every CSV. `Chunk`, the unit of the analysis, and
+`LABELINGS`, the idiolect categories of Rybicki (2006), live here beside
+`prepare_chunks`. The report states each value once: the settings only
+in its `config` echo, and no per-chunk means, which follow from the
+matrix CSV and the manifest. A config checks its fields when it
 is built, so an invalid one never reaches a stage. Everything is
 deterministic given the config and corpus bytes; the wall-clock
 timestamp and the file locations live in a sidecar file so the hashed
@@ -35,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +50,6 @@ from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, pe
 from .ingest import (
     ParseRules, PlayScript, load_document, normalize_speaker, parse_play, strip_boilerplate,
 )
-from .segmentation import Chunk, labeler
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .tokenization import TokenizationMode, count_matrix
 
@@ -72,6 +74,9 @@ class CorpusEntry:
         fields = ("path", "play_id", "language", "translator")
         _check_types(self, fields, (str,), "a string", "corpus ")
         _check_types(self, ("latin1_fallback",), (bool,), "true or false", "corpus ")
+        # so that a category speaker@translator splits at its last '@'
+        if "@" in self.translator:
+            raise ConfigError(f"corpus translator must not contain '@', got {self.translator!r}")
         if not isinstance(self.parse_rules, ParseRules):
             try:
                 object.__setattr__(self, "parse_rules", ParseRules(**self.parse_rules))
@@ -167,7 +172,10 @@ class ExperimentConfig:
             TokenizationMode.parse(m)
         if len(set(self.modes)) != len(self.modes):
             raise ConfigError(f"modes must list each mode once, got {list(self.modes)}")
-        labeler(self.labeling)
+        if self.labeling not in LABELINGS:
+            raise ConfigError(
+                f"unknown labeling mode {self.labeling!r}; expected one of {tuple(LABELINGS)}"
+            )
 
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
@@ -235,41 +243,49 @@ def _output_dir(config: ExperimentConfig) -> Iterator[Path]:
     shutil.rmtree(stale, ignore_errors=True)
 
 
-def _ingest_corpus(
-    config: ExperimentConfig,
-) -> tuple[list[PlayScript], list[str], list[str]]:
-    """Load and parse every corpus entry; return the plays, the warnings and
-    the `play_id/translator` of each file that was not read as UTF-8."""
-    plays = []
-    warnings = []
-    fallbacks = []
-    for entry in config.corpus:
-        doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
-        if doc.encoding_note != "utf-8":
-            fallbacks.append(f"{entry.play_id}/{entry.translator}")
-            warnings.append(f"{entry.play_id}/{entry.translator}: {doc.encoding_note}")
-        doc = strip_boilerplate(doc, entry.parse_rules)
-        play = parse_play(doc, entry.parse_rules, entry.play_id, entry.language, entry.translator)
-        warnings.extend(f"{entry.play_id}/{entry.translator}: {w}" for w in play.warnings)
-        if entry.speaker_aliases:
-            speakers = {turn.speaker for turn in play.turns}
-            warnings.extend(
-                f"{entry.play_id}/{entry.translator}: speaker alias '{name}' names no speaker"
-                for name, _ in entry.speaker_aliases if name not in speakers
-            )
-        plays.append(play)
-    return plays, warnings, fallbacks
+# labeling mode -> the category of a chunk's (play_id, translator, speaker) source
+LABELINGS: dict[str, Callable[[str, str, str], str]] = {
+    "character": lambda play_id, translator, speaker: speaker,
+    "play": lambda play_id, translator, speaker: play_id,
+    "character_by_translator": lambda play_id, translator, speaker: f"{speaker}@{translator}",
+}
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """An equal-size slice from the front of one speaker's dialogue."""
+    chunk_id: str
+    category: str
+    source: tuple[str, str, str]  # (play_id, translator, speaker)
+    text: str
 
 
 def _chunk_corpus(
     config: ExperimentConfig, timings: dict[str, float]
 ) -> tuple[list[Chunk], list[str], dict[str, list]]:
-    """Ingest the corpus and chunk it with `prepare_chunks`; return the
-    chunks, the encoding and parse warnings, and the run_meta.json records
-    `corpus_paths`, `encoding_fallbacks` and `eligibility`."""
-    # ingest in a frame of its own, so that its last document is freed before chunking
+    """Load and parse every corpus entry, as stage `ingest`, and chunk the
+    plays with `prepare_chunks`; return the chunks, the encoding and parse
+    warnings, and the run_meta.json records `corpus_paths`,
+    `encoding_fallbacks` (the `play_id/translator` of each file that was
+    not read as UTF-8) and `eligibility`."""
+    plays, warnings, fallbacks = [], [], []
     with _stage("ingest", timings):
-        plays, warnings, fallbacks = _ingest_corpus(config)
+        for entry in config.corpus:
+            where = f"{entry.play_id}/{entry.translator}"
+            doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
+            if doc.encoding_note != "utf-8":
+                fallbacks.append(where)
+                warnings.append(f"{where}: {doc.encoding_note}")
+            rules = entry.parse_rules
+            doc = strip_boilerplate(doc, rules)
+            play = parse_play(doc, rules, entry.play_id, entry.language, entry.translator)
+            warnings.extend(f"{where}: {w}" for w in play.warnings)
+            if entry.speaker_aliases:
+                speakers = {turn.speaker for turn in play.turns}
+                warnings.extend(f"{where}: speaker alias '{name}' names no speaker"
+                                for name, _ in entry.speaker_aliases if name not in speakers)
+            plays.append(play)
+        del doc  # the last document's text is freed before chunking
     chunks, eligibility = prepare_chunks(plays, config, timings)
     return chunks, warnings, {"corpus_paths": [e.path for e in config.corpus],
                               "encoding_fallbacks": fallbacks, "eligibility": eligibility}
@@ -300,7 +316,7 @@ def prepare_chunks(
     the chars its chunks use and whether it was kept.
     """
     window = config.chunk_count * config.chunk_size
-    label = labeler(config.labeling)
+    label = LABELINGS[config.labeling]
     aliases = {(e.play_id, e.translator): dict(e.speaker_aliases) for e in config.corpus}
     by_play: dict[tuple[str, str], dict[str, list[str]]] = {}
     with _stage("extract", timings):

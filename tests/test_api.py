@@ -1,3 +1,4 @@
+import pkgutil
 import types
 
 import dramastyle
@@ -39,6 +40,17 @@ PUBLIC_NAMES = [
     "strip_boilerplate",
 ]
 
+# the package's modules: one added, removed or renamed shows here as a diff
+MODULE_NAMES = [
+    "cli",
+    "errors",
+    "experiment",
+    "homogeneity",
+    "ingest",
+    "similarity",
+    "tokenization",
+]
+
 
 def test_public_names_are_pinned():
     public = sorted(
@@ -46,3 +58,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(dramastyle, name), types.ModuleType)
     )
     assert public == PUBLIC_NAMES
+
+
+def test_module_names_are_pinned():
+    assert sorted(m.name for m in pkgutil.iter_modules(dramastyle.__path__)) == MODULE_NAMES

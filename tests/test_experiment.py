@@ -1,5 +1,6 @@
 import copy
 import csv
+import gc
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from dramastyle import (
     DissimilarityMatrix,
     PipelineError,
     PreconditionFailed,
+    RawDocument,
     compare_translations,
     draw_orders,
     load_config,
@@ -680,6 +682,21 @@ class TestRunExperiment:
             entry.parse_rules["delimiters"] = []
 
 
+def test_last_document_is_freed_before_chunking(configs_dir, monkeypatch):
+    # a play's text is held as its turns alone while the chunks are cut
+    live = []
+    chunk = experiment.prepare_chunks
+
+    def spy(*args, **kwargs):
+        gc.collect()
+        live.append(sum(isinstance(o, RawDocument) for o in gc.get_objects()))
+        return chunk(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "prepare_chunks", spy)
+    experiment._chunk_corpus(load_config(configs_dir / "synthetic_translations.json"), {})
+    assert live == [0]
+
+
 class TestRunMetaRecords:
     @pytest.mark.parametrize("command, config_name, labeling, fallback", [
         (run_experiment, "synthetic_two_category", "character", "original"),
@@ -1020,7 +1037,8 @@ class TestCliExitCodes:
             assert os.readlink(final) == str(target)
             assert [(p.name, p.read_text()) for p in target.iterdir()] == [("kept.txt", "kept")]
 
-    def test_matrix_subcommand(self, configs_dir, data_dir, tmp_path):
+    def test_run_mode_writes_one_matrix_and_no_matrix_command(
+            self, configs_dir, data_dir, tmp_path):
         # argparse rejects `matrix` as an unknown command; run --mode builds one matrix
         with pytest.raises(SystemExit) as exit_:
             main(["matrix", str(data_dir / "golden" / "miniature_play.json"),
@@ -1037,7 +1055,7 @@ class TestCliExitCodes:
         golden = data_dir / "golden" / "synthetic_two_category_matrix_letter_unigram.csv"
         assert (out / "matrix_letter_unigram.csv").read_bytes() == golden.read_bytes()
 
-    def test_matrix_repeated_play_and_translator_is_2(self, configs_dir, tmp_path, capsys):
+    def test_run_repeated_play_and_translator_is_2(self, configs_dir, tmp_path, capsys):
         # two files of one (play_id, translator), whatever their languages
         config = json.loads((configs_dir / "synthetic_translations.json").read_text())
         for entry in config["corpus"]:
@@ -1051,12 +1069,12 @@ class TestCliExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_matrix_defaults_are_the_configs(self):
+    def test_run_options_default_to_the_configs(self):
         # unset, run's options leave the config's own seed, permutations and modes
         args = build_parser().parse_args(["run", "--config", "c.json"])
         assert args.seed is args.permutations is args.mode is args.out is None
 
-    def test_matrix_skips_play_without_eligible_speaker(self, configs_dir, data_dir, tmp_path):
+    def test_run_skips_play_without_eligible_speaker(self, configs_dir, data_dir, tmp_path):
         config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
         for entry in config["corpus"]:
             entry["path"] = str((configs_dir / entry["path"]).resolve())
@@ -1280,8 +1298,7 @@ class TestCliExitCodes:
         (["--mode", "word_ngram"], "character", "unknown tokenization mode 'word_ngram'"),
     ], ids=["mode", "labeling", "unigram_with_n", "ngram_without_n", "ngram_of_one",
             "padded_n", "word_ngram_without_n"])
-    def test_matrix_bad_mode_or_labeling_is_2(self, tmp_path, capsys, option, labeling,
-                                              problem):
+    def test_run_bad_mode_or_labeling_is_2(self, tmp_path, capsys, option, labeling, problem):
         config = {
             "experiment_id": "x", "labeling": labeling,
             "corpus": [{"path": str(tmp_path / "missing.txt"), "play_id": "p", "language": "en"}],
@@ -1299,7 +1316,7 @@ class TestCliExitCodes:
         {"min_size": 100, "chunk_count": 2, "chunk_size": 0},
         {"min_size": 100, "chunk_count": 2, "chunk_size": 200},
     ], ids=["one_chunk", "zero_min_size", "zero_chunk_size", "over_min_size"])
-    def test_matrix_bad_chunking_is_2(self, configs_dir, tmp_path, capsys, chunking):
+    def test_run_bad_chunking_is_2(self, configs_dir, tmp_path, capsys, chunking):
         config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
         for entry in config["corpus"]:
             entry["path"] = str((configs_dir / entry["path"]).resolve())
@@ -1312,7 +1329,22 @@ class TestCliExitCodes:
         assert err.startswith("error: chunk_") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    def test_matrix_checks_chunking_before_reading(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [[], ["--compare-translations"]], ids=["run", "compare"])
+    def test_translator_with_at_sign_is_2(self, configs_dir, tmp_path, capsys, command):
+        # else speaker a@x of translator y and speaker a of translator x@y share category a@x@y
+        config = json.loads((configs_dir / "synthetic_translations.json").read_text())
+        for entry in config["corpus"]:
+            entry["path"] = str((configs_dir / entry["path"]).resolve())
+        config["corpus"][1]["translator"] = "x@y"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), *command, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: corpus translator must not contain '@', got 'x@y'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_run_checks_chunking_before_reading(self, tmp_path, capsys):
         config = {
             "experiment_id": "x", "chunk_size": 0,
             "corpus": [{"path": str(tmp_path / "missing.txt"), "play_id": "p", "language": "en"}],

@@ -164,6 +164,16 @@ class TestLabelling:
         assert isinstance(err.value.cause, DegenerateCategory)
         assert str(err.value.cause) == "need at least 2 categories, got ['solo']"
 
+    def test_translator_with_at_sign_rejected(self):
+        # a category speaker@translator splits at its last '@' into its source
+        plays = [_play("p", [("a@x", "x" * 200)], "y"), _play("p", [("b", "x" * 200)], "z")]
+        chunks, _ = _chunks(plays, "character_by_translator", 200, 2, 100)
+        assert {c.category.rpartition("@")[::2] for c in chunks} == {("a@x", "y"), ("b", "z")}
+        # else speaker a@x of translator y and speaker a of translator x@y share category a@x@y
+        plays[1] = _play("p", [("a", "x" * 200)], "x@y")
+        with pytest.raises(ConfigError, match="corpus translator must not contain '@', got 'x@y'"):
+            chunk_config(plays, "character_by_translator", 200, 2, 100)
+
     def test_unknown_labeling_rejected(self):
         # by the config, before any turn is read
         with pytest.raises(ConfigError, match="unknown labeling mode 'bogus'"):

@@ -13,8 +13,7 @@ from dramastyle import (
     matrix_from_counts,
 )
 from dramastyle import experiment, load_config, similarity
-from dramastyle.experiment import chunk_matrix, write_matrix_csv
-from dramastyle.segmentation import Chunk
+from dramastyle.experiment import Chunk, chunk_matrix, write_matrix_csv
 from dramastyle.tokenization import UNITS
 from reference_counts import _ref_tokenize, _rows
 
