@@ -3,15 +3,10 @@
 from .errors import (
     ConfigError,
     CorpusError,
-    DegenerateCategory,
     DramastyleError,
-    EmptyDistribution,
-    NoEligibleCharacters,
-    NoTurnsFound,
     PipelineError,
     PreconditionFailed,
     StatisticsError,
-    UnbalancedBoilerplateMarkers,
 )
 from .ingest import (
     ParseRules,

@@ -74,9 +74,12 @@ def _render_report(data: dict) -> list[str]:
             )
         if section["ties_logged"]:
             lines.append(f"ties logged: {len(section['ties_logged'])}")
-    if data["warnings"]:
-        lines.append(f"\nwarnings ({len(data['warnings'])}):")
-        lines += [f"  - {w}" for w in data["warnings"]]
+    warnings = data["warnings"]
+    if not isinstance(warnings, list):  # a string or object would list characters or keys
+        raise TypeError(f"warnings must be a list, got {type(warnings).__name__}")
+    if warnings:
+        lines.append(f"\nwarnings ({len(warnings)}):")
+        lines += [f"  - {w}" for w in warnings]
     return lines
 
 

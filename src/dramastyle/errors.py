@@ -10,31 +10,14 @@ class ConfigError(DramastyleError):
 
 
 class CorpusError(DramastyleError):
-    """A corpus file could not be loaded or parsed."""
-
-
-class UnbalancedBoilerplateMarkers(CorpusError):
-    """Exactly one boilerplate marker found; the e-text is truncated."""
-
-
-class NoTurnsFound(CorpusError):
-    """No speaker heading matched; the script format does not fit the rules."""
+    """A corpus file could not be loaded or parsed: a lone boilerplate
+    marker, no speaker heading, invalid UTF-8, an empty or malformed file."""
 
 
 class StatisticsError(DramastyleError):
-    """The corpus cannot support the requested statistic."""
-
-
-class NoEligibleCharacters(StatisticsError):
-    """No character meets the minimum-size requirement."""
-
-
-class EmptyDistribution(StatisticsError):
-    """Tokenization produced no tokens for a chunk."""
-
-
-class DegenerateCategory(StatisticsError):
-    """A category has fewer than 2 chunks; no within-category pair exists."""
+    """The corpus cannot support the requested statistic: no character
+    reaches `min_size`, fewer than 2 categories, a category of one chunk
+    or a chunk without tokens."""
 
 
 class PreconditionFailed(DramastyleError):

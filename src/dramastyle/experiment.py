@@ -42,10 +42,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError, DegenerateCategory, DramastyleError, NoEligibleCharacters, PipelineError,
-    PreconditionFailed,
-)
+from .errors import ConfigError, DramastyleError, PipelineError, PreconditionFailed, StatisticsError
 from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, permutation_baselines
 from .ingest import (
     ParseRules, PlayScript, load_document, normalize_speaker, parse_play, strip_boilerplate,
@@ -305,11 +302,11 @@ def prepare_chunks(
     plays of one (play_id, translator) raise PreconditionFailed.
     Stage `segmentation` joins each speaker's turns with a space and keeps
     the speakers with at least `min_size` characters; only a corpus where
-    no play has one fails. The first chunk_count * chunk_size characters
-    of each kept speaker, in sorted (play_id, translator, speaker) order,
-    give `chunk_count` chunks, labelled by the `labeling` mode and
-    numbered `category#NN` per category; fewer than 2 categories raise
-    DegenerateCategory. Stage seconds go into `timings`.
+    no play has one raises StatisticsError. The first chunk_count *
+    chunk_size characters of each kept speaker, in sorted (play_id,
+    translator, speaker) order, give `chunk_count` chunks, labelled by the
+    `labeling` mode and numbered `category#NN` per category; fewer than 2
+    categories raise StatisticsError. Stage seconds go into `timings`.
 
     Returns the chunks by chunk_id and one eligibility record per speaker,
     in speaking order: play_id, translator, speaker, chars of dialogue,
@@ -343,9 +340,7 @@ def prepare_chunks(
                     "chars": len(text), "chars_used": window if kept else 0, "kept": kept,
                 })
         if not eligible:
-            raise NoEligibleCharacters(
-                f"no character in any play reaches {config.min_size} characters"
-            )
+            raise StatisticsError(f"no character in any play reaches {config.min_size} characters")
         by_category: dict[str, list[Chunk]] = {}
         for source, text in sorted(eligible.items()):
             category = label(*source)
@@ -354,7 +349,7 @@ def prepare_chunks(
                 bucket.append(Chunk(f"{category}#{len(bucket):02d}", category, source,
                                     text[start:start + config.chunk_size]))
         if len(by_category) < 2:
-            raise DegenerateCategory(f"need at least 2 categories, got {sorted(by_category)}")
+            raise StatisticsError(f"need at least 2 categories, got {sorted(by_category)}")
         chunks = sorted((c for bucket in by_category.values() for c in bucket),
                         key=lambda c: c.chunk_id)
         return chunks, eligibility

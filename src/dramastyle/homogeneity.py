@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCategory, PreconditionFailed
+from .errors import PreconditionFailed, StatisticsError
 from .similarity import DissimilarityMatrix
 
 _BLOCK = 64  # permutations scored per (B, n, K) one-hot stack; bounds memory
@@ -111,7 +111,7 @@ def _encode(ids: Sequence[str], labels: Mapping[str, str]) -> tuple[tuple[str, .
     codes = np.array([index[labels[i]] for i in ids], np.intp)
     small = np.flatnonzero(np.bincount(codes) < 2)
     if small.size:
-        raise DegenerateCategory(f"category {list(index)[small[0]]!r} has 1 chunk(s)")
+        raise StatisticsError(f"category {list(index)[small[0]]!r} has 1 chunk(s)")
     return tuple(index), codes
 
 

@@ -3,7 +3,7 @@
 Turns raw e-texts into speaker-attributed dialogue turns with stage
 directions removed. Heading detection is heuristic (scripts are not a
 standardized format); the rules are documented on ParseRules and
-deliberately conservative: unknown layouts fail loudly with NoTurnsFound
+deliberately conservative: unknown layouts fail loudly with CorpusError
 rather than producing silent garbage.
 
 Work repeated across a play is done once: `parse_play` classifies each
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import CorpusError, NoTurnsFound, UnbalancedBoilerplateMarkers
+from .errors import CorpusError
 
 # Honorific abbreviations that may carry a trailing period inside a
 # title-case speaker name ("Mrs. Linde. Hello." -> speaker "Mrs. Linde").
@@ -55,7 +55,8 @@ class ParseRules:
     A speaker heading is a line whose leading token is 1 to
     `max_heading_words` (at least 1) words, each fully uppercase or
     starting with an uppercase letter, immediately followed by one of
-    `delimiters`. Everything after the delimiter on that line is dialogue;
+    `delimiters`, which hold no whitespace: words are the runs between
+    whitespace. Everything after the delimiter on that line is dialogue;
     following non-heading lines continue the turn, whose speaker is the
     name under `normalize_speaker`. The boilerplate markers are non-empty
     strings without a line break, so that each lies within one line.
@@ -77,6 +78,8 @@ class ParseRules:
         object.__setattr__(self, "stage_direction_brackets", tuple(tuple(p) for p in pairs))
         if not self.delimiters or not all(isinstance(d, str) and d for d in self.delimiters):
             raise ValueError("delimiters must be a non-empty list of non-empty strings")
+        if any(ch.isspace() for d in self.delimiters for ch in d):
+            raise ValueError(f"delimiters must not contain whitespace, got {list(self.delimiters)}")
         flat = [b for pair in self.stage_direction_brackets for b in pair]
         if (
             any(len(pair) != 2 for pair in self.stage_direction_brackets)
@@ -153,18 +156,14 @@ def strip_boilerplate(doc: RawDocument, rules: ParseRules) -> RawDocument:
     if start < 0:
         # an end marker without a start marker is equally suspicious
         if rules.boilerplate_end in text:
-            raise UnbalancedBoilerplateMarkers(
-                f"{doc.source_id}: end marker without start marker"
-            )
+            raise CorpusError(f"{doc.source_id}: end marker without start marker")
         return doc
     # the body opens with the line after the start marker's line ...
     line_end = _LINE_END_RE.search(text, start + len(rules.boilerplate_start))
     begin = line_end.end() if line_end else len(text)
     end = text.find(rules.boilerplate_end, begin)
     if end < 0:
-        raise UnbalancedBoilerplateMarkers(
-            f"{doc.source_id}: start marker without end marker"
-        )
+        raise CorpusError(f"{doc.source_id}: start marker without end marker")
     # ... and closes with the line before the end marker's line
     end = max(begin, *(text.rfind(b, begin, end) + 1 for b in _LINE_BREAKS))
     return RawDocument(doc.source_id, text[begin:end], doc.encoding_note)
@@ -331,7 +330,7 @@ def parse_play(
         if line.lstrip()[:1].isupper() and (heading := match(line))
     ]
     if not headings:
-        raise NoTurnsFound(f"{doc.source_id}: no speaker heading matched")
+        raise CorpusError(f"{doc.source_id}: no speaker heading matched")
     turns: list[SpeechTurn] = []
     warnings: list[str] = []
     # each heading name is normalized once

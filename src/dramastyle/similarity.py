@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDistribution, PreconditionFailed
+from .errors import PreconditionFailed, StatisticsError
 
 _TILE = 1 << 14  # count elements per block of rows scored at once; bounds memory
 
@@ -98,7 +98,7 @@ def matrix_from_counts(chunk_ids: Sequence[str], counts: np.ndarray) -> Dissimil
     totals = counts.sum(axis=1)
     for cid, total in zip(chunk_ids, totals):
         if total <= 0:
-            raise EmptyDistribution(f"chunk {cid}: no tokens")
+            raise StatisticsError(f"chunk {cid}: no tokens")
     scores = _upper_scores(counts, totals)
     return DissimilarityMatrix(chunk_ids=tuple(chunk_ids), scores=scores + scores.T)
 

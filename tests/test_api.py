@@ -8,13 +8,9 @@ PUBLIC_NAMES = [
     "Chunk",
     "ConfigError",
     "CorpusError",
-    "DegenerateCategory",
     "DissimilarityMatrix",
     "DramastyleError",
-    "EmptyDistribution",
     "ExperimentConfig",
-    "NoEligibleCharacters",
-    "NoTurnsFound",
     "ParseRules",
     "PermutationBaselines",
     "PipelineError",
@@ -24,7 +20,6 @@ PUBLIC_NAMES = [
     "SpeechTurn",
     "StatisticsError",
     "TokenizationMode",
-    "UnbalancedBoilerplateMarkers",
     "attribute_chunks",
     "compare_translations",
     "count_matrix",

@@ -22,6 +22,7 @@ from dramastyle import (
     PipelineError,
     PreconditionFailed,
     RawDocument,
+    StatisticsError,
     compare_translations,
     draw_orders,
     load_config,
@@ -31,7 +32,6 @@ from dramastyle import (
 )
 from dramastyle import experiment
 from dramastyle.cli import build_parser, main
-from dramastyle.errors import NoEligibleCharacters
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
 from dramastyle.homogeneity import attribute_chunks
 from dramastyle.ingest import ParseRules, PlayScript, SpeechTurn
@@ -367,7 +367,8 @@ class TestRunExperiment:
         with pytest.raises(PipelineError) as err:
             prepare_chunks(plays, chunk_config(plays, "character", 200, 2, 100))
         assert err.value.stage == "segmentation"
-        assert isinstance(err.value.cause, NoEligibleCharacters)
+        assert isinstance(err.value.cause, StatisticsError)
+        assert str(err.value.cause) == "no character in any play reaches 200 characters"
 
     def test_repeated_play_and_translator_fails(self):
         # a config rejects two files of one pair; the plays come from the caller
@@ -537,7 +538,8 @@ class TestRunExperiment:
         with pytest.raises(PipelineError) as err:
             run_experiment(config)
         assert err.value.stage == "segmentation"
-        assert isinstance(err.value.cause, NoEligibleCharacters)
+        assert isinstance(err.value.cause, StatisticsError)
+        assert str(err.value.cause) == "no character in any play reaches 1000000 characters"
 
     @pytest.mark.parametrize("command", [run_experiment, compare_translations],
                              ids=["run", "compare_translations"])
@@ -1181,6 +1183,11 @@ class TestCliExitCodes:
         {"delimiters": ".:"},
         {"delimiters": "--"},
         {"stage_direction_brackets": ["[]", "()"]},
+        # a heading word is a `str.split` run: no whitespace ends one
+        {"delimiters": [" "]},
+        {"delimiters": [".", ". "]},
+        {"delimiters": ["\t"]},
+        {"delimiters": ["a b"]},
     ])
     def test_bad_parse_rules_is_2(self, configs_dir, tmp_path, parse_rules):
         config = json.loads((configs_dir / "synthetic_two_category.json").read_text())
@@ -1402,7 +1409,12 @@ class TestCliExitCodes:
         '{"modes": {}, "warnings": []}',
         '{"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}, '
         '"modes": [], "warnings": []}',
-    ], ids=["invalid_json", "missing_config", "modes_not_an_object"])
+        '{"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}, '
+        '"modes": {}, "warnings": "abc"}',
+        '{"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}, '
+        '"modes": {}, "warnings": {"a": 1}}',
+    ], ids=["invalid_json", "missing_config", "modes_not_an_object", "warnings_not_a_list-str",
+            "warnings_not_a_list-object"])
     def test_report_of_non_report_is_3(self, tmp_path, capsys, content):
         report = tmp_path / "report.json"
         report.write_text(content)

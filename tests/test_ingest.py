@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dramastyle import (
-    NoTurnsFound,
+    CorpusError,
     ParseRules,
     RawDocument,
-    UnbalancedBoilerplateMarkers,
     load_document,
     parse_play,
     strip_boilerplate,
@@ -57,11 +56,11 @@ class TestStripBoilerplate:
         assert strip_boilerplate(d, RULES).text == "BODY\n"
 
     def test_lone_start_marker_errors(self):
-        with pytest.raises(UnbalancedBoilerplateMarkers):
+        with pytest.raises(CorpusError, match="start marker without end marker$"):
             strip_boilerplate(doc("a\n*** START OF X ***\nb\n"), RULES)
 
     def test_lone_end_marker_errors(self):
-        with pytest.raises(UnbalancedBoilerplateMarkers):
+        with pytest.raises(CorpusError, match="end marker without start marker$"):
             strip_boilerplate(doc("a\n*** END OF X ***\nb\n"), RULES)
 
 
@@ -101,7 +100,7 @@ class TestSpeakerHeading:
 
 class TestParsePlay:
     def test_empty_input_raises(self):
-        with pytest.raises(NoTurnsFound):
+        with pytest.raises(CorpusError, match="no speaker heading matched$"):
             parse_play(doc("no headings here, just prose.\n"), RULES, "p", "en")
 
     def test_two_turns_with_stage_direction_line(self):
@@ -445,14 +444,10 @@ def _ref_strip_boilerplate(doc: RawDocument, rules: ParseRules) -> RawDocument:
             break
     if start_idx is None:
         if any(rules.boilerplate_end in line for line in lines):
-            raise UnbalancedBoilerplateMarkers(
-                f"{doc.source_id}: end marker without start marker"
-            )
+            raise CorpusError(f"{doc.source_id}: end marker without start marker")
         return doc
     if end_idx is None:
-        raise UnbalancedBoilerplateMarkers(
-            f"{doc.source_id}: start marker without end marker"
-        )
+        raise CorpusError(f"{doc.source_id}: start marker without end marker")
     body = "".join(lines[start_idx + 1 : end_idx])
     return RawDocument(doc.source_id, body, doc.encoding_note)
 

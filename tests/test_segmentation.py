@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from dramastyle import (
     ConfigError,
-    DegenerateCategory,
     ParseRules,
     PipelineError,
     PlayScript,
     RawDocument,
     SpeechTurn,
+    StatisticsError,
     parse_play,
 )
 from dramastyle.experiment import prepare_chunks
@@ -161,7 +161,7 @@ class TestLabelling:
         with pytest.raises(PipelineError) as err:
             _chunks([_play("p", [("solo", "x" * 200)])], "character", 200, 2, 100)
         assert err.value.stage == "segmentation"
-        assert isinstance(err.value.cause, DegenerateCategory)
+        assert isinstance(err.value.cause, StatisticsError)
         assert str(err.value.cause) == "need at least 2 categories, got ['solo']"
 
     def test_translator_with_at_sign_rejected(self):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dramastyle import (
-    EmptyDistribution,
     PipelineError,
     PreconditionFailed,
+    StatisticsError,
     TokenizationMode,
     matrix_from_counts,
 )
@@ -66,7 +66,7 @@ class TestChiSquare:
         assert got == pytest.approx(2.0, rel=1e-12)
 
     def test_empty_rejected_naming_the_chunk(self):
-        with pytest.raises(EmptyDistribution, match="chunk c01"):
+        with pytest.raises(StatisticsError, match="^chunk c01: no tokens$"):
             matrix([{"a": 1}, {}])
 
     # either row first: the matrix mirrors the one score of the pair
@@ -340,4 +340,5 @@ class TestChunkMatrix:
         # the error names the stage, as every stage's does, and the chunk
         with pytest.raises(PipelineError, match=r"^\[matrix:letter_unigram\] .*chunk b#00") as err:
             chunk_matrix(chunks, MODE)
-        assert isinstance(err.value.cause, EmptyDistribution)
+        assert isinstance(err.value.cause, StatisticsError)
+        assert str(err.value.cause) == "chunk b#00: no tokens"
