@@ -53,6 +53,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _list(value, field: str) -> list:
+    """`value` if it is a list: a string or object would count or list its
+    characters or keys."""
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _render_report(data: dict) -> list[str]:
     config = data["config"]
     threshold = config["significance"]
@@ -72,11 +80,10 @@ def _render_report(data: dict) -> list[str]:
                 f"{cat['category']:<28} {cat['rank_sum']:>10.1f} {cat['rank_sum_p']:>8.4f} "
                 f"{hits:>9} {cat['attribution_p']:>8.4f}  {flag}".rstrip()
             )
-        if section["ties_logged"]:
-            lines.append(f"ties logged: {len(section['ties_logged'])}")
-    warnings = data["warnings"]
-    if not isinstance(warnings, list):  # a string or object would list characters or keys
-        raise TypeError(f"warnings must be a list, got {type(warnings).__name__}")
+        ties = _list(section["ties_logged"], "ties_logged")
+        if ties:
+            lines.append(f"ties logged: {len(ties)}")
+    warnings = _list(data["warnings"], "warnings")
     if warnings:
         lines.append(f"\nwarnings ({len(warnings)}):")
         lines += [f"  - {w}" for w in warnings]

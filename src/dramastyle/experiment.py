@@ -17,19 +17,21 @@ only), and cuts and labels the front of each kept speaker's dialogue; it
 and `chunk_matrix` are the front half that both pipelines share. This
 module alone knows the output formats: `_mode_section` lays out a mode's
 report.json section from the arrays of `permutation_baselines`, and
-`_write_csv` writes every CSV. `Chunk`, the unit of the analysis, and
-`LABELINGS`, the idiolect categories of Rybicki (2006), live here beside
-`prepare_chunks`. The report states each value once: the settings only
-in its `config` echo, and no per-chunk means, which follow from the
-matrix CSV and the manifest. A config checks its fields when it
-is built, so an invalid one never reaches a stage. Everything is
-deterministic given the config and corpus bytes; the wall-clock
-timestamp and the file locations live in a sidecar file so the hashed
-outputs stay reproducible.
+`_write_csv` writes every CSV but the matrices, whose number fields
+`write_matrix_csv` formats in one pass per row. `Chunk`, the unit of
+the analysis, and `LABELINGS`, the idiolect categories of Rybicki
+(2006), live here beside `prepare_chunks`. The report states each value
+once: the settings only in its `config` echo, and no per-chunk means,
+which follow from the matrix CSV and the manifest. A config checks its
+fields when it is built, so an invalid one never reaches a stage.
+Everything is deterministic given the config and corpus bytes; the
+wall-clock timestamp and the file locations live in a sidecar file so
+the hashed outputs stay reproducible.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import shutil
@@ -397,16 +399,23 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
     """Matrix CSV: header of chunk_ids, one labeled row per chunk, 6 decimals.
 
-    Each row is formatted by one `%` over a "%.6f,%.6f,..." template, which
-    gives the bytes of `format(v, ".6f")` per entry; a number needs no
-    quoting, so splitting at the commas gives back the fields. One row at a
-    time is held as Python floats, not the whole matrix.
+    The bytes are those of `_write_csv` with one field per number. The csv
+    module writes the header and quotes each row's chunk_id as the first of
+    several fields; the numbers follow as one `%` over a "%.6f,%.6f,..."
+    template, which gives the bytes of `format(v, ".6f")` per entry, and a
+    number needs no quoting. One row at a time is held as Python floats,
+    not the whole matrix.
     """
-    template = ",".join(["%.6f"] * len(matrix.chunk_ids))
-    _write_csv(path, ["chunk_id", *matrix.chunk_ids], (
-        [cid, *(template % tuple(row.tolist())).split(",")]
-        for cid, row in zip(matrix.chunk_ids, matrix.scores)
-    ))
+    template = ",".join(["%.6f"] * len(matrix.chunk_ids)) + "\n"
+    label = io.StringIO()
+    label_writer = csv.writer(label, lineterminator="\n")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerow(["chunk_id", *matrix.chunk_ids])
+        for cid, row in zip(matrix.chunk_ids, matrix.scores):
+            label.seek(0)
+            label.truncate()
+            label_writer.writerow([cid, ""])  # the quoted id, then ",\n"
+            f.write(label.getvalue()[:-1] + template % tuple(row.tolist()))
 
 
 def _mode_section(mode: str, chunk_ids: Sequence[str], baselines: PermutationBaselines) -> dict:

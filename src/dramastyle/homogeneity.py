@@ -132,12 +132,14 @@ def attribute_chunks(
 
 def draw_orders(n: int, permutations: int, seed: int) -> np.ndarray:
     """(permutations, n) array in the smallest dtype holding n: row p is the
-    stable argsort of outputs p*n ... p*n+n-1 of the SplitMix64 stream (Steele,
-    Lea & Flood, 2014) seeded with `seed` in [0, 2**64). So row p depends only
-    on (seed, p, n), and has no ties: the finalizer is a bijection and the
-    row's counters are distinct. Rows are drawn in blocks of about
-    `_DRAW_WORDS` outputs to bound the temporaries; the result does not
-    depend on the block size."""
+    ascending order of outputs p*n ... p*n+n-1 of the SplitMix64 stream
+    (Steele, Lea & Flood, 2014) seeded with `seed` in [0, 2**64). The outputs
+    are distinct, so the order is unique: the finalizer is a bijection and
+    the row's counters are distinct. Row p therefore depends only on
+    (seed, p, n), not on the sort algorithm, and NumPy's default argsort
+    gives it. Rows are drawn in blocks of about `_DRAW_WORDS`
+    outputs to bound the temporaries; the result does not depend on the
+    block size."""
     if not 0 <= seed < 2**64:
         raise PreconditionFailed(f"seed must lie in [0, 2**64), got {seed}")
     orders = np.empty((permutations, n), dtype=np.min_scalar_type(n))
@@ -153,7 +155,7 @@ def draw_orders(n: int, permutations: int, seed: int) -> np.ndarray:
         z ^= z >> np.uint64(27)
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
-        rows[:] = np.argsort(z.reshape(rows.shape), kind="stable")
+        rows[:] = np.argsort(z.reshape(rows.shape))
     return orders
 
 

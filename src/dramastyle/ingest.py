@@ -114,7 +114,10 @@ class PlayScript:
 def load_document(path: str | Path, latin1_fallback: bool = False) -> RawDocument:
     """Read a play file as UTF-8 (BOM tolerated), NFC-normalized, with
     "\r\n" and lone "\r" line ends made "\n". The two passes that do so
-    run only on text that holds a "\r".
+    run only on text that holds a "\r". The NFC pass runs only on text
+    that does not encode as Latin-1: characters up to U+00FF are already
+    NFC, alone or in any sequence (none has a nonzero combining class, and
+    no two of them compose), so such text is its own normal form.
 
     Invalid byte sequences are an error unless `latin1_fallback` is set,
     in which case the file is re-read as Latin-1 and the fallback is
@@ -132,7 +135,10 @@ def load_document(path: str | Path, latin1_fallback: bool = False) -> RawDocumen
             ) from None
         text = raw.decode("latin-1")
         note = "latin-1 fallback"
-    text = unicodedata.normalize("NFC", text)
+    try:
+        text.encode("latin-1")
+    except UnicodeEncodeError:
+        text = unicodedata.normalize("NFC", text)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return RawDocument(source_id=path.name, text=text, encoding_note=note)

@@ -944,6 +944,10 @@ class TestGoldenParse:
         assert turns == [{"speaker": "nora", "text": "Good morning.", "ordinal": 0}]
 
 
+# the config echo of a report, as `dramastyle report` reads it
+_CONFIG_ECHO = '"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}'
+
+
 class TestCliExitCodes:
     def test_success(self, configs_dir, tmp_path):
         rc = main([
@@ -1404,24 +1408,28 @@ class TestCliExitCodes:
             assert all(line == line.rstrip() for line in out.splitlines())
 
 
-    @pytest.mark.parametrize("content", [
-        '{"config": {"experiment_id": "x"',
-        '{"modes": {}, "warnings": []}',
-        '{"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}, '
-        '"modes": [], "warnings": []}',
-        '{"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}, '
-        '"modes": {}, "warnings": "abc"}',
-        '{"config": {"experiment_id": "x", "significance": 0.05, "permutations": 1, "seed": 1}, '
-        '"modes": {}, "warnings": {"a": 1}}',
+    @pytest.mark.parametrize("content, reason", [
+        ('{"config": {"experiment_id": "x"', "JSONDecodeError: "),
+        ('{"modes": {}, "warnings": []}', "KeyError: 'config'"),
+        (f'{{{_CONFIG_ECHO}, "modes": [], "warnings": []}}', "AttributeError: "),
+        (f'{{{_CONFIG_ECHO}, "modes": {{}}, "warnings": "abc"}}',
+         "TypeError: warnings must be a list, got str"),
+        (f'{{{_CONFIG_ECHO}, "modes": {{}}, "warnings": {{"a": 1}}}}',
+         "TypeError: warnings must be a list, got dict"),
+        (f'{{{_CONFIG_ECHO}, "modes": {{"m": {{"categories": [], "ties_logged": "abc"}}}}, '
+         '"warnings": []}', "TypeError: ties_logged must be a list, got str"),
+        (f'{{{_CONFIG_ECHO}, "modes": {{"m": {{"categories": [], "ties_logged": {{"a": 1}}}}}}, '
+         '"warnings": []}', "TypeError: ties_logged must be a list, got dict"),
     ], ids=["invalid_json", "missing_config", "modes_not_an_object", "warnings_not_a_list-str",
-            "warnings_not_a_list-object"])
-    def test_report_of_non_report_is_3(self, tmp_path, capsys, content):
+            "warnings_not_a_list-object", "ties_logged_not_a_list-str",
+            "ties_logged_not_a_list-object"])
+    def test_report_of_non_report_is_3(self, tmp_path, capsys, content, reason):
         report = tmp_path / "report.json"
         report.write_text(content)
         assert main(["report", str(report)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {report}: not a report: ")
+        assert captured.err.startswith(f"error: {report}: not a report: {reason}")
         assert captured.err.count("\n") == 1
 
 

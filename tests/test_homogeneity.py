@@ -824,6 +824,19 @@ def _splitmix64(seed):
         yield z ^ (z >> 31)
 
 
+def _splitmix64_keys(seed, permutations, n):
+    """Outputs 0 ... permutations*n-1 of SplitMix64 in NumPy, one row per shuffle."""
+    z = np.arange(1, permutations * n + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.reshape(permutations, n)
+
+
 class TestDrawOrders:
     def test_reference_reproduces_published_vector(self):
         stream = _splitmix64(1234567)
@@ -839,6 +852,17 @@ class TestDrawOrders:
         for row in orders.tolist():
             words = [next(stream) for _ in range(n)]
             assert row == sorted(range(n), key=words.__getitem__)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 80, 255, 256, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    def test_is_the_stable_argsort_of_distinct_keys(self, n, seed):
+        # distinct keys have one ascending order, so the default argsort
+        # the draw uses gives the stable one; uint8 orders up to n = 255
+        keys = _splitmix64_keys(seed, 50, n)
+        assert (np.diff(np.sort(keys, axis=1), axis=1) != 0).all()
+        orders = draw_orders(n, 50, seed)
+        assert orders.dtype == (np.uint8 if n <= 255 else np.uint16)
+        assert np.array_equal(orders, np.argsort(keys, kind="stable"))
 
     @pytest.mark.parametrize("n", [1, 2, 80, 255, 256, 257, 1000])
     def test_prefix_dtype_and_permutation_rows(self, n):
@@ -878,15 +902,7 @@ class TestDrawOrders:
     def test_blocked_draw_matches_one_shot(self, monkeypatch, words):
         # blocks of max(1, words // n) rows: 1, 1, 2, 4, 50 and all 123 rows
         n, permutations, seed = 80, 123, 2**63 + 5
-        z = np.arange(1, permutations * n + 1, dtype=np.uint64)
-        z *= np.uint64(0x9E3779B97F4A7C15)
-        z += np.uint64(seed)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        one_shot = np.argsort(z.reshape(permutations, n), kind="stable")
+        one_shot = np.argsort(_splitmix64_keys(seed, permutations, n), kind="stable")
         monkeypatch.setattr(homogeneity, "_DRAW_WORDS", words)
         orders = draw_orders(n, permutations, seed)
         assert orders.dtype == np.uint8

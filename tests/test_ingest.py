@@ -46,6 +46,29 @@ def test_load_document_ends_lines_with_lf(tmp_path, bom, text):
     assert load_document(path).text == expected
 
 
+def test_latin1_is_an_nfc_fixed_point():
+    # load_document skips the NFC pass on text that encodes as Latin-1
+    chars = [chr(c) for c in range(256)]
+    assert all(unicodedata.is_normalized("NFC", c) for c in chars)
+    assert all(unicodedata.is_normalized("NFC", a + b) for a in chars for b in chars)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+def test_load_document_keeps_latin1_text(tmp_path, encoding):
+    path = tmp_path / "play.txt"
+    path.write_bytes("FRU ALVING. Så?\n".encode(encoding))
+    loaded = load_document(path, latin1_fallback=True)
+    assert loaded.text == "FRU ALVING. Så?\n"
+    assert loaded.encoding_note == {"utf-8": "utf-8", "latin-1": "latin-1 fallback"}[encoding]
+
+
+def test_load_document_composes_a_combining_mark(tmp_path):
+    # every other character is Latin-1: the mark alone makes the NFC pass run
+    path = tmp_path / "play.txt"
+    path.write_bytes("FRU ALVING. Sa\u030a?\n".encode("utf-8"))
+    assert load_document(path).text == "FRU ALVING. Så?\n"
+
+
 class TestStripBoilerplate:
     def test_no_markers_is_identity(self):
         d = doc("NORA. Hello.\nHELMER. Hi.\n")

@@ -263,13 +263,17 @@ class TestMatrixFromCounts:
     @pytest.mark.parametrize("seed", range(4))
     def test_csv_bytes_match_one_format_per_entry(self, tmp_path, seed):
         def reference(m, path):
-            # write_matrix_csv with one `format(v, ".6f")` call per entry
+            # every field through csv.writer, one `format(v, ".6f")` call per entry
             experiment._write_csv(path, ["chunk_id", *m.chunk_ids], (
                 [cid, *(format(v, ".6f") for v in row)] for cid, row in zip(m.chunk_ids, m.scores)
             ))
 
         rng = np.random.default_rng(seed)
-        ids = ("a,b", 'c"d', "e f", "g", 'h,"i" j', "k")
+        # ids with commas, quotes and line ends, which the csv module quotes, a
+        # leading space, "@" and non-ASCII; the files are compared whole, since
+        # splitting at "\n" would cut a quoted id
+        ids = ("a,b", 'c"d', "e f", "g", 'h,"i" j', "k", "l\nm", "n\ro", "\r\n", " p", "@q",
+               "Åse", 'é,\n"')
         # .6f half-way points (odd multiples of 1/128) and the floats beside them
         halfway = rng.integers(0, 10**6, 12) + (2 * rng.integers(0, 64, 12) + 1) / 128
         values = np.concatenate([
