@@ -7,23 +7,26 @@ tokenization modes, the chunking budget, and the permutation settings.
 mode, and a report JSON; `compare_translations` writes each chunk's
 nearest foreign category instead. Each is one straight sequence of
 timed stages: `_chunk_corpus`, the one function from a config to
-chunks (ingest, then `prepare_chunks`), the command's own loop over the
-modes (`chunk_matrix`'s tokenize and matrix, then its statistic), the
-report stage, and `_write_run_meta`.
-`prepare_chunks` is the one pass from turns to chunks: it gathers each
-speaker's turns in speaking order, aliases included, keeps the speakers
-with at least `min_size` characters (each decision goes to run_meta.json
-only), and cuts and labels the front of each kept speaker's dialogue; it
-and `chunk_matrix` are the front half that both pipelines share. This
-module alone knows the output formats: `_mode_section` lays out a mode's
-report.json section from the arrays of `permutation_baselines`, and
-`_write_csv` writes every CSV but the matrices, whose number fields
-`write_matrix_csv` formats in one pass per row. `Chunk`, the unit of
-the analysis, and `LABELINGS`, the idiolect categories of Rybicki
-(2006), live here beside `prepare_chunks`. The report states each value
-once: the settings only in its `config` echo, and no per-chunk means,
-which follow from the matrix CSV and the manifest. A config checks its
-fields when it is built, so an invalid one never reaches a stage.
+chunks (ingest, extract and segmentation once per corpus file, then
+segmentation once more to number the chunks), the command's own loop
+over the modes (`chunk_matrix`'s tokenize and matrix, then its
+statistic), the report stage, and `_write_run_meta`.
+`_chunk_corpus` holds one corpus file at a time: as soon as a file is
+parsed, `_add_play` reduces its turns to each speaker's eligibility
+record (which goes to run_meta.json only) and the front window of each
+speaker with at least `min_size` characters; `_number_chunks` then cuts
+and labels the windows of all files. `prepare_chunks` does the same for
+parsed plays; it and `chunk_matrix` are the front half that both
+pipelines share. This module alone knows the output formats:
+`_mode_section` lays out a mode's report.json section from the arrays
+of `permutation_baselines`, and `_write_csv` writes every CSV but the
+matrices, whose number fields `write_matrix_csv` formats in one pass
+per row. `Chunk`, the unit of the analysis, and `LABELINGS`, the
+idiolect categories of Rybicki (2006), live here beside
+`prepare_chunks`. The report states each value once: the settings only
+in its `config` echo, and no per-chunk means, which follow from the
+matrix CSV and the manifest. A config checks its fields when it is
+built, so an invalid one never reaches a stage.
 Everything is deterministic given the config and corpus bytes; the
 wall-clock timestamp and the file locations live in a sidecar file so
 the hashed outputs stay reproducible.
@@ -47,7 +50,7 @@ import numpy as np
 from .errors import ConfigError, DramastyleError, PipelineError, PreconditionFailed, StatisticsError
 from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, permutation_baselines
 from .ingest import (
-    ParseRules, PlayScript, load_document, normalize_speaker, parse_play, strip_boilerplate,
+    ParseRules, PlayScript, load_document, normalize_speaker, parse_turns, strip_boilerplate,
 )
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .tokenization import TokenizationMode, count_matrix
@@ -204,8 +207,10 @@ def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]
     naming the stage; any other error is a fault of the program, and
     passes through with its traceback.
 
-    If the block succeeds, its perf_counter seconds go into
-    `timings[name]`, when given. Stages are never nested or repeated.
+    If the block succeeds, its perf_counter seconds are added to
+    `timings[name]`, when given: a stage opened once per corpus file, as
+    `ingest`, `extract` and `segmentation` are, sums its seconds over the
+    files. Stages are never nested.
     """
     start = time.perf_counter()
     try:
@@ -213,7 +218,7 @@ def _stage(name: str, timings: dict[str, float] | None = None) -> Iterator[None]
     except (DramastyleError, OSError) as exc:
         raise PipelineError(name, exc) from exc
     if timings is not None:
-        timings[name] = time.perf_counter() - start
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
 @contextmanager
@@ -262,31 +267,41 @@ class Chunk:
 def _chunk_corpus(
     config: ExperimentConfig, timings: dict[str, float]
 ) -> tuple[list[Chunk], list[str], dict[str, list]]:
-    """Load and parse every corpus entry, as stage `ingest`, and chunk the
-    plays with `prepare_chunks`; return the chunks, the encoding and parse
-    warnings, and the run_meta.json records `corpus_paths`,
-    `encoding_fallbacks` (the `play_id/translator` of each file that was
-    not read as UTF-8) and `eligibility`."""
-    plays, warnings, fallbacks = [], [], []
-    with _stage("ingest", timings):
-        for entry in config.corpus:
-            where = f"{entry.play_id}/{entry.translator}"
+    """Config to chunks, one corpus file at a time: load, strip and parse
+    the file, as stage `ingest`, and reduce its turns at once to its
+    speakers' eligibility records and kept windows (`_add_play`). Beside
+    the windows, one file's text at most is held, and no turn object is
+    built.
+
+    Returns the chunks of `_number_chunks`, the encoding and parse
+    warnings, and the run_meta.json records `corpus_paths`, `turns` (each
+    file's turn count), `encoding_fallbacks` (the `play_id/translator` of
+    each file that was not read as UTF-8) and `eligibility`.
+    """
+    plays: dict[tuple[str, str], tuple[list, dict[str, str]]] = {}
+    warnings, fallbacks, turns = [], [], []
+    for entry in config.corpus:
+        where = f"{entry.play_id}/{entry.translator}"
+        rules = entry.parse_rules
+        with _stage("ingest", timings):
             doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
             if doc.encoding_note != "utf-8":
                 fallbacks.append(where)
                 warnings.append(f"{where}: {doc.encoding_note}")
-            rules = entry.parse_rules
-            doc = strip_boilerplate(doc, rules)
-            play = parse_play(doc, rules, entry.play_id, entry.language, entry.translator)
-            warnings.extend(f"{where}: {w}" for w in play.warnings)
-            if entry.speaker_aliases:
-                speakers = {turn.speaker for turn in play.turns}
+            speakers, texts, parsed = parse_turns(strip_boilerplate(doc, rules), rules)
+            del doc  # freed before the turns are reduced and the next file is read
+            warnings.extend(f"{where}: {w}" for w in parsed)
+            aliases = dict(entry.speaker_aliases)
+            if aliases:
+                names = set(speakers)
                 warnings.extend(f"{where}: speaker alias '{name}' names no speaker"
-                                for name, _ in entry.speaker_aliases if name not in speakers)
-            plays.append(play)
-        del doc  # the last document's text is freed before chunking
-    chunks, eligibility = prepare_chunks(plays, config, timings)
-    return chunks, warnings, {"corpus_paths": [e.path for e in config.corpus],
+                                for name in aliases if name not in names)
+            turns.append(len(texts))
+        _add_play(plays, (entry.play_id, entry.translator), speakers, texts, aliases, config,
+                  timings)
+        del speakers, texts  # only the kept windows outlive the file
+    chunks, eligibility = _number_chunks(plays, config, timings)
+    return chunks, warnings, {"corpus_paths": [e.path for e in config.corpus], "turns": turns,
                               "encoding_fallbacks": fallbacks, "eligibility": eligibility}
 
 
@@ -296,60 +311,107 @@ def prepare_chunks(
     timings: dict[str, float] | None = None,
 ) -> tuple[list[Chunk], list[dict]]:
     """Turns to labelled chunks under the settings of the checked `config`:
-    the front half of both pipelines.
+    the front half of both pipelines, as `_chunk_corpus` gives them from
+    the corpus files.
 
     Stage `extract` gathers each speaker's turns in speaking order per
     (play_id, translator); that corpus entry's `speaker_aliases` map
     speaker names, as parse_play writes them, onto canonical ones. Two
     plays of one (play_id, translator) raise PreconditionFailed.
-    Stage `segmentation` joins each speaker's turns with a space and keeps
-    the speakers with at least `min_size` characters; only a corpus where
-    no play has one raises StatisticsError. The first chunk_count *
-    chunk_size characters of each kept speaker, in sorted (play_id,
-    translator, speaker) order, give `chunk_count` chunks, labelled by the
-    `labeling` mode and numbered `category#NN` per category; fewer than 2
-    categories raise StatisticsError. Stage seconds go into `timings`.
+    Stage `segmentation` keeps the speakers whose turns, joined with a
+    space, reach `min_size` characters; only a corpus where no play has
+    one raises StatisticsError. The first chunk_count * chunk_size
+    characters of each kept speaker, in sorted (play_id, translator,
+    speaker) order, give `chunk_count` chunks, labelled by the `labeling`
+    mode and numbered `category#NN` per category; fewer than 2 categories
+    raise StatisticsError. Both stages open once per play, and
+    `segmentation` once more to number the chunks; their seconds are
+    summed into `timings`.
 
     Returns the chunks by chunk_id and one eligibility record per speaker,
-    in speaking order: play_id, translator, speaker, chars of dialogue,
-    the chars its chunks use and whether it was kept.
+    sorted by (play_id, translator) and in speaking order within a play:
+    play_id, translator, speaker, chars of dialogue, the chars its chunks
+    use and whether it was kept.
+    """
+    aliases = {(e.play_id, e.translator): dict(e.speaker_aliases) for e in config.corpus}
+    reduced: dict[tuple[str, str], tuple[list, dict[str, str]]] = {}
+    for play in plays:
+        key = (play.play_id, play.translator)
+        _add_play(reduced, key, [t.speaker for t in play.turns], [t.text for t in play.turns],
+                  aliases.get(key, {}), config, timings)
+    return _number_chunks(reduced, config, timings)
+
+
+def _add_play(
+    plays: dict[tuple[str, str], tuple[list, dict[str, str]]],
+    key: tuple[str, str],
+    speakers: Sequence[str],
+    texts: Sequence[str],
+    aliases: Mapping[str, str],
+    config: ExperimentConfig,
+    timings: dict[str, float] | None,
+) -> None:
+    """Reduce one play's turns, given as parallel lists, to `plays[key]`:
+    its (speaker, chars, kept) records in speaking order and the window of
+    each kept speaker, the first chunk_count * chunk_size characters of its
+    turns joined with a space. Only the leading turns the window needs are
+    joined: the whole join has the turns' lengths plus one space between
+    each two turns as its `chars`, empty turns included.
     """
     window = config.chunk_count * config.chunk_size
-    label = LABELINGS[config.labeling]
-    aliases = {(e.play_id, e.translator): dict(e.speaker_aliases) for e in config.corpus}
-    by_play: dict[tuple[str, str], dict[str, list[str]]] = {}
     with _stage("extract", timings):
-        for play in plays:
-            key = (play.play_id, play.translator)
-            if key in by_play:
-                raise PreconditionFailed(f"each (play_id, translator) must name one play: {key}")
-            alias = aliases.get(key, {})
-            turns = by_play[key] = {}
-            for turn in play.turns:
-                speaker = alias.get(turn.speaker, turn.speaker)
-                turns.setdefault(speaker, []).append(turn.text)
+        if key in plays:
+            raise PreconditionFailed(f"each (play_id, translator) must name one play: {key}")
+        if aliases:
+            speakers = [aliases.get(speaker, speaker) for speaker in speakers]
+        by_speaker: dict[str, list[str]] = {}
+        for speaker, text in zip(speakers, texts):
+            by_speaker.setdefault(speaker, []).append(text)
     with _stage("segmentation", timings):
-        eligible: dict[tuple[str, str, str], str] = {}
+        records, windows = [], {}
+        for speaker, said in by_speaker.items():
+            chars = sum(map(len, said)) + len(said) - 1
+            kept = chars >= config.min_size
+            if kept:  # then chars >= window, and the loop breaks
+                joined = -1
+                for used, text in enumerate(said, 1):
+                    joined += len(text) + 1
+                    if joined >= window:
+                        break
+                windows[speaker] = " ".join(said[:used])
+            records.append((speaker, chars, kept))
+        plays[key] = records, windows
+
+
+def _number_chunks(
+    plays: Mapping[tuple[str, str], tuple[list, dict[str, str]]],
+    config: ExperimentConfig,
+    timings: dict[str, float] | None,
+) -> tuple[list[Chunk], list[dict]]:
+    """Cut and label the windows of the plays that `_add_play` reduced, as
+    stage `segmentation`: the chunks and eligibility records, in the order
+    `prepare_chunks` returns them."""
+    window = config.chunk_count * config.chunk_size
+    label = LABELINGS[config.labeling]
+    with _stage("segmentation", timings):
         eligibility = []
-        for (play_id, translator), turns in sorted(by_play.items()):
-            for speaker, texts in turns.items():
-                text = " ".join(texts)
-                kept = len(text) >= config.min_size
-                if kept:
-                    eligible[(play_id, translator, speaker)] = text
-                eligibility.append({
-                    "play_id": play_id, "translator": translator, "speaker": speaker,
-                    "chars": len(text), "chars_used": window if kept else 0, "kept": kept,
-                })
-        if not eligible:
-            raise StatisticsError(f"no character in any play reaches {config.min_size} characters")
         by_category: dict[str, list[Chunk]] = {}
-        for source, text in sorted(eligible.items()):
-            category = label(*source)
-            bucket = by_category.setdefault(category, [])
-            for start in range(0, window, config.chunk_size):
-                bucket.append(Chunk(f"{category}#{len(bucket):02d}", category, source,
-                                    text[start:start + config.chunk_size]))
+        for play_id, translator in sorted(plays):
+            records, windows = plays[play_id, translator]
+            eligibility.extend({
+                "play_id": play_id, "translator": translator, "speaker": speaker,
+                "chars": chars, "chars_used": window if kept else 0, "kept": kept,
+            } for speaker, chars, kept in records)
+            for speaker in sorted(windows):
+                source = (play_id, translator, speaker)
+                category = label(*source)
+                bucket = by_category.setdefault(category, [])
+                text = windows[speaker]
+                for start in range(0, window, config.chunk_size):
+                    bucket.append(Chunk(f"{category}#{len(bucket):02d}", category, source,
+                                        text[start:start + config.chunk_size]))
+        if not by_category:
+            raise StatisticsError(f"no character in any play reaches {config.min_size} characters")
         if len(by_category) < 2:
             raise StatisticsError(f"need at least 2 categories, got {sorted(by_category)}")
         chunks = sorted((c for bucket in by_category.values() for c in bucket),

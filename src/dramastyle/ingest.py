@@ -6,7 +6,12 @@ standardized format); the rules are documented on ParseRules and
 deliberately conservative: unknown layouts fail loudly with CorpusError
 rather than producing silent garbage.
 
-Work repeated across a play is done once: `parse_play` classifies each
+`parse_turns` is the one parser. It returns a play's turns as parallel
+lists of speakers and texts, which a run reduces to chunks without
+building a turn object; `parse_play` packs them into a `PlayScript` for
+the `parse` command and the interchange JSON.
+
+Work repeated across a play is done once: `parse_turns` classifies each
 distinct heading word and normalizes each distinct speaker name once per
 play, and `load_document` scans for carriage returns only in text that
 holds one.
@@ -254,7 +259,7 @@ def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | Non
     the first delimiter unless the word before it is an honorific
     abbreviation ("Mrs. Linde. Hello" -> "Mrs. Linde", but
     "Nora. Yes." -> "Nora"). Words are the runs that `str.split` gives, read
-    in one pass over the first `max_heading_words` of them. `parse_play`
+    in one pass over the first `max_heading_words` of them. `parse_turns`
     keeps one matcher per play, so it classifies each distinct word once
     per play; this call builds one for its line.
     """
@@ -312,20 +317,16 @@ def _collapse(text: str, spaces: str) -> str:
     return text.strip(" ")
 
 
-def parse_play(
-    doc: RawDocument,
-    rules: ParseRules,
-    play_id: str,
-    language: str,
-    translator: str = "original",
-) -> PlayScript:
-    """Split a boilerplate-stripped script into speaker-attributed turns.
+def parse_turns(doc: RawDocument, rules: ParseRules) -> tuple[list[str], list[str], list[str]]:
+    """Split a boilerplate-stripped script into speaker-attributed turns:
+    return each turn's speaker and text, in order, and the parse warnings.
 
     Lines are those of `str.splitlines` (see `strip_boilerplate`). Lines
     before the first heading are discarded; non-heading lines continue the
     current turn; a turn's lines are joined with "\n" and its bracketed
     stage directions deleted. Each run of `str.isspace` characters then
-    becomes one space, and the turn is trimmed.
+    becomes one space, and the turn is trimmed. A turn's speaker is its
+    heading name under `normalize_speaker`.
     """
     lines = doc.text.splitlines()
     match = _heading_matcher(rules)
@@ -337,23 +338,38 @@ def parse_play(
     ]
     if not headings:
         raise CorpusError(f"{doc.source_id}: no speaker heading matched")
-    turns: list[SpeechTurn] = []
-    warnings: list[str] = []
     # each heading name is normalized once
-    speakers = {name: normalize_speaker(name) for name in {name for _, (name, _) in headings}}
+    names = {name: normalize_speaker(name) for name in {name for _, (name, _) in headings}}
+    speakers = [names[name] for _, (name, _) in headings]
+    texts: list[str] = []
+    warnings: list[str] = []
     # bodies join lines with "\n"; deleting a stage direction adds no character
     spaces = "\n" + "".join(ch for ch in _SPACES if ch not in " \n" and ch in doc.text)
     ends = [i for i, _ in headings[1:]] + [len(lines)]
-    for (i, (name, rest)), end in zip(headings, ends):
+    for (i, (_, rest)), end in zip(headings, ends):
         body = "\n".join([rest, *lines[i + 1 : end]] if rest else lines[i + 1 : end])
         body, warns = remove_stage_directions(body, rules)
         warnings.extend(warns)
-        turns.append(SpeechTurn(speakers[name], _collapse(body, spaces), len(turns)))
+        texts.append(_collapse(body, spaces))
+    return speakers, texts, warnings
+
+
+def parse_play(
+    doc: RawDocument,
+    rules: ParseRules,
+    play_id: str,
+    language: str,
+    translator: str = "original",
+) -> PlayScript:
+    """Split a boilerplate-stripped script into speaker-attributed turns,
+    as `parse_turns` does, and pack them into a PlayScript, each turn
+    numbered by its place in the play from 0."""
+    speakers, texts, warnings = parse_turns(doc, rules)
     return PlayScript(
         play_id=play_id,
         language=language,
         translator=translator,
-        turns=tuple(turns),
+        turns=tuple(map(SpeechTurn, speakers, texts, range(len(texts)))),
         warnings=tuple(warnings),
     )
 

@@ -9,6 +9,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -26,9 +27,12 @@ from dramastyle import (
     compare_translations,
     draw_orders,
     load_config,
+    load_document,
+    parse_play,
     permutation_baselines,
     rank_pairs,
     run_experiment,
+    strip_boilerplate,
 )
 from dramastyle import experiment
 from dramastyle.cli import build_parser, main
@@ -292,10 +296,11 @@ class TestRunExperiment:
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         # the warnings live in report.json only
         assert set(meta) == {
-            "written_at", "timings", "sizes", "blas", "corpus_paths", "encoding_fallbacks",
-            "eligibility", "token_totals",
+            "written_at", "timings", "sizes", "blas", "corpus_paths", "turns",
+            "encoding_fallbacks", "eligibility", "token_totals",
         }
         assert meta["corpus_paths"] == [str(data_dir / "synthetic" / "two_category.txt")]
+        assert meta["turns"] == [32]
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation", "permutation_orders",
             *(f"{stage}:{mode}" for stage in ("tokenize", "matrix", "statistics")
@@ -463,9 +468,10 @@ class TestRunExperiment:
         (run_experiment, "synthetic_two_category"),
         (compare_translations, "synthetic_translations"),
     ], ids=["run", "compare_translations"])
-    def test_stages_are_never_nested_or_timed_twice(self, configs_dir, tmp_path, monkeypatch,
-                                                    command, config_name):
-        # a stage's seconds are its own and written once only if this holds
+    def test_stages_are_never_nested_and_open_once_per_file_or_run(
+            self, configs_dir, tmp_path, monkeypatch, command, config_name):
+        # a stage's seconds are its own only if no stage is nested in another;
+        # the per-file stages sum their seconds over the corpus files
         stage, open_stages, nested, timed, opened = experiment._stage, [], [], [], []
 
         @contextmanager
@@ -483,12 +489,17 @@ class TestRunExperiment:
                 open_stages.pop()
 
         monkeypatch.setattr(experiment, "_stage", recording)
-        command(load_config(configs_dir / f"{config_name}.json", permutations=50,
-                            output_dir=str(tmp_path / "out")))
+        config = load_config(configs_dir / f"{config_name}.json", permutations=50,
+                             output_dir=str(tmp_path / "out"))
+        command(config)
         meta = json.loads((tmp_path / "out" / config_name / "run_meta.json").read_text())
         assert nested == []
-        assert timed == list(meta["timings"])
-        assert len(set(opened)) == len(opened), opened
+        assert list(dict.fromkeys(timed)) == list(meta["timings"])
+        # ingest, extract and segmentation once per file, and segmentation once
+        # more to number the chunks; every other stage once
+        files = len(config.corpus)
+        per_file = {"ingest": files, "extract": files, "segmentation": files + 1}
+        assert Counter(opened) == {name: per_file.get(name, 1) for name in opened}, opened
 
     def test_speaker_aliases_are_normalized_as_headings_are(self):
         # names as parse_play writes the headings ALFA., STRAßE. and BRAVO.
@@ -684,19 +695,86 @@ class TestRunExperiment:
             entry.parse_rules["delimiters"] = []
 
 
-def test_last_document_is_freed_before_chunking(configs_dir, monkeypatch):
-    # a play's text is held as its turns alone while the chunks are cut
+def _live(kind) -> int:
+    gc.collect()
+    return sum(isinstance(o, kind) for o in gc.get_objects())
+
+
+def test_each_file_is_freed_before_the_next_is_loaded(configs_dir, monkeypatch):
+    # a run holds one corpus file at a time and builds no turn object: when a
+    # file is loaded, no earlier file's document and no SpeechTurn is alive
     live = []
-    chunk = experiment.prepare_chunks
+    load = experiment.load_document
 
     def spy(*args, **kwargs):
-        gc.collect()
-        live.append(sum(isinstance(o, RawDocument) for o in gc.get_objects()))
-        return chunk(*args, **kwargs)
+        live.append((_live(RawDocument), _live(SpeechTurn) - turns_before))
+        return load(*args, **kwargs)
 
-    monkeypatch.setattr(experiment, "prepare_chunks", spy)
-    experiment._chunk_corpus(load_config(configs_dir / "synthetic_translations.json"), {})
-    assert live == [0]
+    monkeypatch.setattr(experiment, "load_document", spy)
+    # other tests' module-level plays hold turns of their own
+    turns_before = _live(SpeechTurn)
+    config = load_config(configs_dir / "synthetic_translations.json")
+    experiment._chunk_corpus(config, {})
+    assert live == [(0, 0)] * len(config.corpus)
+
+
+def _parsed_plays(config):
+    """Each corpus file of `config` parsed to a PlayScript, as `parse` does."""
+    return [
+        parse_play(strip_boilerplate(load_document(e.path, latin1_fallback=e.latin1_fallback),
+                                     e.parse_rules),
+                   e.parse_rules, e.play_id, e.language, e.translator)
+        for e in config.corpus
+    ]
+
+
+@pytest.mark.parametrize("config_name", ["synthetic_two_category", "synthetic_translations"])
+def test_prepare_chunks_of_parsed_plays_equals_chunk_corpus(configs_dir, config_name):
+    config = load_config(configs_dir / f"{config_name}.json")
+    chunks, _, records = experiment._chunk_corpus(config, {})
+    assert prepare_chunks(_parsed_plays(config), config) == (chunks, records["eligibility"])
+
+
+@pytest.mark.parametrize("command, outputs", [
+    (run_experiment, ("chunk_manifest.csv", "matrix_letter_unigram.csv")),
+    (compare_translations, ("cross_attribution.csv",)),
+], ids=["run", "compare_translations"])
+def test_corpus_order_changes_no_chunk_or_output(configs_dir, tmp_path, command, outputs):
+    # the files of both bundled configs: ola and kari speak in two of them, so
+    # each of their categories numbers chunks from two files
+    two = load_config(configs_dir / "synthetic_two_category.json")
+    config = load_config(configs_dir / "synthetic_translations.json", permutations=20,
+                         labeling="character")
+    config = replace(config, corpus=two.corpus + config.corpus)
+    seen = []
+    for name, corpus in (("forward", config.corpus), ("reversed", config.corpus[::-1])):
+        ordered = replace(config, corpus=corpus, output_dir=str(tmp_path / name))
+        chunks, _, records = experiment._chunk_corpus(ordered, {})
+        command(ordered)
+        out = tmp_path / name / config.experiment_id
+        seen.append((chunks, records["eligibility"], [(out / f).read_bytes() for f in outputs]))
+    assert {c.category for c in seen[0][0]} == {"alfa", "bravo", "kari", "ola"}
+    assert seen[0] == seen[1]
+
+
+def test_empty_turn_counts_in_its_speakers_chars(data_dir):
+    # regina's last turn (ordinal 12) is empty: her dialogue is 32 + 1 + 92 + 1
+    # characters, and a window of all of them ends in the empty turn's space
+    entry = CorpusEntry(path=str(data_dir / "ingest_edge_cases.txt"), play_id="edge_cases",
+                        language="english")
+    config = ExperimentConfig(experiment_id="edge_cases", corpus=(entry,), min_size=126,
+                              chunk_count=2, chunk_size=63)
+    [play] = _parsed_plays(config)
+    said = [t.text for t in play.turns if t.speaker == "regina"]
+    joined = " ".join(said)
+    assert play.turns[12].speaker == "regina" and said[-1] == "" and len(joined) == 126
+    chunks, _, records = experiment._chunk_corpus(config, {})
+    assert [r for r in records["eligibility"] if r["speaker"] == "regina"] == [
+        {"play_id": "edge_cases", "translator": "original", "speaker": "regina",
+         "chars": 126, "chars_used": 126, "kept": True},
+    ]
+    assert "".join(c.text for c in chunks if c.category == "regina") == joined
+    assert prepare_chunks([play], config) == (chunks, records["eligibility"])
 
 
 class TestRunMetaRecords:
@@ -806,10 +884,11 @@ class TestCompareTranslations:
         assert (out / "cross_attribution.csv").exists()
         meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
         assert set(meta) == {
-            "written_at", "timings", "sizes", "blas", "warnings", "corpus_paths",
+            "written_at", "timings", "sizes", "blas", "warnings", "corpus_paths", "turns",
             "encoding_fallbacks", "eligibility", "token_totals",
         }
         assert meta["corpus_paths"] == [e.path for e in corpus]
+        assert meta["turns"] == [32, 32]
         assert set(meta["timings"]) == {
             "ingest", "extract", "segmentation", "tokenize:letter_unigram",
             "matrix:letter_unigram", "cross:letter_unigram", "report",
