@@ -73,16 +73,13 @@ def _render_report(data: dict) -> list[str]:
         lines.append(f"\n== mode: {mode} ==")
         header = f"{'category':<28} {'rank_sum':>10} {'p':>8} {'hits':>9} {'p':>8}  flag"
         lines += [header, "-" * len(header)]
-        for cat in section["categories"]:
+        for cat in _list(section["categories"], "categories"):
             flag = "*" if (cat["rank_sum_p"] <= threshold or cat["attribution_p"] <= threshold) else ""
             hits = f"{cat['attribution_hits']}/{cat['attribution_total']}"
             lines.append(
                 f"{cat['category']:<28} {cat['rank_sum']:>10.1f} {cat['rank_sum_p']:>8.4f} "
                 f"{hits:>9} {cat['attribution_p']:>8.4f}  {flag}".rstrip()
             )
-        ties = _list(section["ties_logged"], "ties_logged")
-        if ties:
-            lines.append(f"ties logged: {len(ties)}")
     warnings = _list(data["warnings"], "warnings")
     if warnings:
         lines.append(f"\nwarnings ({len(warnings)}):")

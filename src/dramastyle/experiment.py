@@ -15,18 +15,20 @@ statistic), the report stage, and `_write_run_meta`.
 parsed, `_add_play` reduces its turns to each speaker's eligibility
 record (which goes to run_meta.json only) and the front window of each
 speaker with at least `min_size` characters; `_number_chunks` then cuts
-and labels the windows of all files. `prepare_chunks` does the same for
-parsed plays; it and `chunk_matrix` are the front half that both
-pipelines share. This module alone knows the output formats:
+and labels the windows of all files. Both pipelines call `_chunk_corpus`
+and `chunk_matrix`; `prepare_chunks` does the same reduction for plays
+that are already parsed. This module alone knows the output formats:
 `_mode_section` lays out a mode's report.json section from the arrays
 of `permutation_baselines`, and `_write_csv` writes every CSV but the
 matrices, whose number fields `write_matrix_csv` formats in one pass
 per row. `Chunk`, the unit of the analysis, and `LABELINGS`, the
 idiolect categories of Rybicki (2006), live here beside
 `prepare_chunks`. The report states each value once: the settings only
-in its `config` echo, and no per-chunk means, which follow from the
-matrix CSV and the manifest. A config checks its fields when it is
-built, so an invalid one never reaches a stage.
+in its `config` echo, and per chunk only its attributed category. A
+chunk's true category is its row of the manifest, and its means follow
+from the matrix CSV and the manifest; both files sit at fixed names. A
+config checks its fields when it is built, so an invalid one never
+reaches a stage.
 Everything is deterministic given the config and corpus bytes; the
 wall-clock timestamp and the file locations live in a sidecar file so
 the hashed outputs stay reproducible.
@@ -311,8 +313,8 @@ def prepare_chunks(
     timings: dict[str, float] | None = None,
 ) -> tuple[list[Chunk], list[dict]]:
     """Turns to labelled chunks under the settings of the checked `config`:
-    the front half of both pipelines, as `_chunk_corpus` gives them from
-    the corpus files.
+    for plays that are already parsed, the reduction that `_chunk_corpus`
+    makes in both pipelines as it reads the corpus files.
 
     Stage `extract` gathers each speaker's turns in speaking order per
     (play_id, translator); that corpus entry's `speaker_aliases` map
@@ -326,7 +328,8 @@ def prepare_chunks(
     mode and numbered `category#NN` per category; fewer than 2 categories
     raise StatisticsError. Both stages open once per play, and
     `segmentation` once more to number the chunks; their seconds are
-    summed into `timings`.
+    summed into `timings`. Each of these errors arrives as a PipelineError
+    naming its stage.
 
     Returns the chunks by chunk_id and one eligibility record per speaker,
     sorted by (play_id, translator) and in speaking order within a play:
@@ -480,14 +483,12 @@ def write_matrix_csv(matrix: DissimilarityMatrix, path: str | Path) -> None:
             f.write(label.getvalue()[:-1] + template % tuple(row.tolist()))
 
 
-def _mode_section(mode: str, chunk_ids: Sequence[str], baselines: PermutationBaselines) -> dict:
+def _mode_section(chunk_ids: Sequence[str], baselines: PermutationBaselines) -> dict:
     """One mode's section of report.json, laid out from the engine's arrays:
-    a record per category, with its two nulls, and per chunk (in matrix
-    order), and the chunks whose nearest categories tie."""
+    a record per category, with its two nulls, and each chunk's attributed
+    category, in matrix order."""
     result, null = baselines.attribution, baselines.rank_sum_null
     names = result.categories
-    best = result.means.argmin(axis=1)  # first index wins: lexicographic tie-break
-    tied = result.means == result.means[np.arange(len(best)), best][:, None]
     hit_means = baselines.hit_null.sum(axis=1) / null.shape[1]
     # row by row: std(axis=1) would allocate a temporary of the null's size
     summaries = [(float(r.mean()), float(r.std()), float(r.min()), float(r.max())) for r in null]
@@ -501,19 +502,10 @@ def _mode_section(mode: str, chunk_ids: Sequence[str], baselines: PermutationBas
                baselines.hits.tolist(), np.bincount(result.codes).tolist(),
                baselines.attribution_p.tolist(), summaries, hit_means.tolist())
     ]
-    attribution = [
-        {"chunk_id": chunk_id, "true_category": names[own], "attributed_category": names[k],
-         "hit": own == k}
-        for chunk_id, own, k in zip(chunk_ids, result.codes.tolist(), best.tolist())
-    ]
-    return {
-        "chunk_manifest_ref": "chunk_manifest.csv", "matrix_ref": f"matrix_{mode}.csv",
-        "categories": categories, "attribution": attribution,
-        "ties_logged": [
-            {"chunk_id": chunk_id, "tied_categories": [names[k] for k in np.flatnonzero(row)]}
-            for chunk_id, row in zip(chunk_ids, tied) if row.sum() > 1
-        ],
-    }
+    best = result.means.argmin(axis=1)  # first index wins: lexicographic tie-break
+    attribution = [{"chunk_id": chunk_id, "attributed_category": names[k]}
+                   for chunk_id, k in zip(chunk_ids, best.tolist())]
+    return {"categories": categories, "attribution": attribution}
 
 
 def _blas() -> dict:
@@ -566,7 +558,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             with _stage(f"statistics:{mode.name}", timings):
                 # no name holds the engine's result: its nulls are freed with the mode
                 sections[mode.name] = _mode_section(
-                    mode.name, matrix.chunk_ids, permutation_baselines(matrix, labels, orders)
+                    matrix.chunk_ids, permutation_baselines(matrix, labels, orders)
                 )
         with _stage("report", timings):
             # chunks come sorted by chunk_id, as the matrices' rows
@@ -574,7 +566,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 "chunk_id", "category", "play_id", "translator", "speaker", "size_units",
             ), ([c.chunk_id, c.category, *c.source, len(c.text)] for c in chunks))
             for name, matrix in matrices.items():
-                write_matrix_csv(matrix, out_dir / sections[name]["matrix_ref"])
+                write_matrix_csv(matrix, out_dir / f"matrix_{name}.csv")
             echo = asdict(config)
             del echo["output_dir"]  # locations go to run_meta.json: the report echoes content
             for entry in echo["corpus"]:

@@ -230,9 +230,7 @@ class TestRunExperiment:
         assert list(report) == ["config", "modes", "warnings"]
         assert list(report["modes"]) == [TokenizationMode.parse(m).name for m in config.modes]
         for section in report["modes"].values():
-            assert list(section) == [
-                "chunk_manifest_ref", "matrix_ref", "categories", "attribution", "ties_logged",
-            ]
+            assert list(section) == ["categories", "attribution"]
             for cat in section["categories"]:
                 assert list(cat) == [
                     "category", "rank_sum", "rank_sum_p", "attribution_hits",
@@ -242,9 +240,7 @@ class TestRunExperiment:
                                                       "null_max"]
                 assert list(cat["attribution_null"]) == ["null_mean"]
             for record in section["attribution"]:
-                assert list(record) == ["chunk_id", "true_category", "attributed_category", "hit"]
-            for tie in section["ties_logged"]:
-                assert list(tie) == ["chunk_id", "tied_categories"]
+                assert list(record) == ["chunk_id", "attributed_category"]
 
     @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
     def test_returned_report_is_report_json(self, configs_dir, tmp_path, name):
@@ -257,10 +253,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name", ["synthetic_two_category", "synthetic_translations"])
     def test_category_means_follow_from_the_csvs(self, configs_dir, tmp_path, name):
-        # Each chunk's category means, leave-one-out in its own category, from
-        # chunk_manifest.csv and matrix_<mode>.csv alone. A 6-decimal entry is
-        # within 5e-7 of the score, so the mean is too; a gap above 1e-6
-        # between the two least means cannot flip. Bounds fixed in advance.
+        # Each chunk's category means, leave-one-out in its own category, and
+        # its true category and hit, from chunk_manifest.csv and
+        # matrix_<mode>.csv alone. A 6-decimal entry is within 5e-7 of the
+        # score, so the mean is too; a gap above 1e-6 between the two least
+        # means cannot flip. Bounds fixed in advance.
         config = load_config(configs_dir / f"{name}.json", permutations=20,
                              output_dir=str(tmp_path / "out"))
         report = run_experiment(config)
@@ -271,7 +268,7 @@ class TestRunExperiment:
         for spec in config.modes:
             mode = TokenizationMode.parse(spec)
             section = report["modes"][mode.name]
-            with open(out / section["matrix_ref"], newline="", encoding="utf-8") as f:
+            with open(out / f"matrix_{mode.name}.csv", newline="", encoding="utf-8") as f:
                 (_, *ids), *rows = csv.reader(f)
             scores = np.array([[float(v) for v in row[1:]] for row in rows])
             assert [row[0] for row in rows] == ids
@@ -285,6 +282,16 @@ class TestRunExperiment:
             assert list(matrix.chunk_ids) == ids
             assert np.all(np.abs(means - exact) <= 5e-7 + 1e-12 * np.abs(exact))
             assert [r["chunk_id"] for r in section["attribution"]] == ids
+            # the manifest's category is the matrix row's own, and a hit is
+            # that category equal to the attributed one
+            own = [category[cid] for cid in ids]
+            assert own == [c.category for c in sorted(chunks, key=lambda c: c.chunk_id)]
+            attributed = [r["attributed_category"] for r in section["attribution"]]
+            assert [(c["category"], c["attribution_hits"], c["attribution_total"])
+                    for c in section["categories"]] == [
+                (c, sum(o == a == c for o, a in zip(own, attributed)), own.count(c))
+                for c in names
+            ]
             ordered = np.sort(means, axis=1)
             clear = (ordered[:, 1] - ordered[:, 0] > 1e-6).tolist()
             for record, k, is_clear in zip(section["attribution"], means.argmin(axis=1), clear):
@@ -933,6 +940,9 @@ class TestCompareTranslations:
         rows = compare_translations(config)
         config = replace(config, labeling="character_by_translator")
         report = run_experiment(config)
+        manifest = tmp_path / "out" / "synthetic_translations" / "chunk_manifest.csv"
+        with open(manifest, newline="", encoding="utf-8") as f:
+            own_category = {row["chunk_id"]: row["category"] for row in csv.DictReader(f)}
         chunks, _, _ = experiment._chunk_corpus(config, {})
         labels = {c.chunk_id: c.category for c in chunks}
         expected = []
@@ -942,7 +952,7 @@ class TestCompareTranslations:
             names = attribution.categories
             records = report["modes"][mode.name]["attribution"]
             for record, own, means in zip(records, attribution.codes, attribution.means.tolist()):
-                assert record["true_category"] == names[own]
+                assert own_category[record["chunk_id"]] == names[own]
                 assert record["attributed_category"] == min(zip(means, names))[1]
                 score, category = min((s, c) for k, (s, c) in enumerate(zip(means, names))
                                       if k != own)
@@ -1486,6 +1496,30 @@ class TestCliExitCodes:
         for out in (shown, rendered):
             assert all(line == line.rstrip() for line in out.splitlines())
 
+    def test_report_renders_reports_with_the_removed_fields(self, data_dir, tmp_path, capsys):
+        # a report written before its per-chunk copies, ties and file names
+        # were dropped renders as the golden does
+        golden = data_dir / "golden" / "synthetic_two_category_report"
+        report = json.loads(golden.with_suffix(".json").read_text(encoding="utf-8"))
+        with open(data_dir / "golden" / "synthetic_two_category_chunk_manifest.csv",
+                  newline="", encoding="utf-8") as f:
+            category = {row["chunk_id"]: row["category"] for row in csv.DictReader(f)}
+        old = copy.deepcopy(report)
+        for mode, section in old["modes"].items():
+            section["attribution"] = [
+                {"chunk_id": r["chunk_id"], "true_category": category[r["chunk_id"]],
+                 "attributed_category": r["attributed_category"],
+                 "hit": category[r["chunk_id"]] == r["attributed_category"]}
+                for r in section["attribution"]
+            ]
+            old["modes"][mode] = {"chunk_manifest_ref": "chunk_manifest.csv",
+                                  "matrix_ref": f"matrix_{mode}.csv", **section,
+                                  "ties_logged": []}
+        for name, data in (("new.json", report), ("old.json", old)):
+            (tmp_path / name).write_text(json.dumps(data, indent=2), encoding="utf-8")
+            assert main(["report", str(tmp_path / name)]) == 0
+            assert capsys.readouterr().out.encode() == golden.with_suffix(".txt").read_bytes()
+
 
     @pytest.mark.parametrize("content, reason", [
         ('{"config": {"experiment_id": "x"', "JSONDecodeError: "),
@@ -1495,13 +1529,13 @@ class TestCliExitCodes:
          "TypeError: warnings must be a list, got str"),
         (f'{{{_CONFIG_ECHO}, "modes": {{}}, "warnings": {{"a": 1}}}}',
          "TypeError: warnings must be a list, got dict"),
-        (f'{{{_CONFIG_ECHO}, "modes": {{"m": {{"categories": [], "ties_logged": "abc"}}}}, '
-         '"warnings": []}', "TypeError: ties_logged must be a list, got str"),
-        (f'{{{_CONFIG_ECHO}, "modes": {{"m": {{"categories": [], "ties_logged": {{"a": 1}}}}}}, '
-         '"warnings": []}', "TypeError: ties_logged must be a list, got dict"),
+        (f'{{{_CONFIG_ECHO}, "modes": {{"m": {{"categories": ""}}}}, "warnings": []}}',
+         "TypeError: categories must be a list, got str"),
+        (f'{{{_CONFIG_ECHO}, "modes": {{"m": {{"categories": {{}}}}}}, "warnings": []}}',
+         "TypeError: categories must be a list, got dict"),
     ], ids=["invalid_json", "missing_config", "modes_not_an_object", "warnings_not_a_list-str",
-            "warnings_not_a_list-object", "ties_logged_not_a_list-str",
-            "ties_logged_not_a_list-object"])
+            "warnings_not_a_list-object", "categories_not_a_list-str",
+            "categories_not_a_list-object"])
     def test_report_of_non_report_is_3(self, tmp_path, capsys, content, reason):
         report = tmp_path / "report.json"
         report.write_text(content)

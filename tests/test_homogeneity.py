@@ -388,12 +388,9 @@ class TestAttribution:
     def test_all_equal_attributes_to_lexicographically_smallest(self):
         m = four_chunk_matrix([0.5] * 6)
         section = _mode_section(
-            "m", m.chunk_ids, permutation_baselines(m, LABELS4, draw_orders(4, 1, 0))
+            m.chunk_ids, permutation_baselines(m, LABELS4, draw_orders(4, 1, 0))
         )
         assert all(r["attributed_category"] == "x" for r in section["attribution"])
-        assert section["ties_logged"] == [
-            {"chunk_id": cid, "tied_categories": ["x", "y"]} for cid in m.chunk_ids
-        ]
 
     def test_relabeling_invariance(self):
         renamed_ids = ("k1", "k2", "m1", "m2")
@@ -507,10 +504,10 @@ def _category_means_loop(scores, labels, categories):
 
 
 def _attribute_loop(matrix, labels):
-    """The per-chunk records, hits, totals and tie log of the observed
-    attribution, as report.json gives them: each chunk goes to the category
-    of least mean; a tie goes to the lexicographically smallest one and is
-    logged."""
+    """The per-chunk records, hits and totals of the observed attribution,
+    as report.json gives them, and the chunks whose least means tie: each
+    chunk goes to the category of least mean; a tie goes to the
+    lexicographically smallest one."""
     label_list = [labels[cid] for cid in matrix.chunk_ids]
     categories = sorted(set(label_list))
     means = _category_means_loop(matrix.scores, label_list, categories)
@@ -519,18 +516,10 @@ def _attribute_loop(matrix, labels):
     totals = {c: 0 for c in categories}
     for i, cid in enumerate(matrix.chunk_ids):
         best = min(range(len(categories)), key=lambda k: (means[i, k], categories[k]))
-        tied = [c for k, c in enumerate(categories) if means[i, k] == means[i, best]]
-        if len(tied) > 1:
-            ties.append({"chunk_id": cid, "tied_categories": tied})
+        if sum(means[i, k] == means[i, best] for k in range(len(categories))) > 1:
+            ties.append(cid)
         hit = categories[best] == label_list[i]
-        per_chunk.append(
-            {
-                "chunk_id": cid,
-                "true_category": label_list[i],
-                "attributed_category": categories[best],
-                "hit": hit,
-            }
-        )
+        per_chunk.append({"chunk_id": cid, "attributed_category": categories[best]})
         totals[label_list[i]] += 1
         hits[label_list[i]] += hit
     return {"per_chunk": per_chunk, "hits": hits, "totals": totals, "ties": ties}
@@ -586,7 +575,7 @@ def assert_matches_loops(matrix, labels, orders):
     assert engine.attribution_p.tolist() == [attr_p[c] for c in categories]
     assert engine.hits.tolist() == [hits[c] for c in categories]
     assert np.array_equal(engine.hit_null, attr_null)
-    section = _mode_section("m", matrix.chunk_ids, engine)
+    section = _mode_section(matrix.chunk_ids, engine)
     cats = section["categories"]
     assert json.dumps([(c["category"], c["rank_sum"], c["attribution_hits"]) for c in cats]) == (
         json.dumps([(c, rank_sums[k], hits[c]) for k, c in enumerate(categories)])
@@ -705,7 +694,7 @@ class TestPermutationBaselines:
         # integer scores: most chunks' nearest categories tie
         matrix, labels = wide_instance(n, ncat, integer_scores=True)
         engine = permutation_baselines(matrix, labels, draw_orders(n, 3, seed=n))
-        section = _mode_section("m", matrix.chunk_ids, engine)
+        section = _mode_section(matrix.chunk_ids, engine)
         reference = _attribute_loop(matrix, labels)
         assert reference["ties"]
         label_list = [labels[cid] for cid in matrix.chunk_ids]
@@ -713,7 +702,6 @@ class TestPermutationBaselines:
             matrix.scores, label_list, sorted(set(label_list))
         ))
         assert json.dumps(section["attribution"]) == json.dumps(reference["per_chunk"])
-        assert json.dumps(section["ties_logged"]) == json.dumps(reference["ties"])
         assert [(c["category"], c["attribution_hits"], c["attribution_total"])
                 for c in section["categories"]] == [
             (c, reference["hits"][c], reference["totals"][c]) for c in reference["hits"]
