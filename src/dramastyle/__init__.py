@@ -12,7 +12,6 @@ from .ingest import (
     ParseRules,
     PlayScript,
     RawDocument,
-    SpeechTurn,
     load_document,
     parse_play,
     play_to_json,

@@ -11,24 +11,25 @@ chunks (ingest, extract and segmentation once per corpus file, then
 segmentation once more to number the chunks), the command's own loop
 over the modes (`chunk_matrix`'s tokenize and matrix, then its
 statistic), the report stage, and `_write_run_meta`.
-`_chunk_corpus` holds one corpus file at a time: as soon as a file is
-parsed, `_add_play` reduces its turns to each speaker's eligibility
-record (which goes to run_meta.json only) and the front window of each
-speaker with at least `min_size` characters; `_number_chunks` then cuts
-and labels the windows of all files. Both pipelines call `_chunk_corpus`
-and `chunk_matrix`; `prepare_chunks` does the same reduction for plays
-that are already parsed. This module alone knows the output formats:
-`_mode_section` lays out a mode's report.json section from the arrays
-of `permutation_baselines`, and `_write_csv` writes every CSV but the
-matrices, whose number fields `write_matrix_csv` formats in one pass
-per row. `Chunk`, the unit of the analysis, and `LABELINGS`, the
-idiolect categories of Rybicki (2006), live here beside
-`prepare_chunks`. The report states each value once: the settings only
-in its `config` echo, and per chunk only its attributed category. A
-chunk's true category is its row of the manifest, and its means follow
-from the matrix CSV and the manifest; both files sit at fixed names. A
-config checks its fields when it is built, so an invalid one never
-reaches a stage.
+`prepare_chunks` is the one reduction from parsed plays to chunks, and
+`_chunk_corpus` calls it on a generator that parses one corpus file at a
+time. Each play is reduced as soon as it is parsed, to each speaker's
+eligibility record (which goes to run_meta.json only) and the front
+window of each speaker with at least `min_size` characters, and dropped
+before the next file is read; the windows of all files are then cut and
+labelled. Both pipelines call `_chunk_corpus` and `chunk_matrix`; a
+Python caller with plays of its own calls `prepare_chunks`. This module
+alone knows the output formats: `_mode_section` lays out a mode's
+report.json section from the arrays of `permutation_baselines`, and
+`_write_csv` writes every CSV but the matrices, whose number fields
+`write_matrix_csv` formats in one pass per row. `Chunk`, the unit of
+the analysis, and `LABELINGS`, the idiolect categories of Rybicki
+(2006), live here beside `prepare_chunks`. The report states each value
+once: the settings only in its `config` echo, and per chunk only its
+attributed category. A chunk's true category is its row of the
+manifest, and its means follow from the matrix CSV and the manifest;
+both files sit at fixed names. A config checks its fields when it is
+built, so an invalid one never reaches a stage.
 Everything is deterministic given the config and corpus bytes; the
 wall-clock timestamp and the file locations live in a sidecar file so
 the hashed outputs stay reproducible.
@@ -52,7 +53,7 @@ import numpy as np
 from .errors import ConfigError, DramastyleError, PipelineError, PreconditionFailed, StatisticsError
 from .homogeneity import PermutationBaselines, attribute_chunks, draw_orders, permutation_baselines
 from .ingest import (
-    ParseRules, PlayScript, load_document, normalize_speaker, parse_turns, strip_boilerplate,
+    ParseRules, PlayScript, load_document, normalize_speaker, parse_play, strip_boilerplate,
 )
 from .similarity import DissimilarityMatrix, matrix_from_counts
 from .tokenization import TokenizationMode, count_matrix
@@ -269,67 +270,71 @@ class Chunk:
 def _chunk_corpus(
     config: ExperimentConfig, timings: dict[str, float]
 ) -> tuple[list[Chunk], list[str], dict[str, list]]:
-    """Config to chunks, one corpus file at a time: load, strip and parse
-    the file, as stage `ingest`, and reduce its turns at once to its
-    speakers' eligibility records and kept windows (`_add_play`). Beside
-    the windows, one file's text at most is held, and no turn object is
-    built.
+    """Config to chunks, one corpus file at a time: `prepare_chunks` of a
+    generator that loads, strips and parses each file, as stage `ingest`,
+    and yields its play outside the stage, so stages never nest. Beside the
+    kept windows, one file's text at most is held.
 
-    Returns the chunks of `_number_chunks`, the encoding and parse
-    warnings, and the run_meta.json records `corpus_paths`, `turns` (each
-    file's turn count), `encoding_fallbacks` (the `play_id/translator` of
-    each file that was not read as UTF-8) and `eligibility`.
+    Returns the chunks, the encoding and parse warnings, and the
+    run_meta.json records `corpus_paths`, `turns` (each file's turn count),
+    `encoding_fallbacks` (the `play_id/translator` of each file that was
+    not read as UTF-8) and `eligibility`.
     """
-    plays: dict[tuple[str, str], tuple[list, dict[str, str]]] = {}
     warnings, fallbacks, turns = [], [], []
-    for entry in config.corpus:
-        where = f"{entry.play_id}/{entry.translator}"
-        rules = entry.parse_rules
-        with _stage("ingest", timings):
-            doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
-            if doc.encoding_note != "utf-8":
-                fallbacks.append(where)
-                warnings.append(f"{where}: {doc.encoding_note}")
-            speakers, texts, parsed = parse_turns(strip_boilerplate(doc, rules), rules)
-            del doc  # freed before the turns are reduced and the next file is read
-            warnings.extend(f"{where}: {w}" for w in parsed)
-            aliases = dict(entry.speaker_aliases)
-            if aliases:
-                names = set(speakers)
-                warnings.extend(f"{where}: speaker alias '{name}' names no speaker"
-                                for name in aliases if name not in names)
-            turns.append(len(texts))
-        _add_play(plays, (entry.play_id, entry.translator), speakers, texts, aliases, config,
-                  timings)
-        del speakers, texts  # only the kept windows outlive the file
-    chunks, eligibility = _number_chunks(plays, config, timings)
+
+    def parsed() -> Iterator[PlayScript]:
+        for entry in config.corpus:
+            where = f"{entry.play_id}/{entry.translator}"
+            rules = entry.parse_rules
+            with _stage("ingest", timings):
+                doc = load_document(entry.path, latin1_fallback=entry.latin1_fallback)
+                if doc.encoding_note != "utf-8":
+                    fallbacks.append(where)
+                    warnings.append(f"{where}: {doc.encoding_note}")
+                play = parse_play(strip_boilerplate(doc, rules), rules, entry.play_id,
+                                  entry.language, entry.translator)
+                del doc  # freed before the turns are reduced and the next file is read
+                warnings.extend(f"{where}: {w}" for w in play.warnings)
+                if entry.speaker_aliases:
+                    names = set(play.speakers)
+                    warnings.extend(f"{where}: speaker alias '{name}' names no speaker"
+                                    for name, _ in entry.speaker_aliases if name not in names)
+                turns.append(len(play.texts))
+            yield play
+            del play  # only the kept windows outlive the file
+
+    chunks, eligibility = prepare_chunks(parsed(), config, timings)
     return chunks, warnings, {"corpus_paths": [e.path for e in config.corpus], "turns": turns,
                               "encoding_fallbacks": fallbacks, "eligibility": eligibility}
 
 
 def prepare_chunks(
-    plays: Sequence[PlayScript],
+    plays: Iterable[PlayScript],
     config: ExperimentConfig,
     timings: dict[str, float] | None = None,
 ) -> tuple[list[Chunk], list[dict]]:
     """Turns to labelled chunks under the settings of the checked `config`:
-    for plays that are already parsed, the reduction that `_chunk_corpus`
-    makes in both pipelines as it reads the corpus files.
+    the one reduction, which both pipelines make through `_chunk_corpus`.
+    `plays` is read once, and each play is dropped before the next is
+    asked for, so a generator of plays holds one at a time.
 
     Stage `extract` gathers each speaker's turns in speaking order per
     (play_id, translator); that corpus entry's `speaker_aliases` map
     speaker names, as parse_play writes them, onto canonical ones. Two
     plays of one (play_id, translator) raise PreconditionFailed.
     Stage `segmentation` keeps the speakers whose turns, joined with a
-    space, reach `min_size` characters; only a corpus where no play has
-    one raises StatisticsError. The first chunk_count * chunk_size
-    characters of each kept speaker, in sorted (play_id, translator,
-    speaker) order, give `chunk_count` chunks, labelled by the `labeling`
-    mode and numbered `category#NN` per category; fewer than 2 categories
-    raise StatisticsError. Both stages open once per play, and
-    `segmentation` once more to number the chunks; their seconds are
-    summed into `timings`. Each of these errors arrives as a PipelineError
-    naming its stage.
+    space, reach `min_size` characters, and holds of each only its window:
+    the first chunk_count * chunk_size characters of its turns joined with
+    a space, for which only the leading turns it needs are joined. The
+    whole join has the turns' lengths plus one space between each two
+    turns as its `chars`, empty turns included. Both stages open once per
+    play. Then `segmentation` opens once more: the windows, in sorted
+    (play_id, translator, speaker) order, give `chunk_count` chunks each,
+    labelled by the `labeling` mode and numbered `category#NN` per
+    category; a corpus where no play has a kept speaker, or fewer than 2
+    categories, raise StatisticsError. The stages' seconds are summed into
+    `timings`, and each of these errors arrives as a PipelineError naming
+    its stage.
 
     Returns the chunks by chunk_id and one eligibility record per speaker,
     sorted by (play_id, translator) and in speaking order within a play:
@@ -337,70 +342,41 @@ def prepare_chunks(
     use and whether it was kept.
     """
     aliases = {(e.play_id, e.translator): dict(e.speaker_aliases) for e in config.corpus}
+    window = config.chunk_count * config.chunk_size
+    # (play_id, translator) -> its (speaker, chars, kept) records and kept windows
     reduced: dict[tuple[str, str], tuple[list, dict[str, str]]] = {}
     for play in plays:
         key = (play.play_id, play.translator)
-        _add_play(reduced, key, [t.speaker for t in play.turns], [t.text for t in play.turns],
-                  aliases.get(key, {}), config, timings)
-    return _number_chunks(reduced, config, timings)
-
-
-def _add_play(
-    plays: dict[tuple[str, str], tuple[list, dict[str, str]]],
-    key: tuple[str, str],
-    speakers: Sequence[str],
-    texts: Sequence[str],
-    aliases: Mapping[str, str],
-    config: ExperimentConfig,
-    timings: dict[str, float] | None,
-) -> None:
-    """Reduce one play's turns, given as parallel lists, to `plays[key]`:
-    its (speaker, chars, kept) records in speaking order and the window of
-    each kept speaker, the first chunk_count * chunk_size characters of its
-    turns joined with a space. Only the leading turns the window needs are
-    joined: the whole join has the turns' lengths plus one space between
-    each two turns as its `chars`, empty turns included.
-    """
-    window = config.chunk_count * config.chunk_size
-    with _stage("extract", timings):
-        if key in plays:
-            raise PreconditionFailed(f"each (play_id, translator) must name one play: {key}")
-        if aliases:
-            speakers = [aliases.get(speaker, speaker) for speaker in speakers]
-        by_speaker: dict[str, list[str]] = {}
-        for speaker, text in zip(speakers, texts):
-            by_speaker.setdefault(speaker, []).append(text)
-    with _stage("segmentation", timings):
-        records, windows = [], {}
-        for speaker, said in by_speaker.items():
-            chars = sum(map(len, said)) + len(said) - 1
-            kept = chars >= config.min_size
-            if kept:  # then chars >= window, and the loop breaks
-                joined = -1
-                for used, text in enumerate(said, 1):
-                    joined += len(text) + 1
-                    if joined >= window:
-                        break
-                windows[speaker] = " ".join(said[:used])
-            records.append((speaker, chars, kept))
-        plays[key] = records, windows
-
-
-def _number_chunks(
-    plays: Mapping[tuple[str, str], tuple[list, dict[str, str]]],
-    config: ExperimentConfig,
-    timings: dict[str, float] | None,
-) -> tuple[list[Chunk], list[dict]]:
-    """Cut and label the windows of the plays that `_add_play` reduced, as
-    stage `segmentation`: the chunks and eligibility records, in the order
-    `prepare_chunks` returns them."""
-    window = config.chunk_count * config.chunk_size
+        with _stage("extract", timings):
+            if key in reduced:
+                raise PreconditionFailed(f"each (play_id, translator) must name one play: {key}")
+            names = aliases.get(key)
+            speakers = [names.get(s, s) for s in play.speakers] if names else play.speakers
+            by_speaker: dict[str, list[str]] = {}
+            for speaker, text in zip(speakers, play.texts):
+                by_speaker.setdefault(speaker, []).append(text)
+            del play, speakers  # dropped before the next play is asked for
+        with _stage("segmentation", timings):
+            records, windows = [], {}
+            for speaker, said in by_speaker.items():
+                chars = sum(map(len, said)) + len(said) - 1
+                kept = chars >= config.min_size
+                if kept:  # then chars >= window, and the loop breaks
+                    joined = -1
+                    for used, text in enumerate(said, 1):
+                        joined += len(text) + 1
+                        if joined >= window:
+                            break
+                    windows[speaker] = " ".join(said[:used])
+                records.append((speaker, chars, kept))
+            reduced[key] = records, windows
+            del by_speaker
     label = LABELINGS[config.labeling]
     with _stage("segmentation", timings):
         eligibility = []
         by_category: dict[str, list[Chunk]] = {}
-        for play_id, translator in sorted(plays):
-            records, windows = plays[play_id, translator]
+        for play_id, translator in sorted(reduced):
+            records, windows = reduced[play_id, translator]
             eligibility.extend({
                 "play_id": play_id, "translator": translator, "speaker": speaker,
                 "chars": chars, "chars_used": window if kept else 0, "kept": kept,

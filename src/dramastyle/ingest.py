@@ -2,16 +2,18 @@
 
 Turns raw e-texts into speaker-attributed dialogue turns with stage
 directions removed. Heading detection is heuristic (scripts are not a
-standardized format); the rules are documented on ParseRules and
-deliberately conservative: unknown layouts fail loudly with CorpusError
-rather than producing silent garbage.
+standardized format); the rules are documented on ParseRules. The
+parser fails, with CorpusError, only when no line of a file matches a
+heading. A layout it does not know can still parse to false turns
+without a warning: a dialogue line such as "Yes. I will go.", a cast
+list line, or a line opening with a capitalised German or Norwegian
+noun and a full stop opens a turn of its own.
 
-`parse_turns` is the one parser. It returns a play's turns as parallel
-lists of speakers and texts, which a run reduces to chunks without
-building a turn object; `parse_play` packs them into a `PlayScript` for
-the `parse` command and the interchange JSON.
+`parse_play` is the one parser. It returns a `PlayScript` held column by
+column, each turn's speaker in `speakers` and its text in `texts`, which
+a run reduces to chunks and `play_to_json` writes as interchange JSON.
 
-Work repeated across a play is done once: `parse_turns` classifies each
+Work repeated across a play is done once: `parse_play` classifies each
 distinct heading word and normalizes each distinct speaker name once per
 play, and `load_document` scans for carriage returns only in text that
 holds one.
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import CorpusError
+from .errors import CorpusError, PreconditionFailed
 
 # Honorific abbreviations that may carry a trailing period inside a
 # title-case speaker name ("Mrs. Linde. Hello." -> speaker "Mrs. Linde").
@@ -101,19 +103,24 @@ class ParseRules:
 
 
 @dataclass(frozen=True)
-class SpeechTurn:
-    speaker: str
-    text: str
-    ordinal: int
-
-
-@dataclass(frozen=True)
 class PlayScript:
+    """A parsed play, column by column: turn i is `texts[i]`, said by
+    `speakers[i]`, in the order of the play. The columns and `warnings`
+    are stored as tuples; columns of two lengths raise PreconditionFailed."""
+
     play_id: str
     language: str
     translator: str
-    turns: tuple[SpeechTurn, ...]
+    speakers: tuple[str, ...]
+    texts: tuple[str, ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        for name in ("speakers", "texts", "warnings"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.speakers) != len(self.texts):
+            raise PreconditionFailed(f"{self.play_id}/{self.translator}: {len(self.speakers)} "
+                                     f"speakers for {len(self.texts)} turn texts")
 
 
 def load_document(path: str | Path, latin1_fallback: bool = False) -> RawDocument:
@@ -259,7 +266,7 @@ def match_speaker_heading(line: str, rules: ParseRules) -> tuple[str, str] | Non
     the first delimiter unless the word before it is an honorific
     abbreviation ("Mrs. Linde. Hello" -> "Mrs. Linde", but
     "Nora. Yes." -> "Nora"). Words are the runs that `str.split` gives, read
-    in one pass over the first `max_heading_words` of them. `parse_turns`
+    in one pass over the first `max_heading_words` of them. `parse_play`
     keeps one matcher per play, so it classifies each distinct word once
     per play; this call builds one for its line.
     """
@@ -317,9 +324,16 @@ def _collapse(text: str, spaces: str) -> str:
     return text.strip(" ")
 
 
-def parse_turns(doc: RawDocument, rules: ParseRules) -> tuple[list[str], list[str], list[str]]:
+def parse_play(
+    doc: RawDocument,
+    rules: ParseRules,
+    play_id: str,
+    language: str,
+    translator: str = "original",
+) -> PlayScript:
     """Split a boilerplate-stripped script into speaker-attributed turns:
-    return each turn's speaker and text, in order, and the parse warnings.
+    a PlayScript of each turn's speaker and text, in order, and the parse
+    warnings.
 
     Lines are those of `str.splitlines` (see `strip_boilerplate`). Lines
     before the first heading are discarded; non-heading lines continue the
@@ -351,38 +365,19 @@ def parse_turns(doc: RawDocument, rules: ParseRules) -> tuple[list[str], list[st
         body, warns = remove_stage_directions(body, rules)
         warnings.extend(warns)
         texts.append(_collapse(body, spaces))
-    return speakers, texts, warnings
-
-
-def parse_play(
-    doc: RawDocument,
-    rules: ParseRules,
-    play_id: str,
-    language: str,
-    translator: str = "original",
-) -> PlayScript:
-    """Split a boilerplate-stripped script into speaker-attributed turns,
-    as `parse_turns` does, and pack them into a PlayScript, each turn
-    numbered by its place in the play from 0."""
-    speakers, texts, warnings = parse_turns(doc, rules)
-    return PlayScript(
-        play_id=play_id,
-        language=language,
-        translator=translator,
-        turns=tuple(map(SpeechTurn, speakers, texts, range(len(texts)))),
-        warnings=tuple(warnings),
-    )
+    return PlayScript(play_id, language, translator, speakers, texts, warnings)
 
 
 def play_to_json(play: PlayScript) -> str:
-    """Serialize to the interchange format: fixed key order, UTF-8, LF."""
+    """Serialize to the interchange format: fixed key order, UTF-8, LF;
+    each turn is numbered by its place in the play from 0."""
     payload = {
         "play_id": play.play_id,
         "language": play.language,
         "translator": play.translator,
         "turns": [
-            {"speaker": t.speaker, "text": t.text, "ordinal": t.ordinal}
-            for t in play.turns
+            {"speaker": speaker, "text": text, "ordinal": ordinal}
+            for ordinal, (speaker, text) in enumerate(zip(play.speakers, play.texts))
         ],
     }
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"

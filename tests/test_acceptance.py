@@ -14,7 +14,6 @@ import pytest
 from dramastyle import (
     DissimilarityMatrix,
     PlayScript,
-    SpeechTurn,
     matrix_from_counts,
     rank_pairs,
     draw_orders,
@@ -174,8 +173,7 @@ def test_chunking_conformance():
     text = "".join(chr(97 + i % 26) for i in range(10000))
     # turns joined with a space; a speaker one character short is not kept
     turns = [("a", text[:4000]), ("b", "y" * 10000), ("a", text[4001:]), ("c", text[:9998])]
-    play = PlayScript("p", "x", "original",
-                      tuple(SpeechTurn(s, t, i) for i, (s, t) in enumerate(turns)))
+    play = PlayScript("p", "x", "original", [s for s, _ in turns], [t for _, t in turns])
     chunks, eligibility = prepare_chunks([play], chunk_config([play], "character", 10000, 5, 2000))
     mine = [c.text for c in chunks if c.category == "a"]
     assert len(mine) == 5

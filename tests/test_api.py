@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "PlayScript",
     "PreconditionFailed",
     "RawDocument",
-    "SpeechTurn",
     "StatisticsError",
     "TokenizationMode",
     "attribute_chunks",

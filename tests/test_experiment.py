@@ -38,7 +38,7 @@ from dramastyle import experiment
 from dramastyle.cli import build_parser, main
 from dramastyle.experiment import CorpusEntry, ExperimentConfig, prepare_chunks
 from dramastyle.homogeneity import attribute_chunks
-from dramastyle.ingest import ParseRules, PlayScript, SpeechTurn
+from dramastyle.ingest import ParseRules, PlayScript
 from dramastyle.tokenization import TokenizationMode, count_matrix
 from chunk_config import chunk_config
 from reference_counts import _ref_tokenize
@@ -47,8 +47,8 @@ from reference_counts import _ref_tokenize
 def _play(play_id, speakers):
     """A play in which each (name, chars) speaker has one turn of `chars` characters;
     names are as parse_play writes them."""
-    turns = tuple(SpeechTurn(name, "x" * chars, i) for i, (name, chars) in enumerate(speakers))
-    return PlayScript(play_id, "x", "original", turns)
+    return PlayScript(play_id, "x", "original", [name for name, _ in speakers],
+                      ["x" * chars for _, chars in speakers])
 
 
 def synthetic_config(configs_dir, tmp_path, **overrides):
@@ -510,10 +510,8 @@ class TestRunExperiment:
 
     def test_speaker_aliases_are_normalized_as_headings_are(self):
         # names as parse_play writes the headings ALFA., STRAßE. and BRAVO.
-        turns = tuple(SpeechTurn(speaker, text * 100, i) for i, (speaker, text) in enumerate([
-            ("alfa", "a "), ("strasse", "b "), ("bravo", "c "),
-        ]))
-        play = PlayScript("p", "x", "original", turns)
+        play = PlayScript("p", "x", "original", ["alfa", "strasse", "bravo"],
+                          ["a " * 100, "b " * 100, "c " * 100])
         aliases = {("p", "original"): {"ALFA.": "strasse", "STRASSE.": "Straße"}}
         chunks, _ = prepare_chunks([play], chunk_config([play], "character", 200, 2, 100, aliases))
         assert sorted({c.source[2] for c in chunks}) == ["bravo", "strasse"]
@@ -708,18 +706,18 @@ def _live(kind) -> int:
 
 
 def test_each_file_is_freed_before_the_next_is_loaded(configs_dir, monkeypatch):
-    # a run holds one corpus file at a time and builds no turn object: when a
-    # file is loaded, no earlier file's document and no SpeechTurn is alive
+    # a run holds one corpus file at a time: when a file is loaded, no
+    # earlier file's document and no earlier file's PlayScript is alive
     live = []
     load = experiment.load_document
 
     def spy(*args, **kwargs):
-        live.append((_live(RawDocument), _live(SpeechTurn) - turns_before))
+        live.append((_live(RawDocument), _live(PlayScript) - plays_before))
         return load(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "load_document", spy)
-    # other tests' module-level plays hold turns of their own
-    turns_before = _live(SpeechTurn)
+    # other tests' module-level plays stay alive
+    plays_before = _live(PlayScript)
     config = load_config(configs_dir / "synthetic_translations.json")
     experiment._chunk_corpus(config, {})
     assert live == [(0, 0)] * len(config.corpus)
@@ -772,9 +770,9 @@ def test_empty_turn_counts_in_its_speakers_chars(data_dir):
     config = ExperimentConfig(experiment_id="edge_cases", corpus=(entry,), min_size=126,
                               chunk_count=2, chunk_size=63)
     [play] = _parsed_plays(config)
-    said = [t.text for t in play.turns if t.speaker == "regina"]
+    said = [text for speaker, text in zip(play.speakers, play.texts) if speaker == "regina"]
     joined = " ".join(said)
-    assert play.turns[12].speaker == "regina" and said[-1] == "" and len(joined) == 126
+    assert play.speakers[12] == "regina" and said[-1] == "" and len(joined) == 126
     chunks, _, records = experiment._chunk_corpus(config, {})
     assert [r for r in records["eligibility"] if r["speaker"] == "regina"] == [
         {"play_id": "edge_cases", "translator": "original", "speaker": "regina",

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import unicodedata
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from dramastyle import (
     CorpusError,
     ParseRules,
+    PreconditionFailed,
     RawDocument,
     load_document,
     parse_play,
@@ -16,7 +18,6 @@ from dramastyle import (
 from dramastyle import ingest
 from dramastyle.ingest import (
     PlayScript,
-    SpeechTurn,
     match_speaker_heading,
     normalize_speaker,
     play_to_json,
@@ -121,6 +122,20 @@ class TestSpeakerHeading:
         assert match_speaker_heading("NORA. I am glad.", RULES) == ("NORA.", "I am glad.")
 
 
+class TestPlayScript:
+    def test_columns_and_warnings_are_stored_as_tuples(self):
+        play = PlayScript("p", "en", "original", ["nora", "helmer"], ["A.", "B."], ["w"])
+        assert (play.speakers, play.texts, play.warnings) == (("nora", "helmer"), ("A.", "B."),
+                                                              ("w",))
+
+    @pytest.mark.parametrize("speakers", [["nora", "helmer", "nora"], ["nora"]],
+                             ids=["one_speaker_too_many", "one_speaker_too_few"])
+    def test_columns_of_two_lengths_raise(self, speakers):
+        # zip would drop the unmatched turns without a word
+        with pytest.raises(PreconditionFailed, match="p/original: .* speakers for 2 turn texts"):
+            PlayScript("p", "en", "original", speakers, ["A.", "B."])
+
+
 class TestParsePlay:
     def test_empty_input_raises(self):
         with pytest.raises(CorpusError, match="no speaker heading matched$"):
@@ -130,46 +145,47 @@ class TestParsePlay:
         play = parse_play(
             doc("NORA. Hello there.\n[She dances.]\nHELMER. Hi.\n"), RULES, "p", "en"
         )
-        assert [(t.speaker, t.text) for t in play.turns] == [
+        assert list(zip(play.speakers, play.texts)) == [
             ("nora", "Hello there."),
             ("helmer", "Hi."),
         ]
 
     def test_inline_direction_removed_and_whitespace_collapsed(self):
         play = parse_play(doc("NORA. I am (laughing) glad.\n"), RULES, "p", "en")
-        assert play.turns[0].text == "I am glad."
+        assert play.texts[0] == "I am glad."
 
     def test_nested_directions_removed_innermost_first(self):
         play = parse_play(doc("NORA. So [he (slowly) exits] it ends.\n"), RULES, "p", "en")
-        assert play.turns[0].text == "So it ends."
+        assert play.texts[0] == "So it ends."
 
     def test_multi_line_turns_joined(self):
         play = parse_play(doc("NORA. First line\nsecond line.\nHELMER. Hi.\n"), RULES, "p", "en")
-        assert play.turns[0].text == "First line second line."
+        assert play.texts[0] == "First line second line."
 
     def test_preamble_before_first_heading_discarded(self):
         play = parse_play(doc("Title page prose\nNORA. Hello.\n"), RULES, "p", "en")
-        assert len(play.turns) == 1
+        assert len(play.speakers) == len(play.texts) == 1
 
     def test_ordinals_strictly_increasing(self):
         play = parse_play(
             doc("NORA. A.\nHELMER. B.\nNORA. C.\nHELMER. D.\n"), RULES, "p", "en"
         )
-        assert [t.ordinal for t in play.turns] == [0, 1, 2, 3]
+        turns = json.loads(play_to_json(play))["turns"]
+        assert [t["ordinal"] for t in turns] == [0, 1, 2, 3]
 
     def test_unmatched_bracket_is_warning_not_error(self):
         play = parse_play(doc("NORA. Hello [there.\nHELMER. Hi.\n"), RULES, "p", "en")
         assert play.warnings
-        assert "[there." in play.turns[0].text
+        assert "[there." in play.texts[0]
 
     def test_stage_direction_removal_idempotent(self):
         play = parse_play(
             doc("NORA. A [x] b (y) c.\nHELMER. Plain [nested (deep) one].\n"),
             RULES, "p", "en",
         )
-        for t in play.turns:
-            again, warns = remove_stage_directions(t.text, RULES)
-            assert again == t.text
+        for text in play.texts:
+            again, warns = remove_stage_directions(text, RULES)
+            assert again == text
             assert not warns
 
 
@@ -269,8 +285,9 @@ def _ref_remove_stage_directions(text: str, rules: ParseRules) -> tuple[str, lis
     return text, warnings
 
 
-def _ref_parse_turns(text: str, rules: ParseRules) -> tuple[list[SpeechTurn], list[str]]:
-    turns: list[SpeechTurn] = []
+def _ref_parse_turns(text: str, rules: ParseRules) -> tuple[list[tuple[str, str]], list[str]]:
+    """Each turn's (speaker, text), in order, and the parse warnings."""
+    turns: list[tuple[str, str]] = []
     warnings: list[str] = []
     current_speaker: str | None = None
     current_lines: list[str] = []
@@ -284,7 +301,7 @@ def _ref_parse_turns(text: str, rules: ParseRules) -> tuple[list[SpeechTurn], li
         warnings.extend(warns)
         body = _REF_WS_RE.sub(" ", body).strip()
         speaker = normalize_speaker(current_speaker)
-        turns.append(SpeechTurn(speaker=speaker, text=body, ordinal=len(turns)))
+        turns.append((speaker, body))
         current_speaker, current_lines = None, []
 
     for line in text.splitlines():
@@ -415,7 +432,7 @@ class TestAgainstReferenceParser:
         text = "\n".join(lines) + "\n"
         play = parse_play(doc(text), rules, "p", "en")
         turns, warnings = _ref_parse_turns(text, rules)
-        expected = PlayScript("p", "en", "original", tuple(turns))
+        expected = PlayScript("p", "en", "original", [s for s, _ in turns], [t for _, t in turns])
         assert play_to_json(play) == play_to_json(expected)
         assert list(play.warnings) == warnings
         assert len(turns) > 100 and warnings
@@ -609,14 +626,14 @@ def test_parse_play_matches_reference_at_each_line_break(rules, brk):
     text = brk.join(lines) + brk
     play = parse_play(doc(text), rules, "p", "en")
     turns, warnings = _ref_parse_turns(text, rules)
-    expected = PlayScript("p", "en", "original", tuple(turns))
+    expected = PlayScript("p", "en", "original", [s for s, _ in turns], [t for _, t in turns])
     assert play_to_json(play) == play_to_json(expected)
     assert list(play.warnings) == warnings
     assert kinds == {"plain", "unmatched", "nested", "empty_rest", "seeded"}
-    assert warnings and any(t.text == "" for t in turns)
-    assert any(not any(b in t.text for pair in rules.stage_direction_brackets for b in pair)
-               for t in turns)
-    assert [t.text for t in turns[:3]] == [
+    assert warnings and any(body == "" for _, body in turns)
+    assert any(not any(b in body for pair in rules.stage_direction_brackets for b in pair)
+               for _, body in turns)
+    assert [body for _, body in turns[:3]] == [
         " ".join(["w"] * len(spaces)), "", "so it",
     ]
     assert ("\n" in text) == ("\n" in brk) and odd in text

@@ -11,7 +11,6 @@ from dramastyle import (
     PipelineError,
     PlayScript,
     RawDocument,
-    SpeechTurn,
     StatisticsError,
     parse_play,
 )
@@ -26,8 +25,7 @@ def _chunks(plays, *settings, aliases=None):
 
 def _play(play_id, pairs, translator="original"):
     """A play of (speaker, text) turns, in that order."""
-    turns = tuple(SpeechTurn(speaker, text, i) for i, (speaker, text) in enumerate(pairs))
-    return PlayScript(play_id, "x", translator, turns)
+    return PlayScript(play_id, "x", translator, [s for s, _ in pairs], [t for _, t in pairs])
 
 
 def _joined(chunks):
@@ -52,11 +50,8 @@ class TestTurnsJoined:
     def test_total_length_preserved(self):
         play = _play("p", [("a", "one"), ("b", "two"), ("a", "three"), ("b", "four")])
         _, eligibility = _chunks([play], "character", 2, 2, 1)
-        joiners = sum(len([t for t in play.turns if t.speaker == r["speaker"]]) - 1
-                      for r in eligibility)
-        assert sum(r["chars"] for r in eligibility) == (
-            sum(len(t.text) for t in play.turns) + joiners
-        )
+        joiners = sum(play.speakers.count(r["speaker"]) - 1 for r in eligibility)
+        assert sum(r["chars"] for r in eligibility) == sum(map(len, play.texts)) + joiners
 
     def test_aliased_turns_come_in_speaking_order(self):
         # one speaker under two headings: the window is cut from its turns in order
