@@ -16,7 +16,8 @@ a run reduces to chunks and `play_to_json` writes as interchange JSON.
 Work repeated across a play is done once: `parse_play` classifies each
 distinct heading word and normalizes each distinct speaker name once per
 play, and `load_document` scans for carriage returns only in text that
-holds one.
+holds one. `parse_play` reads a play in one regex scan of the lines that
+can open a turn, and cuts each turn's text as one slice of the play.
 """
 from __future__ import annotations
 
@@ -37,6 +38,9 @@ _HONORIFICS = {"mr", "mrs", "ms", "dr", "st", "fru", "frk", "hr"}
 # The characters at which `str.splitlines` ends a line; "\r\n" is one break.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_END_RE = re.compile(f"\r\n|[{_LINE_BREAKS}]")
+# A line, after its "\n", that may open a turn: its first non-blank character
+# is A-Z (the only ASCII characters that are `str.isupper`) or not ASCII.
+_CANDIDATE_RE = re.compile(r"\n([^\S\n]*[^\s\x00-@\[-\x7f][^\n]*)")
 # The characters for which `str.isspace` is true (a test checks the set).
 _SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
            "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
@@ -288,8 +292,10 @@ def _bracket_patterns(brackets: tuple[tuple[str, str], ...]) -> tuple[re.Pattern
 def remove_stage_directions(text: str, rules: ParseRules) -> tuple[str, list[str]]:
     """Delete bracketed spans, innermost first, until none remain.
 
-    Unmatched bracket characters are kept verbatim and reported as
-    warnings, never silently dropped.
+    Each round deletes the innermost spans of every pair. The rounds stop
+    when one deletes nothing, or when no opening bracket is left, since a
+    further round could then delete nothing. Unmatched bracket characters
+    are kept verbatim and reported as warnings, never silently dropped.
     """
     for o, c in rules.stage_direction_brackets:
         if o in text or c in text:
@@ -303,6 +309,12 @@ def remove_stage_directions(text: str, rules: ParseRules) -> tuple[str, list[str
         for pat in patterns:
             text, n = pat.subn("", text)
             changed = changed or n > 0
+        # with no opening bracket left, another round can remove nothing
+        for o, _ in rules.stage_direction_brackets:
+            if o in text:
+                break
+        else:
+            break
     warnings = []
     for o, c in rules.stage_direction_brackets:
         for ch in (o, c):
@@ -341,28 +353,46 @@ def parse_play(
     stage directions deleted. Each run of `str.isspace` characters then
     becomes one space, and the turn is trimmed. A turn's speaker is its
     heading name under `normalize_speaker`.
+
+    The text is read in one scan. Every other line break is first made
+    "\n"; one pattern then finds the lines whose first non-blank character
+    is A-Z or not ASCII, a superset of the lines that can open a turn, and
+    the matcher decides. Each turn's lines, joined, are one slice of the
+    text: from the rest of its heading line, or from the next line, to the
+    "\n" before the next heading, or to the end less one final "\n".
     """
-    lines = doc.text.splitlines()
+    text = doc.text
+    # one `in` scan per break character is far faster than a character class
+    if any(brk in text for brk in _LINE_BREAKS[1:]):
+        text = _LINE_END_RE.sub("\n", text)
+    # every line, the first too, follows a "\n"
+    text = "\n" + text
     match = _heading_matcher(rules)
-    # Exact prefilter: a heading's first word is title-case, so the matcher
-    # rejects every line whose first non-blank character is not upper-case.
-    headings = [
-        (i, heading) for i, line in enumerate(lines)
-        if line.lstrip()[:1].isupper() and (heading := match(line))
-    ]
+    # per heading: where its line's "\n" is, where its body begins, its name
+    headings: list[tuple[int, int, str]] = []
+    for m in _CANDIDATE_RE.finditer(text):
+        line = m.group(1)
+        # exact: a heading's first word is title-case, so the matcher rejects
+        # every line whose first non-blank character is not upper-case
+        if line.lstrip()[:1].isupper() and (heading := match(line)):
+            name, rest = heading
+            end = m.end()
+            # the body opens with `rest`, a suffix of the line, or on the next line
+            headings.append((m.start(), end - len(rest) if rest else end + 1, name))
     if not headings:
         raise CorpusError(f"{doc.source_id}: no speaker heading matched")
     # each heading name is normalized once
-    names = {name: normalize_speaker(name) for name in {name for _, (name, _) in headings}}
-    speakers = [names[name] for _, (name, _) in headings]
+    names = {name: normalize_speaker(name) for name in {name for _, _, name in headings}}
+    speakers = [names[name] for _, _, name in headings]
     texts: list[str] = []
     warnings: list[str] = []
-    # bodies join lines with "\n"; deleting a stage direction adds no character
-    spaces = "\n" + "".join(ch for ch in _SPACES if ch not in " \n" and ch in doc.text)
-    ends = [i for i, _ in headings[1:]] + [len(lines)]
-    for (i, (_, rest)), end in zip(headings, ends):
-        body = "\n".join([rest, *lines[i + 1 : end]] if rest else lines[i + 1 : end])
-        body, warns = remove_stage_directions(body, rules)
+    # deleting a stage direction adds no character
+    spaces = "".join(ch for ch in _SPACES if ch != " " and ch in text)
+    # a body ends at the "\n" before the next heading, the last one at the
+    # end of the text less one final "\n"
+    stops = [start for start, _, _ in headings[1:]] + [len(text) - text.endswith("\n")]
+    for (_, begin, _), stop in zip(headings, stops):
+        body, warns = remove_stage_directions(text[begin:stop], rules)
         warnings.extend(warns)
         texts.append(_collapse(body, spaces))
     return PlayScript(play_id, language, translator, speakers, texts, warnings)

@@ -414,6 +414,19 @@ class TestAgainstReferenceParser:
                 text, rules
             ), repr(text)
 
+    @pytest.mark.parametrize("text, brackets, kept", [
+        ("[a (b] c)", (("[", "]"), ("(", ")")), " c)"),  # crossed pairs
+        ("(a [b) c]", (("[", "]"), ("(", ")")), "(a "),
+        ("[a [b [c] d] e]", (("[", "]"), ("(", ")")), ""),  # three rounds
+        ("([x])(", (("[", "]"), ("(", ")")), "("),  # an opener left unmatched
+        ("<<{>>}", (("<<", ">>"), ("{", "}")), "}"),
+    ])
+    def test_stage_direction_rounds_stop_as_the_reference_does(self, text, brackets, kept):
+        rules = ParseRules(stage_direction_brackets=brackets)
+        got = remove_stage_directions(text, rules)
+        assert got == _ref_remove_stage_directions(text, rules)
+        assert got[0] == kept
+
     @pytest.mark.parametrize("rules", _CUSTOM_RULES[:3] + _CUSTOM_RULES[-3:], ids=repr)
     def test_parse_play_matches_reference_on_capital_heavy_script(self, rules):
         rng = random.Random(f"script:{rules!r}")
@@ -447,6 +460,57 @@ def test_regex_whitespace_is_str_isspace():
     ]
     assert disagree == []
     assert ingest._SPACES == "".join(chr(cp) for cp in range(0x110000) if chr(cp).isspace())
+
+
+def test_candidate_scan_misses_no_heading():
+    """Every line whose first non-blank character is upper-case, after one or
+    no non-break space, is a candidate line of `parse_play`'s scan, and so is
+    every seeded line (without a line break) that the reference takes."""
+    found = ingest._CANDIDATE_RE.fullmatch
+    uppers = [chr(cp) for cp in range(0x110000) if chr(cp).isupper()]
+    leading = ["", *(c for c in ingest._SPACES if c not in ingest._LINE_BREAKS)]
+    missed = [(ws, c) for c in uppers for ws in leading if not found(f"\n{ws}{c}x. y")]
+    assert missed == [] and len(uppers) > 1000 and len(leading) == 20
+    rng = random.Random("candidates")
+    accepted = 0
+    for rules in _CUSTOM_RULES:
+        for _ in range(2000):
+            line = _seeded_line(rng, rules.delimiters)
+            if any(b in line for b in ingest._LINE_BREAKS):
+                continue
+            if _ref_match_speaker_heading(line, rules) is not None:
+                accepted += 1
+                assert found("\n" + line), repr(line)
+    assert accepted > 1000
+
+
+# layouts where a body slice could start or stop one character off; the
+# "bracket" ones hold an unmatched bracket near a break, which must warn
+_LAYOUTS = {
+    "heading_first": "NORA. Hello.{b}more words{b}HELMER. No.{b}",
+    "last_line_heading": "NORA. Hello.{b}more{b}HELMER. No.",
+    "last_line_heading_break": "NORA. Hello.{b}more{b}HELMER. No.{b}",
+    "last_line_bare_heading": "x{b}NORA. Hello.{b}HELMER.",
+    "last_line_bare_heading_break": "x{b}NORA. Hello.{b}HELMER.{b}",
+    "two_headings_in_a_row": "title{b}NORA.{b}HELMER. So.{b}NORA:{b}{b}Osvald. x",
+    "blank_lines_at_turn_end": "NORA. a{b}b{b}{b}{b}HELMER. c{b}{b}{b}",
+    "one_heading_line": "NORA. Hello.",
+    "one_bare_heading_line": "NORA.{b}",
+    "bracket_before_break": "NORA. a [b c{b}d e f{b}HELMER. x (aside{b}",
+    "bracket_before_final_break": "NORA. so ) then{b}HELMER. words [aside{b}",
+}
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\u2028"], ids=repr)
+@pytest.mark.parametrize("layout", _LAYOUTS, ids=str)
+def test_parse_play_slices_bodies_as_the_reference_joins_lines(layout, brk):
+    text = _LAYOUTS[layout].format(b=brk)
+    play = parse_play(doc(text), RULES, "p", "en")
+    turns, warnings = _ref_parse_turns(text, RULES)
+    expected = PlayScript("p", "en", "original", [s for s, _ in turns], [t for _, t in turns])
+    assert play_to_json(play) == play_to_json(expected)
+    assert list(play.warnings) == warnings
+    assert bool(warnings) == layout.startswith("bracket")
 
 
 def test_edge_case_fixture_matches_golden(data_dir, tmp_path, capsys):
